@@ -1,0 +1,9 @@
+"""Makes the program under ``src`` importable for the benchmark's tests."""
+
+import os
+import sys
+
+sys.path.insert(
+    0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+        __file__))), "src")
+)
