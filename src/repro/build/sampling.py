@@ -215,6 +215,7 @@ def generate_candidates(
     sketch: TwigXSketch,
     rng: random.Random,
     max_candidates: Optional[int] = None,
+    split_memo: Optional[dict[int, list[Refinement]]] = None,
 ) -> list[Refinement]:
     """One round's candidate pool: applicable refinements, deduplicated,
     shuffled, and capped at ``max_candidates``.
@@ -223,13 +224,21 @@ def generate_candidates(
     only when the sketch configuration enables the full model
     (``include_backward``); the paper's measured prototype sticks to
     forward counts.
+
+    ``split_memo`` caches value-split proposals by node id.  They depend
+    only on the node's extent, which never changes while its id lives, so
+    one memo may serve every round of a build (the sketches of one
+    refinement lineage never reuse an id for another extent).
     """
+    memo = {} if split_memo is None else split_memo
     pool: list[Refinement] = []
     pool.extend(_structural_candidates(sketch))
     pool.extend(_histogram_candidates(sketch))
     pool.extend(_value_refine_candidates(sketch))
     for node in sketch.graph.iter_nodes():
-        pool.extend(_value_split_proposals(sketch, node.node_id))
+        if node.node_id not in memo:
+            memo[node.node_id] = _value_split_proposals(sketch, node.node_id)
+        pool.extend(memo[node.node_id])
         pool.extend(_value_expand_proposals(sketch, node.node_id))
     deduplicated = list(dict.fromkeys(pool))
     rng.shuffle(deduplicated)

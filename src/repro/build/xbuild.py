@@ -228,6 +228,8 @@ class XBuild:
         self.workers = max(1, int(workers))
         #: cross-round truth cache: query text -> exact count
         self._truth_cache: dict[str, float] = {}
+        #: value-split proposals per node id, reused across rounds
+        self._split_memo: dict[int, list[Refinement]] = {}
         self.on_step = on_step
         self.max_stall_rounds = max_stall_rounds
         self.max_steps = max_steps
@@ -500,7 +502,9 @@ class XBuild:
         """
         if pool is not None:
             return self._best_candidate_parallel(sketch, size, pool)
-        candidates = generate_candidates(sketch, self.rng, self.max_candidates)
+        candidates = generate_candidates(
+            sketch, self.rng, self.max_candidates, self._split_memo
+        )
         base_estimator = TwigEstimator(sketch)
         # queries, truths, and base error are shared across candidates
         # with the same region — one sampling round per region.
@@ -585,7 +589,9 @@ class XBuild:
         """
         from ..parallel.pool import split_chunks
 
-        candidates = generate_candidates(sketch, self.rng, self.max_candidates)
+        candidates = generate_candidates(
+            sketch, self.rng, self.max_candidates, self._split_memo
+        )
         if not candidates:
             return None
         chunks = split_chunks(len(candidates), pool.workers)

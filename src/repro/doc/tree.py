@@ -11,7 +11,7 @@ unless ``freeze=False``), and mutation afterwards is a usage error.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterator
+from typing import Iterator, Optional
 
 from ..errors import DocumentError
 from .node import DocumentNode
@@ -38,6 +38,8 @@ class DocumentTree:
         self.name = name
         self._nodes: list[DocumentNode] = []
         self._extents: dict[str, list[DocumentNode]] = {}
+        # largest id in each node's subtree, built on first use
+        self._subtree_ends: Optional[list[int]] = None
         self._frozen = False
         if freeze:
             self.freeze()
@@ -103,6 +105,22 @@ class DocumentTree:
         """All nodes with tag ``tag`` (document order); empty list if none."""
         self._require_frozen()
         return self._extents.get(tag, [])
+
+    def subtree_end(self, node: DocumentNode) -> int:
+        """The largest node id in ``node``'s subtree.
+
+        Ids are pre-order, so the subtree is exactly the id interval
+        ``[node.node_id, subtree_end(node)]``.  The ends are computed on
+        first use, which keeps parsing and :meth:`freeze` at their cost.
+        """
+        self._require_frozen()
+        if self._subtree_ends is None:
+            ends = list(range(len(self._nodes)))
+            for element in reversed(self._nodes):
+                if element.children:
+                    ends[element.node_id] = ends[element.children[-1].node_id]
+            self._subtree_ends = ends
+        return self._subtree_ends[node.node_id]
 
     def tag_counts(self) -> Counter:
         """Multiset of tags — how many elements carry each tag."""

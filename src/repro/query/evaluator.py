@@ -22,10 +22,20 @@ needed) and the binding count factorizes over twig subtrees::
                   product over children c of t of count(c, e')
 
 which the evaluator computes without ever materializing tuples.
+
+:func:`count_bindings` answers ``//tag`` steps from the tree's tag
+extents: node ids are pre-order, so an element's descendants with a tag
+are the slice of ``tree.extent(tag)`` inside the id interval of its
+subtree (the tag-extent jumping of structural XML indexes).
+:func:`eval_path`, :func:`path_exists` and :func:`enumerate_bindings`
+walk the subtree; they are the reference the indexed counts are tested
+against.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from operator import attrgetter
 from typing import Iterator, Optional
 
 from ..doc.node import DocumentNode
@@ -43,6 +53,9 @@ class _VirtualRoot:
     """
 
     __slots__ = ("children",)
+
+    #: below every element id, so the whole document is its subtree
+    node_id = -1
 
     def __init__(self, root: DocumentNode):
         self.children = [root]
@@ -136,15 +149,74 @@ def path_exists(path: Path, context: DocumentNode) -> bool:
     return bool(frontier)
 
 
-def _count_from(node: TwigNode, context: DocumentNode) -> int:
-    matches = eval_path(node.path, context)
+_NODE_ID = attrgetter("node_id")
+
+
+def _indexed_step(
+    frontier: list, step: Step, tree: DocumentTree
+) -> list[DocumentNode]:
+    """The step's tag/axis candidates from a document-ordered frontier,
+    duplicate-free and in document order, via the tag extents."""
+    if step.axis != DESCENDANT:
+        candidates = [
+            child
+            for element in frontier
+            for child in element.children
+            if child.tag == step.tag
+        ]
+        if len(frontier) > 1:
+            candidates.sort(key=_NODE_ID)
+        return candidates
+    extent = tree.extent(step.tag)
+    candidates = []
+    covered = -2  # end id of the last subtree sliced; below the virtual root
+    for element in frontier:
+        if element.node_id <= covered:
+            continue  # nested in an earlier element's subtree
+        covered = (
+            tree.subtree_end(element)
+            if element.node_id >= 0
+            else tree.element_count - 1
+        )
+        low = bisect_right(extent, element.node_id, key=_NODE_ID)
+        high = bisect_right(extent, covered, lo=low, key=_NODE_ID)
+        candidates.extend(extent[low:high])
+    return candidates
+
+
+def _indexed_path(
+    path: Path, context, tree: DocumentTree
+) -> list[DocumentNode]:
+    """:func:`eval_path` over the tag extents of ``tree``."""
+    frontier = [context]
+    for step in path.steps:
+        frontier = _indexed_step(frontier, step, tree)
+        if step.value_pred is not None:
+            frontier = [
+                candidate
+                for candidate in frontier
+                if step.value_pred.matches(candidate.value)
+            ]
+        for branch in step.branches:
+            frontier = [
+                candidate
+                for candidate in frontier
+                if _indexed_path(branch, candidate, tree)
+            ]
+        if not frontier:
+            break
+    return frontier
+
+
+def _count_from(node: TwigNode, path: Path, context, tree: DocumentTree) -> int:
+    matches = _indexed_path(path, context, tree)
     if not node.children:
         return len(matches)
     total = 0
     for element in matches:
         product = 1
         for child in node.children:
-            product *= _count_from(child, element)
+            product *= _count_from(child, child.path, element, tree)
             if product == 0:
                 break
         total += product
@@ -153,16 +225,9 @@ def _count_from(node: TwigNode, context: DocumentNode) -> int:
 
 def count_bindings(query: TwigQuery, tree: DocumentTree) -> int:
     """Exact selectivity ``s(T_Q)``: the number of binding tuples."""
-    matches = eval_path(absolute_path(query.root.path), virtual_root(tree))
-    total = 0
-    for element in matches:
-        product = 1
-        for child in query.root.children:
-            product *= _count_from(child, element)
-            if product == 0:
-                break
-        total += product
-    return total
+    return _count_from(
+        query.root, absolute_path(query.root.path), virtual_root(tree), tree
+    )
 
 
 def enumerate_bindings(

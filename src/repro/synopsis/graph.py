@@ -92,6 +92,8 @@ class GraphSynopsis:
         self._next_id = 0
         # lazy adjacency index over ``edges`` — rebuilt after mutations
         self._adjacency: Optional[tuple[dict, dict]] = None
+        # per edge key, where an extent scan first meets it (see _tally)
+        self._witnesses: dict[tuple[int, int], tuple[int, int, int]] = {}
 
     # ------------------------------------------------------------------
     # construction
@@ -101,6 +103,8 @@ class GraphSynopsis:
         cls, tree: DocumentTree, groups: Iterable[list[DocumentNode]]
     ) -> "GraphSynopsis":
         """Create a synopsis from an explicit partition of the elements.
+
+        Each extent is kept in document order, whatever the group order.
 
         Raises:
             SynopsisError: if a group mixes tags, or the groups do not
@@ -125,7 +129,11 @@ class GraphSynopsis:
         tags = {element.tag for element in extent}
         if len(tags) != 1:
             raise SynopsisError(f"extent mixes tags: {sorted(tags)}")
-        node = SynopsisNode(self._next_id, tags.pop(), list(extent))
+        node = SynopsisNode(
+            self._next_id,
+            tags.pop(),
+            sorted(extent, key=lambda element: element.node_id),
+        )
         self._next_id += 1
         self.nodes[node.node_id] = node
         for element in extent:
@@ -141,62 +149,84 @@ class GraphSynopsis:
     # ------------------------------------------------------------------
     def _recompute_all_edges(self) -> None:
         self._adjacency = None
-        self.edges = {}
-        counts: dict[tuple[int, int], int] = {}
-        parents: dict[tuple[int, int], set[int]] = {}
-        for parent, child in self.tree.iter_edges():
-            key = (self.assignment[parent.node_id], self.assignment[child.node_id])
-            counts[key] = counts.get(key, 0) + 1
-            parents.setdefault(key, set()).add(parent.node_id)
-        for (source, target), child_count in counts.items():
-            self.edges[(source, target)] = SynopsisEdge(
-                source,
-                target,
-                child_count,
-                len(parents[(source, target)]),
-                self.nodes[source].count,
-                self.nodes[target].count,
-            )
+        tallies = _tally(self.tree.iter_edges(), self.assignment)
+        self.edges = {key: self._edge(key, t) for key, t in tallies.items()}
+        self._witnesses = {key: tuple(t[2:]) for key, t in tallies.items()}
 
-    def _recompute_edges_touching(self, node_ids: set[int]) -> None:
-        """Rebuild edges incident to ``node_ids`` (after a split)."""
+    def _edge(self, key: tuple[int, int], tally: list) -> SynopsisEdge:
+        """The edge ``key`` with the counts of its :func:`_tally` entry."""
+        source, target = key
+        return SynopsisEdge(
+            source,
+            target,
+            tally[0],
+            len(tally[1]),
+            self.nodes[source].count,
+            self.nodes[target].count,
+        )
+
+    def _replace_split_edges(
+        self,
+        old_id: int,
+        parts: tuple[SynopsisNode, SynopsisNode],
+        affected: set[int],
+    ) -> None:
+        """Swap the edges of split node ``old_id`` for those of its parts.
+
+        Only edges incident to the two parts change counts; they are
+        counted from the parts' own extents (each element's children and
+        its parent).  Every other edge with an endpoint in ``affected``
+        keeps its counts but moves, with the parts' edges, to the end of
+        ``edges``: in the order a rescan of every ``affected`` extent, in
+        set iteration order, first meets the edge's document edges — each
+        element's child pairs, then its parent pair.  That order is
+        observable (candidate pools, default statistics and serialization
+        all iterate ``edges``), so builds stay bit-identical to the rescan.
+        """
         self._adjacency = None
-        for key in [k for k in self.edges if k[0] in node_ids or k[1] in node_ids]:
-            del self.edges[key]
-        counts: dict[tuple[int, int], int] = {}
-        parents: dict[tuple[int, int], set[int]] = {}
+        assignment = self.assignment
+        split_ids = {part.node_id for part in parts}
 
-        def record(parent: DocumentNode, child: DocumentNode) -> None:
-            key = (
-                self.assignment[parent.node_id],
-                self.assignment[child.node_id],
-            )
-            if key[0] in node_ids or key[1] in node_ids:
-                counts[key] = counts.get(key, 0) + 1
-                parents.setdefault(key, set()).add(parent.node_id)
+        def pairs() -> Iterator[tuple[DocumentNode, DocumentNode]]:
+            for part in parts:
+                for element in part.extent:
+                    for child in element.children:
+                        yield element, child
+                    parent = element.parent
+                    if (
+                        parent is not None
+                        and assignment[parent.node_id] not in split_ids
+                    ):
+                        yield parent, element
 
-        seen_pairs: set[tuple[int, int]] = set()
-        for node_id in node_ids:
-            for element in self.nodes[node_id].extent:
-                for child in element.children:
-                    pair = (element.node_id, child.node_id)
-                    if pair not in seen_pairs:
-                        seen_pairs.add(pair)
-                        record(element, child)
-                if element.parent is not None:
-                    pair = (element.parent.node_id, element.node_id)
-                    if pair not in seen_pairs:
-                        seen_pairs.add(pair)
-                        record(element.parent, element)
-        for (source, target), child_count in counts.items():
-            self.edges[(source, target)] = SynopsisEdge(
-                source,
-                target,
-                child_count,
-                len(parents[(source, target)]),
-                self.nodes[source].count,
-                self.nodes[target].count,
-            )
+        tallies = _tally(pairs(), assignment)
+        moved = {key: self._edge(key, t) for key, t in tallies.items()}
+        witnesses = {key: tuple(t[2:]) for key, t in tallies.items()}
+        for key in [
+            key for key in self.edges
+            if key[0] in affected or key[1] in affected or old_id in key
+        ]:
+            edge = self.edges.pop(key)
+            witness = self._witnesses.pop(key)
+            if old_id not in key:
+                moved[key] = edge
+                witnesses[key] = witness
+        rank = {node_id: index for index, node_id in enumerate(affected)}
+        after_children = len(assignment)
+
+        def scan_position(key: tuple[int, int]) -> tuple[int, int, int]:
+            source, target = key
+            parent_id, child_id, first_target = witnesses[key]
+            positions = []
+            if source in rank:
+                positions.append((rank[source], parent_id, child_id))
+            if target in rank:
+                positions.append((rank[target], first_target, after_children))
+            return min(positions)
+
+        for key in sorted(moved, key=scan_position):
+            self.edges[key] = moved[key]
+            self._witnesses[key] = witnesses[key]
 
     # ------------------------------------------------------------------
     # accessors
@@ -298,9 +328,8 @@ class GraphSynopsis:
             self.assignment[element.node_id] = first.node_id
         for element in outside:
             self.assignment[element.node_id] = second.node_id
-        # Edges touching the old node or its neighborhood must be rebuilt;
-        # include neighbor node ids because their source/target sizes are
-        # unchanged but their counts toward the split parts changed.
+        # The parts and their neighbours, inserted in this exact sequence:
+        # the set's iteration order fixes the order of the rebuilt edges.
         affected = {first.node_id, second.node_id}
         affected.update(
             self.assignment[e.parent.node_id]
@@ -310,7 +339,7 @@ class GraphSynopsis:
         affected.update(
             self.assignment[c.node_id] for e in node.extent for c in e.children
         )
-        self._recompute_edges_touching(affected)
+        self._replace_split_edges(node_id, (first, second), affected)
         return first.node_id, second.node_id
 
     def copy(self) -> "GraphSynopsis":
@@ -334,6 +363,7 @@ class GraphSynopsis:
             )
             for key, edge in self.edges.items()
         }
+        duplicate._witnesses = dict(self._witnesses)
         return duplicate
 
     # ------------------------------------------------------------------
@@ -343,6 +373,13 @@ class GraphSynopsis:
         """Check the partition and edge-count invariants (test support)."""
         covered = 0
         for node in self.nodes.values():
+            if any(
+                earlier.node_id >= later.node_id
+                for earlier, later in zip(node.extent, node.extent[1:])
+            ):
+                raise SynopsisError(
+                    f"extent of node #{node.node_id} is not in document order"
+                )
             for element in node.extent:
                 if self.assignment[element.node_id] != node.node_id:
                     raise SynopsisError(
@@ -355,6 +392,11 @@ class GraphSynopsis:
             raise SynopsisError(
                 f"partition covers {covered} of {self.tree.element_count} elements"
             )
+        for source, target in self.edges:
+            if source not in self.nodes or target not in self.nodes:
+                raise SynopsisError(
+                    f"edge {source}->{target} references a missing node"
+                )
         # Incoming child_counts partition each node's extent (tree data).
         for node_id, node in self.nodes.items():
             incoming = sum(e.child_count for e in self.parents_of(node_id))
@@ -369,6 +411,38 @@ class GraphSynopsis:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<GraphSynopsis nodes={self.node_count} edges={self.edge_count}>"
+
+
+def _tally(
+    pairs: Iterable[tuple[DocumentNode, DocumentNode]], assignment: list[int]
+) -> dict[tuple[int, int], list]:
+    """Tally (parent, child) document edges per synopsis edge key.
+
+    Each tally is ``[child_count, parent ids, p, c, t]`` in first-seen key
+    order.  ``(p, c, t)`` is the key's *witness*: ``p`` its smallest parent
+    id, ``c`` the smallest id among ``p``'s children on the key, ``t`` its
+    smallest child id.  Extents are in document order and children ids
+    grow with their index, so a scan of the source's extent first meets
+    the key at child pair ``(p, c)``, and one of the target's extent at
+    element ``t``'s parent pair.
+    """
+    tallies: dict[tuple[int, int], list] = {}
+    for parent, child in pairs:
+        parent_id, child_id = parent.node_id, child.node_id
+        key = (assignment[parent_id], assignment[child_id])
+        tally = tallies.get(key)
+        if tally is None:
+            tallies[key] = [1, {parent_id}, parent_id, child_id, child_id]
+            continue
+        tally[0] += 1
+        tally[1].add(parent_id)
+        if parent_id < tally[2]:
+            tally[2], tally[3] = parent_id, child_id
+        elif parent_id == tally[2] and child_id < tally[3]:
+            tally[3] = child_id
+        if child_id < tally[4]:
+            tally[4] = child_id
+    return tallies
 
 
 def label_split_synopsis(tree: DocumentTree) -> GraphSynopsis:

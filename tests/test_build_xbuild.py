@@ -13,10 +13,11 @@ from repro.build import (
     xbuild,
 )
 from repro.build.sampling import RegionSampler
-from repro.datasets import generate_imdb
+from repro.datasets import generate_imdb, generate_xmark
 from repro.estimation import TwigEstimator
 from repro.query import count_bindings
 from repro.synopsis import TwigXSketch, XSketchConfig
+from repro.synopsis.validate import error_violations, validate_sketch
 from repro.workload import (
     WorkloadGenerator,
     WorkloadSpec,
@@ -175,3 +176,35 @@ class TestXBuildLoop:
         ).run()
         assert seen
         assert seen == sorted(seen)
+
+
+class TestIncrementalBuildState:
+    def test_recursive_tags_build_completes(self):
+        """xmark nests ``parlist``/``listitem`` in themselves: splitting such
+        a node must not leave its old ``old -> old`` self-loop behind (the
+        stale edge once surfaced as a stabilize candidate naming a dead
+        node, and the build raised)."""
+        tree = generate_xmark(4000, seed=5)
+        budget = TwigXSketch.coarsest(tree).size_bytes() + 4000
+        result = XBuild(
+            tree, budget, seed=7, sample_value_probability=0.3
+        ).run()
+        assert not result.truncated
+        assert result.sketch.size_bytes() >= budget
+        assert error_violations(validate_sketch(result.sketch)) == []
+        result.sketch.graph.validate()
+
+    def test_split_memo_matches_fresh_proposals(self, imdb, coarse):
+        builder = XBuild(
+            imdb,
+            coarse.size_bytes() + 1500,
+            seed=21,
+            sample_value_probability=0.3,
+        )
+        sketch = builder.run().sketch
+        assert builder._split_memo
+        memoized = generate_candidates(
+            sketch, random.Random(5), 10_000, builder._split_memo
+        )
+        fresh = generate_candidates(sketch, random.Random(5), 10_000)
+        assert memoized == fresh

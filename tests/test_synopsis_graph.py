@@ -6,6 +6,7 @@ from repro.datasets.paperfig import figure1_document, figure4_documents
 from repro.doc import build_tree
 from repro.errors import SynopsisError
 from repro.synopsis import GraphSynopsis, label_split_synopsis
+from repro.synopsis.graph import SynopsisEdge
 
 
 @pytest.fixture()
@@ -165,8 +166,46 @@ class TestSplitNode:
         assert fig1_synopsis.edge(first, keyword.node_id).child_count == 2
         assert fig1_synopsis.edge(second, keyword.node_id).child_count == 3
 
+    def test_recursive_split_drops_the_old_self_loop(self):
+        """a(b(b), b): the label-split ``b -> b`` self-loop belongs to the
+        old node; after the split only the parts' edges remain."""
+        tree = build_tree(("a", [("b", ["b"]), "b"]))
+        synopsis = label_split_synopsis(tree)
+        a = node_by_tag(synopsis, "a").node_id
+        b = node_by_tag(synopsis, "b")
+        first, second = synopsis.split_node(b.node_id, {b.extent[0].node_id})
+        counts = {
+            key: (edge.child_count, edge.parent_count)
+            for key, edge in synopsis.edges.items()
+        }
+        assert counts == {
+            (a, first): (1, 1),
+            (a, second): (1, 1),
+            (first, second): (1, 1),
+        }
+        assert all(b.node_id not in key for key in synopsis.edges)
+        synopsis.validate()
+
+
+class TestValidate:
+    def test_rejects_edge_to_missing_node(self, fig1_synopsis):
+        edge = next(iter(fig1_synopsis.edges.values()))
+        fig1_synopsis.edges[(edge.source, 999)] = SynopsisEdge(
+            edge.source, 999, 1, 1, edge.source_size, 1
+        )
+        with pytest.raises(SynopsisError, match="missing node"):
+            fig1_synopsis.validate()
+
 
 class TestFromPartition:
+    def test_extents_kept_in_document_order(self):
+        tree = build_tree(("a", ["b", "b", "b"]))
+        bs = tree.extent("b")
+        synopsis = GraphSynopsis.from_partition(
+            tree, [[tree.root], list(reversed(bs))]
+        )
+        assert node_by_tag(synopsis, "b").extent == bs
+
     def test_missing_elements_rejected(self):
         tree = build_tree(("a", ["b", "b"]))
         with pytest.raises(SynopsisError):
