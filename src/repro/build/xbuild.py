@@ -6,7 +6,10 @@ XBUILD grows a Twig XSKETCH greedily from the label-split synopsis
 error reduction of each on a handful of twig queries sampled around the
 candidate's region, and applies the candidate with the best
 error-reduction-per-byte score.  The loop stops when the synopsis reaches
-the byte budget (or candidates dry up).
+the byte budget (or candidates dry up).  A candidate's estimator is
+derived from the round's base estimator
+(:meth:`~repro.estimation.estimator.TwigEstimator.derive`), so scoring
+re-estimates only the embeddings the refinement touched.
 
 Determinism: all randomness flows from the ``seed`` argument, so a given
 (document, budget, seed) triple always builds the same synopsis.
@@ -505,7 +508,9 @@ class XBuild:
         candidates = generate_candidates(
             sketch, self.rng, self.max_candidates, self._split_memo
         )
-        base_estimator = TwigEstimator(sketch)
+        # every candidate derives its estimator from this round's base, so
+        # it re-estimates only the embeddings its refinement touched
+        base_estimator = TwigEstimator(sketch).keep_records()
         # queries, truths, and base error are shared across candidates
         # with the same region — one sampling round per region.
         measured: dict[frozenset, tuple[list, list, float]] = {}
@@ -543,7 +548,7 @@ class XBuild:
                     measured[region] = (queries, truths, base_error)
                 queries, truths, base_error = measured[region]
                 if queries:
-                    estimator = TwigEstimator(refined)
+                    estimator = base_estimator.derive(refined)
                     refined_error = average_relative_error(
                         [estimator.estimate(q) for q in queries], truths
                     )

@@ -36,7 +36,7 @@ from ..obs.explain import ExplainRecorder
 from ..obs.metrics import MetricsRegistry
 from ..query.ast import TwigQuery
 from ..synopsis.distributions import EdgeRef
-from ..synopsis.summary import TwigXSketch
+from ..synopsis.summary import SketchChanges, TwigXSketch
 from .embeddings import (
     DEFAULT_MAX_DESCENDANT_DEPTH,
     Embedding,
@@ -135,6 +135,72 @@ class EstimateReport:
     truncated: bool
 
 
+class _Record:
+    """One reported query, kept by a recording estimator for :meth:`derive`.
+
+    Holds the embeddings in enumeration order, the truncation flag and each
+    embedding's value.  Read sets and the by-signature index are built on
+    first use.
+    """
+
+    __slots__ = ("embeddings", "truncated", "values", "_reads", "_indexed")
+
+    def __init__(
+        self, embeddings: list[Embedding], truncated: bool, values: list[float]
+    ):
+        self.embeddings = embeddings
+        self.truncated = truncated
+        self.values = values
+        self._reads: Optional[list[tuple[frozenset, frozenset]]] = None
+        self._indexed: Optional[dict[tuple, tuple]] = None
+
+    def reads(self) -> list[tuple[frozenset, frozenset]]:
+        """Each embedding's read set: (node ids, edge keys)."""
+        if self._reads is None:
+            self._reads = [_read_set(e.root) for e in self.embeddings]
+        return self._reads
+
+    def by_signature(self) -> dict[tuple, tuple]:
+        """Root signature -> (value, read set), per embedding."""
+        if self._indexed is None:
+            self._indexed = {
+                embedding.root.signature(): entry
+                for embedding, entry in zip(
+                    self.embeddings, zip(self.values, self.reads())
+                )
+            }
+        return self._indexed
+
+
+#: the (value, read set) of an embedding a base never saw
+_UNSEEN = (None, (frozenset(), frozenset()))
+
+
+def _read_set(root: EmbeddingNode) -> tuple[frozenset, frozenset]:
+    """The synopsis nodes and edges an embedding's estimate reads.
+
+    Every embedding node, branch-chain nodes included, and every edge
+    from a node to a child or to a branch chain's head.  The estimate
+    reads nothing else of the sketch but those nodes' statistics, except
+    without stored edge counts, when an edge's count reads every incoming
+    edge of its target (:meth:`TwigEstimator.derive` covers that case).
+    """
+    nodes: set[int] = set()
+    edges: set[tuple[int, int]] = set()
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        nodes.add(node.node_id)
+        for child in node.children:
+            edges.add((node.node_id, child.node_id))
+            stack.append(child)
+        for alternatives in node.branches:
+            for head in alternatives:
+                edges.add((node.node_id, head.node_id))
+                stack.append(head)
+    return frozenset(nodes), frozenset(edges)
+
+
 class TwigEstimator:
     """Estimates twig-query selectivities over one :class:`TwigXSketch`.
 
@@ -166,6 +232,12 @@ class TwigEstimator:
         #: of assuming branch/count independence (ablation E11)
         self.branch_conditioning = branch_conditioning
         self._explain = explain
+        self._metrics = metrics
+        #: query text -> record of its report, once keep_records was called
+        self._records: Optional[dict[str, _Record]] = None
+        #: for a derived estimator: its recording base and the changes
+        self._base: Optional[TwigEstimator] = None
+        self._changes: Optional[SketchChanges] = None
         # per-instance caches over static synopsis facts (the sketch is
         # immutable for the estimator's lifetime): node labels, average
         # child counts, and positive-count probabilities per edge
@@ -226,6 +298,19 @@ class TwigEstimator:
 
     def report(self, query: TwigQuery) -> EstimateReport:
         """Estimate with diagnostics."""
+        if self._records is not None:
+            record = self._records.get(query.text())
+            if record is not None:
+                # this estimator already answered the query
+                self._count(len(record.embeddings))
+                return EstimateReport(
+                    sum(record.values), len(record.embeddings),
+                    record.truncated,
+                )
+        if self._base is not None:
+            record = self._base._records.get(query.text())
+            if record is not None:
+                return self._report_derived(query, record)
         budget = EmbeddingBudget(self.max_embeddings)
         embeddings = enumerate_embeddings(
             query, self.sketch.graph, self.max_depth, budget
@@ -237,15 +322,104 @@ class TwigEstimator:
                 f"{len(embeddings)} embeddings"
                 + (", truncated" if budget.truncated else ""),
             )
-        total = sum(self.estimate_embedding(e) for e in embeddings)
-        if self._estimates is not None:
-            self._estimates.inc()
-            self._embeddings_counter.inc(len(embeddings))
+        values = [self.estimate_embedding(e) for e in embeddings]
+        total = sum(values)
+        if self._records is not None:
+            self._records[query.text()] = _Record(
+                embeddings, budget.truncated, values
+            )
+        self._count(len(embeddings))
         if self._explain is not None:
             self._explain.record(
                 _explain.KIND_RESULT, "selectivity", value=total
             )
         return EstimateReport(total, len(embeddings), budget.truncated)
+
+    def _report_derived(
+        self, query: TwigQuery, record: _Record
+    ) -> EstimateReport:
+        """:meth:`report` from the base's record of ``query``.
+
+        With the base's graph the embeddings are the base's; otherwise
+        they are enumerated again and matched to the base's by signature.
+        An embedding whose read set misses the changes keeps its value.
+        """
+        changes = self._changes
+        if self.sketch.graph is self._base.sketch.graph:
+            embeddings, truncated = record.embeddings, record.truncated
+            earlier = zip(record.values, record.reads())
+        else:
+            budget = EmbeddingBudget(self.max_embeddings)
+            embeddings = enumerate_embeddings(
+                query, self.sketch.graph, self.max_depth, budget
+            )
+            truncated = budget.truncated
+            indexed = record.by_signature()
+            earlier = (
+                indexed.get(embedding.root.signature(), _UNSEEN)
+                for embedding in embeddings
+            )
+        values = []
+        for embedding, (value, (nodes, edges)) in zip(embeddings, earlier):
+            if (
+                value is None
+                or not nodes.isdisjoint(changes.nodes)
+                or not edges.isdisjoint(changes.edges)
+            ):
+                value = self.estimate_embedding(embedding)
+            values.append(value)
+        self._count(len(embeddings))
+        return EstimateReport(sum(values), len(embeddings), truncated)
+
+    def _count(self, embeddings: int) -> None:
+        if self._estimates is not None:
+            self._estimates.inc()
+            self._embeddings_counter.inc(embeddings)
+
+    def keep_records(self) -> "TwigEstimator":
+        """Keep a record of every later :meth:`report` for :meth:`derive`.
+
+        Records live as long as the estimator, so keep them on a short-
+        lived base (XBUILD keeps one per round).  A recorded query is
+        answered from its record.  An estimator with an explain recorder
+        keeps none: its reports always take the full path.  Returns the
+        estimator.
+        """
+        if self._records is None and self._explain is None:
+            self._records = {}
+        return self
+
+    def derive(self, refined: TwigXSketch) -> "TwigEstimator":
+        """An estimator over ``refined``, a refinement of this sketch,
+        that reuses this estimator's records (:meth:`keep_records`).
+
+        For a recorded query the derived estimator takes the embeddings
+        from the record when both sketches share their graph (enumeration
+        reads only the graph) and copies each embedding's value when its
+        read set misses :meth:`TwigXSketch.changes_since`.  It recomputes
+        the others and sums in enumeration order, so every answer equals
+        a fresh ``TwigEstimator(refined)``'s.  Other queries, estimators
+        without records and estimators with an explain recorder take the
+        full path.
+        """
+        derived = TwigEstimator(
+            refined,
+            self.max_depth,
+            self.max_embeddings,
+            self.branch_conditioning,
+            metrics=self._metrics,
+            explain=self._explain,
+        )
+        if self._records is not None:
+            changes = refined.changes_since(self.sketch)
+            if not refined.config.store_edge_counts:
+                # without stored counts an edge's child count is
+                # apportioned over every incoming edge of its target
+                for key in changes.edges:
+                    changes.nodes.update(key)
+            derived._base = self
+            derived._changes = changes
+        return derived
 
     def estimate_many(
         self,
@@ -315,9 +489,7 @@ class TwigEstimator:
                 root, plans, (), needed, context.memo,
                 keys=keys, batch=context,
             )
-        if self._estimates is not None:
-            self._estimates.inc()
-            self._embeddings_counter.inc(len(prepared))
+        self._count(len(prepared))
         return EstimateReport(total, len(prepared), truncated)
 
     def estimate_embedding(self, embedding: Embedding) -> float:

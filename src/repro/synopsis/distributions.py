@@ -16,6 +16,7 @@ synopsis extents); compression to a histogram happens in
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -55,18 +56,31 @@ def exact_edge_distribution(
     """
     if not scope:
         raise SynopsisError("edge-distribution scope must be non-empty")
-    node = synopsis.node(node_id)
+    synopsis.node(node_id)  # raises for an unknown node
     for ref in scope:
         if synopsis.edge(ref.source, ref.target) is None:
             raise SynopsisError(
                 f"scope references missing edge {ref.source}->{ref.target}"
             )
 
+    if all(ref.is_forward_at(node_id) for ref in scope):
+        return _forward_distribution(
+            synopsis, node_id, [ref.target for ref in scope]
+        )
+    return _general_distribution(synopsis, node_id, scope)
+
+
+def _general_distribution(
+    synopsis: GraphSynopsis, node_id: int, scope: Sequence[EdgeRef]
+) -> SparseDistribution:
+    """:func:`exact_edge_distribution` of any scope, one element at a time:
+    its children tally for the forward refs, and each backward ref's
+    anchor among its ancestors."""
     forward_targets = [r.target for r in scope if r.is_forward_at(node_id)]
     backward_refs = [r for r in scope if not r.is_forward_at(node_id)]
 
     observations: list[tuple[int, ...]] = []
-    for element in node.extent:
+    for element in synopsis.node(node_id).extent:
         values: dict[EdgeRef, int] = {}
         if forward_targets:
             tally: dict[int, int] = {}
@@ -92,6 +106,38 @@ def exact_edge_distribution(
             )
         observations.append(tuple(values[ref] for ref in scope))
     return SparseDistribution.from_observations(observations)
+
+
+def _forward_distribution(
+    synopsis: GraphSynopsis, node_id: int, targets: list[int]
+) -> SparseDistribution:
+    """:func:`exact_edge_distribution` of a forward-only scope.
+
+    One pass over each target's extent counts, per element of ``node_id``,
+    its children in that target.  Elements without any such child share
+    the all-zero vector, so they are counted, not visited.
+    """
+    assignment = synopsis.assignment
+    per_target: dict[int, dict[int, int]] = {}
+    for target in targets:
+        if target in per_target:
+            continue
+        counts: dict[int, int] = {}
+        for child in synopsis.node(target).extent:
+            parent = child.parent
+            if parent is not None and assignment[parent.node_id] == node_id:
+                counts[parent.node_id] = counts.get(parent.node_id, 0) + 1
+        per_target[target] = counts
+    columns = [per_target[target] for target in targets]
+    parents = set().union(*columns)
+    vectors = Counter(
+        tuple(column.get(parent, 0) for column in columns)
+        for parent in parents
+    )
+    untouched = synopsis.node(node_id).count - len(parents)
+    if untouched:
+        vectors[(0,) * len(targets)] += untouched
+    return SparseDistribution(vectors)
 
 
 def mean_child_count(

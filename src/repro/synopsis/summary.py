@@ -18,7 +18,7 @@ higher-dimensional ones, recovering joint information.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from ..doc.tree import DocumentTree
 from ..errors import SynopsisError
@@ -153,6 +153,20 @@ class ExtendedValueSummary:
         )
 
 
+class SketchChanges(NamedTuple):
+    """What a refined sketch changed over its base
+    (:meth:`TwigXSketch.changes_since`).
+
+    Attributes:
+        nodes: ids of the nodes that live in only one of the sketches, or
+            whose count, tag or statistics objects differ.
+        edges: keys of the edges added, removed or recounted.
+    """
+
+    nodes: set[int]
+    edges: set[tuple[int, int]]
+
+
 class TwigXSketch:
     """Graph synopsis + stabilities + edge/value histograms.
 
@@ -167,6 +181,8 @@ class TwigXSketch:
         self.edge_stats: dict[int, list[EdgeHistogram]] = {}
         self.value_stats: dict[int, ValueSummary] = {}
         self.extended_stats: dict[int, list[ExtendedValueSummary]] = {}
+        #: True while ``graph`` may be shared with a copy (see :meth:`copy`)
+        self._graph_shared = False
 
     # ------------------------------------------------------------------
     # construction
@@ -370,8 +386,16 @@ class TwigXSketch:
     # refinement support
     # ------------------------------------------------------------------
     def copy(self) -> "TwigXSketch":
-        """Independent copy; histogram engines (immutable) are shared."""
-        duplicate = TwigXSketch(self.graph.copy(), self.config)
+        """Independent copy; the graph is shared copy-on-write.
+
+        Both sketches keep one :class:`GraphSynopsis` until either splits
+        a node: :meth:`split_node` copies the graph first.  A statistics-
+        only refinement therefore never copies the graph.  The statistics
+        lists are copied; their histogram engines (immutable) are shared.
+        """
+        self._graph_shared = True
+        duplicate = TwigXSketch(self.graph, self.config)
+        duplicate._graph_shared = True
         duplicate.edge_stats = {
             node_id: list(histograms)
             for node_id, histograms in self.edge_stats.items()
@@ -392,6 +416,9 @@ class TwigXSketch:
 
         Returns the two new node ids.
         """
+        if self._graph_shared:
+            self.graph = self.graph.copy()
+            self._graph_shared = False
         stale_refs_by_node = self._scopes_mentioning(node_id)
         old_histograms = self.edge_stats.get(node_id, [])
         inherited_edge_buckets = max(
@@ -475,6 +502,48 @@ class TwigXSketch:
             else:
                 self.edge_stats.pop(other_id, None)
         return first, second
+
+    def changes_since(self, base: "TwigXSketch") -> SketchChanges:
+        """The nodes and edges whose statistics differ from ``base``.
+
+        Statistics objects are compared by identity: a refinement rebuilds
+        every histogram it touches and keeps the others.  A graph shared
+        with ``base`` (see :meth:`copy`) is not walked.
+        """
+        nodes: set[int] = set()
+        for ours, theirs in (
+            (self.edge_stats, base.edge_stats),
+            (self.extended_stats, base.extended_stats),
+        ):
+            for node_id in ours.keys() | theirs.keys():
+                mine, other = ours.get(node_id, ()), theirs.get(node_id, ())
+                if len(mine) != len(other) or any(
+                    a is not b for a, b in zip(mine, other)
+                ):
+                    nodes.add(node_id)
+        for node_id in self.value_stats.keys() | base.value_stats.keys():
+            if self.value_stats.get(node_id) is not base.value_stats.get(
+                node_id
+            ):
+                nodes.add(node_id)
+        edges: set[tuple[int, int]] = set()
+        if self.graph is not base.graph:
+            ours, theirs = self.graph.nodes, base.graph.nodes
+            for node_id in ours.keys() | theirs.keys():
+                mine, other = ours.get(node_id), theirs.get(node_id)
+                if (
+                    mine is None
+                    or other is None
+                    or (mine.count, mine.tag) != (other.count, other.tag)
+                ):
+                    nodes.add(node_id)
+            ours, theirs = self.graph.edges, base.graph.edges
+            edges.update(
+                key
+                for key in ours.keys() | theirs.keys()
+                if ours.get(key) != theirs.get(key)
+            )
+        return SketchChanges(nodes, edges)
 
     def _scopes_mentioning(self, node_id: int) -> dict[int, list[EdgeHistogram]]:
         stale: dict[int, list[EdgeHistogram]] = {}

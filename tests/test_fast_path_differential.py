@@ -8,14 +8,32 @@
   (the rescan left a recursive node's ``old -> old`` self-loop behind).
 * ``count_bindings`` answers ``//tag`` steps from the tag extents; the
   oracle is the walking evaluator, ``eval_path`` from the virtual root.
+* ``TwigEstimator.derive`` re-estimates only the embeddings a refinement
+  touched; the oracle is a fresh estimator over the refined sketch.
+* ``exact_edge_distribution`` counts a forward-only scope from the
+  targets' extents; the oracle is its general path, which visits every
+  element of the node.
+
+CI re-runs this module with ``HYPOTHESIS_PROFILE=fuzz``; the tests that
+set no ``max_examples`` of their own then draw eight times as many.
 """
 
+import random
 from dataclasses import astuple
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.build import generate_candidates
+from repro.build.refinements import ALL_REFINEMENTS, FStabilize, ValueRefine
+from repro.build.sampling import RegionSampler
+from repro.datasets import figure1_document, generate_imdb, generate_xmark
 from repro.doc import build_tree
+from repro.errors import BuildError
+from repro.estimation import TwigEstimator
+from repro.estimation import estimator as estimator_module
+from repro.obs.explain import KIND_QUERY, ExplainRecorder
 from repro.query.ast import CHILD, DESCENDANT, Path, Step, TwigNode, TwigQuery
 from repro.query.evaluator import (
     absolute_path,
@@ -24,7 +42,13 @@ from repro.query.evaluator import (
     virtual_root,
 )
 from repro.query.values import ValuePredicate
-from repro.synopsis import label_split_synopsis
+from repro.synopsis import TwigXSketch, XSketchConfig, label_split_synopsis
+from repro.synopsis.distributions import (
+    EdgeRef,
+    _general_distribution,
+    exact_edge_distribution,
+)
+from repro.workload import WorkloadGenerator, WorkloadSpec
 
 TAGS = ("a", "b", "c")
 
@@ -224,3 +248,253 @@ def single_path_query(*steps):
 )
 def test_indexed_count_matches_walking_evaluator(tree, query):
     assert count_bindings(query, tree) == walking_count(query, tree)
+
+
+# ----------------------------------------------------------------------
+# (c) derived estimator vs a fresh one
+# ----------------------------------------------------------------------
+NAMED_DOCUMENTS = {
+    "imdb": generate_imdb(500, seed=3),
+    "xmark": generate_xmark(300, seed=5),
+    "paperfig": figure1_document(),
+}
+
+#: workload queries with `//` steps, branches and value predicates
+WORKLOADS = {
+    name: [
+        entry.query
+        for entry in WorkloadGenerator(
+            tree,
+            WorkloadSpec(
+                min_nodes=2,
+                max_nodes=5,
+                branch_probability=0.4,
+                descendant_probability=0.4,
+                value_predicates=True,
+                seed=11,
+            ),
+        ).positive_workload(6).queries
+    ]
+    for name, tree in NAMED_DOCUMENTS.items()
+}
+
+CONFIGS = {
+    "default": XSketchConfig(),
+    "no-edge-counts": XSketchConfig(store_edge_counts=False),
+    "full": XSketchConfig.full(),
+    "exact": XSketchConfig(engine="exact"),
+}
+
+
+def witness_twig(tree, rng):
+    """A twig around a random element: ``//anchor`` with child nodes and
+    branch predicates (some two steps deep, some ``//``), value tests
+    taken from the witnesses."""
+    anchor = rng.choice([e for e in tree.iter_nodes() if e.children])
+
+    def step(element, axis=CHILD):
+        predicate = None
+        if element.value is not None and rng.random() < 0.5:
+            predicate = ValuePredicate("=", element.value)
+        return Step(element.tag, axis, predicate)
+
+    branches, children = [], []
+    picked = rng.sample(anchor.children, min(len(anchor.children), 3))
+    for child in picked:
+        grandchild = rng.choice(child.children) if child.children else None
+        roll = rng.random()
+        if roll < 0.25 and grandchild is not None:
+            branches.append(Path((step(child), step(grandchild))))
+        elif roll < 0.5:
+            branches.append(Path((step(child),)))
+        elif roll < 0.65 and grandchild is not None:
+            children.append(step(grandchild, DESCENDANT))
+        else:
+            children.append(step(child))
+    root = TwigNode(
+        "t0", Path((Step(anchor.tag, DESCENDANT, None, tuple(branches)),))
+    )
+    for index, child_step in enumerate(children, start=1):
+        root.add_child(TwigNode(f"t{index}", Path((child_step,))))
+    return TwigQuery(root)
+
+
+def report_row(estimator, query):
+    return astuple(estimator.report(query))
+
+
+def check_derived_round(
+    sketch, tree, rng, queries, max_candidates=None, **limits
+):
+    """Score one round's candidates through a derived estimator and
+    compare every report with a fresh estimator's; returns the kinds
+    of the refinements that applied.  ``limits`` go to the estimators."""
+    sampler = RegionSampler(tree, rng, value_probability=0.5)
+    base = TwigEstimator(sketch, **limits).keep_records()
+    fresh_base = TwigEstimator(sketch, **limits)
+    kinds = set()
+    for candidate in generate_candidates(sketch, rng, max_candidates):
+        try:
+            refined = candidate.apply(sketch)
+        except BuildError:
+            continue
+        kinds.add(type(candidate).__name__)
+        scored = queries + sampler.sample_for_regions(
+            sketch, candidate.region(), queries=3
+        )
+        for query in scored:
+            assert report_row(base, query) == report_row(fresh_base, query)
+        derived = base.derive(refined)
+        fresh = TwigEstimator(refined, **limits)
+        for query in scored:
+            assert report_row(derived, query) == report_row(fresh, query), (
+                candidate.describe(), query.text()
+            )
+    return kinds
+
+
+def advance(sketch, rng):
+    """The sketch after the first applicable candidate of a fresh pool."""
+    for candidate in generate_candidates(sketch, rng):
+        try:
+            return candidate.apply(sketch)
+        except BuildError:
+            continue
+    return sketch
+
+
+@given(data=st.data())
+def test_derived_estimator_matches_fresh_estimator(data):
+    source = data.draw(st.sampled_from(["random", *NAMED_DOCUMENTS]))
+    config = CONFIGS[data.draw(st.sampled_from(sorted(CONFIGS)))]
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    limits = {}
+    if source == "random":
+        # `//` expansions over a cyclic synopsis multiply past any test
+        # budget: no `twigs()`, shorter walks, fewer embeddings (so some
+        # reports are truncated)
+        tree = data.draw(recursive_trees())
+        queries = []
+        limits = {"max_depth": 4, "max_embeddings": 64}
+    else:
+        tree = NAMED_DOCUMENTS[source]
+        queries = list(WORKLOADS[source])
+    queries += [witness_twig(tree, rng) for _ in range(6)]
+    sketch = TwigXSketch.coarsest(tree, config)
+    for _ in range(data.draw(st.integers(0, 3))):
+        sketch = advance(sketch, rng)
+    check_derived_round(sketch, tree, rng, queries, 8, **limits)
+
+
+@pytest.mark.parametrize("config_name", sorted(CONFIGS))
+def test_every_refinement_kind_derives_exactly(config_name):
+    """Whole candidate pools over three rounds of the imdb and paper
+    documents: every refinement kind is drawn, applied and checked."""
+    kinds = set()
+    for name in ("imdb", "paperfig"):
+        tree = NAMED_DOCUMENTS[name]
+        rng = random.Random(7)
+        queries = WORKLOADS[name] + [witness_twig(tree, rng) for _ in range(4)]
+        sketch = TwigXSketch.coarsest(tree, CONFIGS[config_name])
+        for _ in range(3):
+            kinds |= check_derived_round(sketch, tree, rng, queries, 10_000)
+            sketch = advance(sketch, rng)
+    assert kinds == {cls.__name__ for cls in ALL_REFINEMENTS}
+
+
+def test_statistics_only_refinement_reuses_the_embeddings(monkeypatch):
+    """With the base's graph the derived estimator enumerates nothing and
+    still answers as a fresh one."""
+    tree = NAMED_DOCUMENTS["paperfig"]
+    sketch = TwigXSketch.coarsest(tree)
+    queries = WORKLOADS["paperfig"]
+    base = TwigEstimator(sketch).keep_records()
+    for query in queries:
+        base.report(query)
+    node_id = next(iter(sketch.value_stats))
+    refined = ValueRefine(node_id).apply(sketch)
+    assert refined.graph is sketch.graph
+    assert refined.changes_since(sketch).nodes == {node_id}
+    enumerated = []
+    original = estimator_module.enumerate_embeddings
+    monkeypatch.setattr(
+        estimator_module,
+        "enumerate_embeddings",
+        lambda *args: enumerated.append(args) or original(*args),
+    )
+    derived = base.derive(refined)
+    for query in queries:
+        assert report_row(derived, query) == report_row(
+            TwigEstimator(refined), query
+        )
+    assert len(enumerated) == len(queries)  # the fresh estimators only
+
+
+def test_an_explained_estimator_always_takes_the_full_path():
+    sketch = TwigXSketch.coarsest(NAMED_DOCUMENTS["paperfig"])
+    query = WORKLOADS["paperfig"][0]
+    recorder = ExplainRecorder()
+    base = TwigEstimator(sketch, explain=recorder).keep_records()
+    derived = base.derive(advance(sketch, random.Random(1)))
+    for estimator in (base, base, derived, derived):
+        estimator.report(query)
+    assert len(recorder.by_kind(KIND_QUERY)) == 4
+
+
+def test_unstored_edge_counts_follow_a_split_of_another_parent():
+    """Without stored counts an edge's child count is apportioned over
+    every incoming edge of its target: splitting one parent of ``b``
+    changes the ``b -> b`` estimate though neither end changed."""
+    tree = build_tree(("a", [("a", [("b", ["b"])])]))
+    sketch = TwigXSketch.coarsest(tree, CONFIGS["no-edge-counts"])
+    a = sketch.graph.nodes_with_tag("a")[0].node_id
+    query = TwigQuery(TwigNode("t0", Path((
+        Step("b", DESCENDANT, None, (Path((Step("b"),)),)),
+    ))))
+    base = TwigEstimator(sketch).keep_records()
+    before = report_row(base, query)
+    refined = FStabilize(a, a).apply(sketch)
+    fresh = report_row(TwigEstimator(refined), query)
+    assert fresh != before
+    assert report_row(base.derive(refined), query) == fresh
+
+
+# ----------------------------------------------------------------------
+# (d) forward edge distribution vs the general path
+# ----------------------------------------------------------------------
+@given(tree=recursive_trees(), data=st.data())
+def test_forward_distribution_matches_general_path(tree, data):
+    graph = label_split_synopsis(tree)
+    for _ in range(data.draw(st.integers(0, 3))):
+        splittable = [node for node in graph.iter_nodes() if node.count > 1]
+        if not splittable:
+            break
+        node = data.draw(st.sampled_from(splittable))
+        ids = [element.node_id for element in node.extent]
+        graph.split_node(node.node_id, set(ids[: data.draw(
+            st.integers(1, len(ids) - 1)
+        )]))
+    sources = sorted({source for source, _ in graph.edges})
+    if not sources:
+        return
+    node_id = data.draw(st.sampled_from(sources))
+    targets = [edge.target for edge in graph.children_of(node_id)]
+    scope = [EdgeRef(node_id, target) for target in data.draw(
+        st.lists(st.sampled_from(targets), min_size=1, max_size=3,
+                 unique=True)
+    )]
+    assert exact_edge_distribution(graph, node_id, scope).points() == (
+        _general_distribution(graph, node_id, scope).points()
+    )
+
+
+def test_forward_distribution_counts_childless_elements_once():
+    """Elements with no child in the scope share the zero vector, and
+    children outside the scope count for nothing."""
+    tree = build_tree(("r", [("a", ["b", "b", "c"]), ("a", ["c"]), "a"]))
+    graph = label_split_synopsis(tree)
+    a, b = (graph.nodes_with_tag(tag)[0].node_id for tag in "ab")
+    scope = [EdgeRef(a, b)]
+    expected = [((0.0,), 2 / 3), ((2.0,), 1 / 3)]
+    assert exact_edge_distribution(graph, a, scope).points() == expected
+    assert _general_distribution(graph, a, scope).points() == expected

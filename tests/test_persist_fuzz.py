@@ -8,15 +8,15 @@ equivalent to the original or raise ``SynopsisIntegrityError`` (a
 ``KeyError``/``TypeError``/``ValueError``.
 
 CI runs these under the ``fuzz`` hypothesis profile (larger example
-budget) by exporting ``HYPOTHESIS_PROFILE=fuzz``.
+budget, registered in ``conftest.py``) by exporting
+``HYPOTHESIS_PROFILE=fuzz``.
 """
 
 import copy
 import json
-import os
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.datasets import movie_document
@@ -29,20 +29,6 @@ from repro.synopsis import (
     sketch_to_dict,
     validate_sketch,
 )
-
-settings.register_profile(
-    "default",
-    max_examples=50,
-    suppress_health_check=[HealthCheck.too_slow],
-    deadline=None,
-)
-settings.register_profile(
-    "fuzz",
-    max_examples=400,
-    suppress_health_check=[HealthCheck.too_slow],
-    deadline=None,
-)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def _base_sketch():
