@@ -7,46 +7,21 @@ exactly once), then benchmarks the latency-critical operation behind it
 (estimation calls, summary construction).
 
 The regenerated tables are printed in the terminal summary at the end of
-the run and also written to ``benchmarks/results/*.txt``.  In addition,
-every run of the suite emits ``benchmarks/results/BENCH_twig.json`` — a
-machine-readable ``repro.obs/bench-v1`` envelope carrying per-figure
-wall-clock timings, the raw per-figure data (error curves, table rows),
-and a snapshot of the process-global metrics registry (build rounds,
-estimator lookups, parse counters accumulated while regenerating).
+the run and also written to ``benchmarks/results/*.txt``.  Timings live
+in the ``perfbench`` benchmark (``BENCHMARK.json``), not here.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import json
-import time
 from pathlib import Path
 
 import pytest
 
 from repro.experiments import DEFAULT_CONFIG
-from repro.obs import BENCH_SCHEMA, default_registry
 
 RESULTS_DIR = Path(__file__).parent / "results"
-BENCH_FILE = "BENCH_twig.json"
 
 _reports: list[tuple[str, str]] = []
-_bench_entries: dict[str, dict] = {}
-
-
-def _jsonable(value):
-    """Best-effort conversion of experiment results to plain JSON data."""
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return _jsonable(dataclasses.asdict(value))
-    if isinstance(value, dict):
-        return {str(key): _jsonable(item) for key, item in value.items()}
-    if isinstance(value, tuple) and hasattr(value, "_asdict"):
-        return _jsonable(value._asdict())
-    if isinstance(value, (list, tuple, set, frozenset)):
-        return [_jsonable(item) for item in value]
-    return str(value)
 
 
 def record_report(name: str, text: str) -> None:
@@ -57,47 +32,15 @@ def record_report(name: str, text: str) -> None:
 
 
 def run_recorded(name: str, runner, formatter, config):
-    """Run one figure/table regeneration, timed and recorded.
+    """Run one figure/table regeneration and record its rendered table.
 
-    Times ``runner(config)``, publishes the elapsed seconds as the
-    ``bench_run_seconds{name=...}`` gauge, renders the table through
-    ``formatter`` into the terminal summary, and stashes the raw result
-    for ``BENCH_twig.json``.  Returns the runner's result unchanged, so
-    module fixtures can hand it to their assertions.
+    Renders ``runner(config)`` through ``formatter`` into the terminal
+    summary and ``benchmarks/results/<name>.txt``.  Returns the runner's
+    result unchanged, so module fixtures can hand it to their assertions.
     """
-    start = time.perf_counter()
     result = runner(config)
-    elapsed = time.perf_counter() - start
-    registry = default_registry()
-    registry.gauge(
-        "bench_run_seconds",
-        "wall-clock seconds spent regenerating each figure/table",
-        ["name"],
-    ).set(elapsed, name=name)
-    registry.counter(
-        "bench_runs_total", "figure/table regenerations", ["name"]
-    ).inc(name=name)
     record_report(name, formatter(result))
-    _bench_entries[name] = {
-        "name": name,
-        "seconds": elapsed,
-        "data": _jsonable(result),
-    }
     return result
-
-
-def _write_bench_json() -> Path:
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / BENCH_FILE
-    payload = {
-        "schema": BENCH_SCHEMA,
-        "results": [
-            _bench_entries[name] for name in sorted(_bench_entries)
-        ],
-        "metrics": default_registry().snapshot(),
-    }
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf8")
-    return path
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -107,10 +50,6 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     for name, text in _reports:
         terminalreporter.write_line("")
         terminalreporter.write_line(text)
-    if _bench_entries:
-        path = _write_bench_json()
-        terminalreporter.write_line("")
-        terminalreporter.write_line(f"machine-readable results: {path}")
 
 
 @pytest.fixture(scope="session")

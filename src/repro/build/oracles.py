@@ -12,7 +12,8 @@ error on queries sampled around the refinement's region, against an
   little truth for evaluation speed on huge documents, where exact twig
   evaluation would dominate construction time.
 
-Both cache by query text, so re-sampled queries cost nothing.
+Neither caches: XBUILD keeps the one truth cache, keyed by query text,
+and asks its oracle only on a miss.
 """
 
 from __future__ import annotations
@@ -35,19 +36,15 @@ _REFERENCE_NODE_CAP = 512
 
 
 class ExactOracle:
-    """True twig counts straight from the document, memoized."""
+    """True twig counts straight from the document."""
 
     def __init__(self, tree: DocumentTree):
         self.tree = tree
-        self._cache: dict[str, int] = {}
 
     def true_count(self, query: TwigQuery) -> int:
         """Exact number of binding tuples of ``query`` in the document."""
         fault_check(SITE_ORACLE)
-        key = query.text()
-        if key not in self._cache:
-            self._cache[key] = count_bindings(query, self.tree)
-        return self._cache[key]
+        return count_bindings(query, self.tree)
 
 
 def _backward_bisimulation(graph: GraphSynopsis) -> None:
@@ -119,7 +116,7 @@ def build_reference_sketch(tree: DocumentTree) -> TwigXSketch:
 
 
 class SketchOracle:
-    """Approximate truths from a reference summary, memoized.
+    """Approximate truths from a reference summary.
 
     The reference's estimates are far closer to the truth than anything a
     budgeted synopsis produces, which is all the greedy gain comparison
@@ -129,12 +126,8 @@ class SketchOracle:
     def __init__(self, tree: DocumentTree):
         self.reference = build_reference_sketch(tree)
         self._estimator = TwigEstimator(self.reference)
-        self._cache: dict[str, float] = {}
 
     def true_count(self, query: TwigQuery) -> float:
         """Reference-summary estimate of the query's selectivity."""
         fault_check(SITE_ORACLE)
-        key = query.text()
-        if key not in self._cache:
-            self._cache[key] = self._estimator.estimate(query)
-        return self._cache[key]
+        return self._estimator.estimate(query)

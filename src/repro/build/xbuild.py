@@ -14,18 +14,10 @@ re-estimates only the embeddings the refinement touched.
 Determinism: all randomness flows from the ``seed`` argument, so a given
 (document, budget, seed) triple always builds the same synopsis.
 
-Parallelism (:mod:`repro.parallel`): ``workers=N`` fans each round's
-candidate pool out over a pool of worker processes, each holding a tree
-replica and a trail-synced copy of the growing sketch.  The master keeps
-sole ownership of the random stream — pool generation and region-query
-sampling happen master-side in the exact order the serial loop would
-perform them — while workers do the RNG-free heavy lifting (refinement
-application, sketch re-estimation, truth-oracle evaluation).  Results
-merge back in candidate order with the serial tie-breaking rule, so a
-parallel build is bit-identical to ``workers=1`` (the determinism tests
-prove it).  A cross-round truth cache keyed by query text
-(``build_oracle_cache_total{outcome=hit|miss}``) short-circuits repeated
-oracle evaluations in both modes.
+Candidates are scored serially, in pool order, in one process.  A
+cross-round truth cache keyed by query text
+(``build_oracle_cache_total{outcome=hit|miss}``) is the build's only truth
+cache: the oracle is asked once per distinct sampled query.
 
 Resilience (:mod:`repro.resilience`): a build can carry a wall-clock
 ``deadline`` (or a full :class:`~repro.resilience.guards.Budget`), write a
@@ -118,15 +110,10 @@ class XBuildResult:
 
 @dataclass
 class _Scored:
-    """A candidate evaluated against the current sketch.
-
-    ``refined`` is None when the candidate was scored on a worker replica
-    (parallel mode); the master re-applies the winning refinement, which
-    reproduces the same sketch because refinements are pure functions.
-    """
+    """A candidate evaluated against the current sketch."""
 
     candidate: Refinement
-    refined: Optional[TwigXSketch]
+    refined: TwigXSketch
     size_bytes: int
     gain: float
     score: float
@@ -181,12 +168,6 @@ class XBuild:
             recorded into (default: the process-global registry).
         tracer: span tracer for per-build/round/candidate spans
             (default: the disabled no-op tracer).
-        workers: worker processes for candidate probing/scoring and
-            truth-oracle evaluation; ``1`` (the default) runs serially.
-            Any value builds the bit-identical synopsis.  With a custom
-            ``oracle`` the truth evaluations stay on the master (worker
-            replicas only know the exact oracle), but probing and scoring
-            still fan out.
     """
 
     def __init__(
@@ -210,7 +191,6 @@ class XBuild:
         resume_from: Union[None, str, BuildCheckpoint] = None,
         metrics: Optional[MetricsRegistry] = None,
         tracer: Optional[SpanTracer] = None,
-        workers: int = 1,
     ):
         if max_stall_rounds < 1:
             raise BuildError("max_stall_rounds must be at least 1")
@@ -225,10 +205,7 @@ class XBuild:
         self.rng = random.Random(seed)
         self.sample_queries = sample_queries
         self.max_candidates = max_candidates
-        #: with a custom oracle, truth evaluation stays master-side
-        self._own_oracle = oracle is None
         self.oracle = oracle if oracle is not None else ExactOracle(tree)
-        self.workers = max(1, int(workers))
         #: cross-round truth cache: query text -> exact count
         self._truth_cache: dict[str, float] = {}
         #: value-split proposals per node id, reused across rounds
@@ -284,35 +261,6 @@ class XBuild:
     def run(self) -> XBuildResult:
         """Build the synopsis; sizes along ``steps`` increase monotonically."""
         state = self._initial_state()
-        pool = self._open_pool(state)
-        try:
-            return self._run_loop(state, pool)
-        finally:
-            if pool is not None:
-                pool.close()
-
-    def _open_pool(self, state: _LoopState):
-        """Start the worker pool for ``workers > 1`` (None when serial).
-
-        Each replica gets the tree and the resumed trail, so its sketch
-        copy starts at exactly the master's state.
-        """
-        if self.workers <= 1:
-            return None
-        from ..parallel.pool import WorkerPool
-        from ..parallel.replica import build_replica_factory
-
-        return WorkerPool(
-            build_replica_factory,
-            {
-                "tree": self.tree,
-                "config": self.config,
-                "trail": list(state.trail),
-            },
-            workers=self.workers,
-        )
-
-    def _run_loop(self, state: _LoopState, pool) -> XBuildResult:
         size = state.sketch.size_bytes()
         truncated = False
         reason = "completed"
@@ -322,7 +270,6 @@ class XBuild:
             "xbuild.build",
             budget_bytes=self.budget_bytes,
             seed=self.seed,
-            workers=self.workers,
         ) as build_span:
             try:
                 while (
@@ -340,7 +287,7 @@ class XBuild:
                     with self.tracer.span(
                         "xbuild.round", round=rounds
                     ) as round_span:
-                        best = self._best_candidate(state.sketch, size, pool)
+                        best = self._best_candidate(state.sketch, size)
                         if best is None:
                             # redraw a fresh pool before giving up
                             state.stall += 1
@@ -349,11 +296,7 @@ class XBuild:
                             )
                         else:
                             state.stall = 0
-                            state.sketch = (
-                                best.refined
-                                if best.refined is not None
-                                else best.candidate.apply(state.sketch)
-                            )
+                            state.sketch = best.refined
                             size = best.size_bytes
                             state.steps.append(
                                 BuildStep(
@@ -367,12 +310,6 @@ class XBuild:
                                 size_bytes=size,
                                 gain=best.gain,
                             )
-                    if pool is not None:
-                        # keep every replica's sketch at the master's
-                        # version before the next round probes against it
-                        pool.broadcast(
-                            "advance", None if best is None else best.candidate
-                        )
                     self._rounds.inc()
                     self._round_seconds.observe(
                         time.perf_counter() - round_started
@@ -493,18 +430,14 @@ class XBuild:
         return truths
 
     def _best_candidate(
-        self, sketch: TwigXSketch, size: int, pool=None
+        self, sketch: TwigXSketch, size: int
     ) -> Optional[_Scored]:
         """Evaluate one round's candidate pool; None when nothing grows.
 
         Only size-increasing candidates qualify (monotone growth toward the
         budget); among them the best error-reduction-per-byte wins, ties
-        broken toward the cheaper refinement.  With a worker ``pool`` the
-        evaluation fans out (:meth:`_best_candidate_parallel`) but the
-        chosen candidate is identical.
+        broken toward the cheaper refinement.
         """
-        if pool is not None:
-            return self._best_candidate_parallel(sketch, size, pool)
         candidates = generate_candidates(
             sketch, self.rng, self.max_candidates, self._split_memo
         )
@@ -567,138 +500,6 @@ class XBuild:
                         candidate, refined, refined_size, gain, score,
                         refined_error,
                     )
-        return best
-
-    def _best_candidate_parallel(
-        self, sketch: TwigXSketch, size: int, pool
-    ) -> Optional[_Scored]:
-        """The fanned-out round: probe, sample+truth, score, merge.
-
-        Chosen to be bit-identical to the serial path:
-
-        1. **probe** (workers) — every candidate applied on its chunk's
-           replica; sizes merge back in candidate order.  Applicability
-           and sizes are pure functions of (sketch, refinement), so the
-           classification matches serial exactly.
-        2. **classify + sample** (master) — walking candidates in pool
-           order, the master performs the serial loop's deadline/fault
-           checks and samples each region's queries on first encounter —
-           the only RNG consumer, in the exact serial order.
-        3. **truth** (workers) — uncached query truths evaluate on the
-           replicas' exact oracles in one batch (master-side when a
-           custom oracle was supplied); hit/miss counters match serial.
-        4. **score** (workers, sticky) — each scored candidate routes
-           back to the worker that probed it, reusing its cached refined
-           sketch; errors merge in candidate order and the serial
-           tie-break picks the same winner.
-        """
-        from ..parallel.pool import split_chunks
-
-        candidates = generate_candidates(
-            sketch, self.rng, self.max_candidates, self._split_memo
-        )
-        if not candidates:
-            return None
-        chunks = split_chunks(len(candidates), pool.workers)
-        owner = {
-            index: worker_id
-            for worker_id, chunk in enumerate(chunks)
-            for index in chunk
-        }
-        with self.tracer.span("xbuild.probe", candidates=len(candidates)):
-            sizes = pool.run_chunks(
-                "probe",
-                [
-                    [(index, candidates[index]) for index in chunk]
-                    for chunk in chunks
-                ],
-            )
-
-        base_estimator = TwigEstimator(sketch)
-        measured: dict[frozenset, list] = {}
-        entries: list[tuple[int, Refinement, int, int, frozenset]] = []
-        pending: list = []
-        pending_texts: set[str] = set()
-        for index, candidate in enumerate(candidates):
-            self._guard.check_deadline("XBUILD candidate evaluation")
-            fault_check(SITE_BUILD_APPLY)
-            refined_size = sizes.get(index)
-            if refined_size is None:
-                self._candidates.inc(outcome="inapplicable")
-                continue
-            delta = refined_size - size
-            if delta <= 0:
-                self._candidates.inc(outcome="non-growing")
-                continue
-            region = frozenset(candidate.region())
-            if region not in measured:
-                queries = self.sampler.sample_for_regions(
-                    sketch, region, queries=self.sample_queries
-                )
-                measured[region] = [queries, None, 0.0]
-                for query in queries:
-                    text = query.text()
-                    if text in self._truth_cache or text in pending_texts:
-                        self._oracle_cache.inc(outcome="hit")
-                    else:
-                        self._oracle_cache.inc(outcome="miss")
-                        pending_texts.add(text)
-                        pending.append(query)
-            entries.append((index, candidate, refined_size, delta, region))
-        if not entries:
-            return None
-
-        if pending:
-            self._oracle_calls.inc(len(pending))
-            with self.tracer.span("xbuild.truth", queries=len(pending)):
-                if self._own_oracle:
-                    values = pool.run("truth", pending)
-                else:
-                    values = [self.oracle.true_count(q) for q in pending]
-            for query, value in zip(pending, values):
-                self._truth_cache[query.text()] = value
-        for entry in measured.values():
-            queries = entry[0]
-            entry[1] = [self._truth_cache[q.text()] for q in queries]
-            entry[2] = (
-                average_relative_error(
-                    [base_estimator.estimate(q) for q in queries], entry[1]
-                )
-                if queries
-                else 0.0
-            )
-
-        score_chunks: list[list] = [[] for _ in range(pool.workers)]
-        errors: dict[int, float] = {}
-        for index, candidate, refined_size, delta, region in entries:
-            queries, truths, _ = measured[region]
-            if queries:
-                score_chunks[owner[index]].append(
-                    (index, (candidate, queries, truths))
-                )
-            else:
-                errors[index] = 0.0
-        if any(score_chunks):
-            with self.tracer.span(
-                "xbuild.score", candidates=len(entries)
-            ):
-                errors.update(pool.run_chunks("score", score_chunks))
-
-        best: Optional[_Scored] = None
-        for index, candidate, refined_size, delta, region in entries:
-            queries, truths, base_error = measured[region]
-            refined_error = errors[index]
-            gain = base_error - refined_error if queries else 0.0
-            self._candidates.inc(outcome="scored")
-            score = gain / delta
-            if (
-                best is None
-                or score > best.score
-                or (score == best.score and refined_size < best.size_bytes)
-            ):
-                best = _Scored(
-                    candidate, None, refined_size, gain, score, refined_error
-                )
         return best
 
 

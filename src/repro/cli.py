@@ -5,9 +5,8 @@ Commands:
 * ``stats FILE.xml`` — document characteristics (Table 1 columns);
 * ``build [FILE.xml | --dataset NAME] --budget KB [--out sketch-info]``
   — run XBUILD and report the constructed synopsis (node/edge/histogram
-  inventory); ``--workers N`` fans candidate scoring out over worker
-  processes (bit-identical result, see :mod:`repro.parallel`) and
-  ``--metrics-json PATH`` exports the build's metrics snapshot;
+  inventory); ``--metrics-json PATH`` exports the build's metrics
+  snapshot;
   resilience options: ``--deadline SECONDS`` truncates a long build to
   its best-so-far synopsis, ``--checkpoint PATH --checkpoint-every N``
   persist in-flight state, and ``--resume PATH`` continues an
@@ -26,8 +25,8 @@ Commands:
 * ``serve-eval`` — run a workload through the graceful-degradation
   :class:`~repro.serve.EstimatorService` and report per-tier counts,
   latency, per-request warnings, and final breaker states;
-  ``--batch`` serves the workload through the shared-cache batch API
-  and ``--workers N`` routes requests through the queued
+  ``--batch`` serves the workload through ``submit_batch`` and
+  ``--workers N`` routes requests through the queued
   :class:`~repro.serve.ServePool`; ``--metrics-json PATH``
   additionally exports a machine-readable ``repro.obs/serve-eval-v1``
   envelope (``-`` = stdout);
@@ -173,12 +172,10 @@ def cmd_build(args) -> int:
         resume_from=args.resume,
         metrics=registry,
         tracer=tracer,
-        workers=args.workers,
     ).run()
     sketch = result.sketch
-    workers = f", {args.workers} workers" if args.workers > 1 else ""
     print(f"built {sketch.size_kb():.1f} KB synopsis "
-          f"({len(result.steps)} refinements{workers})")
+          f"({len(result.steps)} refinements)")
     if result.truncated:
         print(f"truncated: {result.reason} (best-so-far synopsis)")
     print(f"nodes: {sketch.graph.node_count}, edges: {sketch.graph.edge_count}")
@@ -486,9 +483,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "instead of failing")
     build.add_argument("--seed", type=int, default=17)
     build.add_argument("--budget", type=float, default=16.0, help="KB")
-    build.add_argument("--workers", type=int, default=1,
-                       help="worker processes for candidate scoring "
-                            "(any value builds the identical synopsis)")
     build.add_argument("--metrics-json", default=None, metavar="PATH",
                        help="export the build's metrics snapshot as JSON; "
                             "'-' = stdout")
@@ -591,8 +585,8 @@ def build_parser() -> argparse.ArgumentParser:
                             help="serve through a queued worker pool of "
                                  "N threads (see repro.serve.ServePool)")
     serve_eval.add_argument("--batch", action="store_true",
-                            help="serve the workload through the batch "
-                                 "API (shared embedding-plan caches)")
+                            help="serve the workload in one submit_batch "
+                                 "call (answers equal per-query ones)")
     serve_eval.add_argument("--failure-threshold", type=int, default=5,
                             help="consecutive tier failures that open "
                                  "the circuit")

@@ -79,19 +79,6 @@ class WorkloadError(ReproError):
     """Workload generation could not satisfy the requested constraints."""
 
 
-class ParallelError(ReproError):
-    """A :class:`repro.parallel.WorkerPool` operation failed.
-
-    Carries the remote traceback text of a worker-side failure in
-    ``worker_traceback`` (empty for master-side failures such as using a
-    closed pool).
-    """
-
-    def __init__(self, message: str, worker_traceback: str = ""):
-        super().__init__(message)
-        self.worker_traceback = worker_traceback
-
-
 class ResourceLimitError(ReproError):
     """A guarded operation exceeded a resource budget (steps, depth, size).
 

@@ -21,12 +21,11 @@ from .embeddings import (
     maximal_twigs,
     validate_embedding,
 )
-from .estimator import BatchContext, EstimateReport, TwigEstimator
+from .estimator import EstimateReport, TwigEstimator
 from .path_estimator import PathEstimator
 from .treeparse import ExtendedUse, HistogramUse, NodePlan, tree_parse
 
 __all__ = [
-    "BatchContext",
     "DEFAULT_MAX_DESCENDANT_DEPTH",
     "DEFAULT_MAX_EMBEDDINGS",
     "Embedding",

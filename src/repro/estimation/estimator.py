@@ -68,58 +68,6 @@ def _safe_ratio(numerator: float, denominator: float) -> float:
     return ratio
 
 
-class BatchContext:
-    """Shared caches for a batch of estimates over one sketch.
-
-    Reused across :meth:`TwigEstimator.estimate_many` /
-    :meth:`TwigEstimator.report_many` calls (and across queries within
-    one call):
-
-    * ``plans`` — query text → prepared embeddings (enumeration +
-      TREEPARSE output), so repeated queries skip planning entirely;
-    * ``memo`` — (plan signature, relevant ancestor context) → subtree
-      factor.  The signature (:func:`_plan_keys`) captures the full
-      per-node plan — histogram identities, expansion/condition/branch
-      structure, predicates — so two embedding nodes with equal
-      signatures compute the same factor by construction, even across
-      different queries (common path suffixes share work);
-    * ``hits`` / ``misses`` — cross-embedding memo traffic, for the
-      batch counters.
-
-    ``keyed`` controls the memo's key scheme.  Keyed contexts (the
-    default for explicitly constructed ones) pay for computing plan
-    signatures up front, which only amortizes when plans get reused —
-    across calls (a serving worker's lifetime) or across structurally
-    overlapping queries.  :meth:`TwigEstimator.estimate_many` without an
-    explicit context uses an unkeyed one: node-identity memo keys, zero
-    signature overhead, and repeated query texts still share everything
-    through ``plans``.
-
-    A context is only valid for the :class:`TwigEstimator` (sketch +
-    settings) it was first used with; signatures embed histogram object
-    identities that do not transfer between sketches.
-    """
-
-    __slots__ = ("plans", "memo", "interned", "hits", "misses", "keyed")
-
-    def __init__(self, keyed: bool = True):
-        self.plans: dict[str, tuple[list, bool]] = {}
-        self.memo: dict[tuple, float] = {}
-        self.interned: dict[tuple, int] = {}
-        self.hits = 0
-        self.misses = 0
-        self.keyed = keyed
-
-    def intern(self, signature: tuple) -> int:
-        """Map a (large) plan signature to a small stable integer, so
-        memo keys hash in O(1) after the first sighting."""
-        key = self.interned.get(signature)
-        if key is None:
-            key = len(self.interned)
-            self.interned[signature] = key
-        return key
-
-
 @dataclass(frozen=True)
 class EstimateReport:
     """An estimate plus diagnostics.
@@ -421,76 +369,15 @@ class TwigEstimator:
             derived._changes = changes
         return derived
 
-    def estimate_many(
-        self,
-        queries: Sequence[TwigQuery],
-        *,
-        context: Optional[BatchContext] = None,
-    ) -> list[float]:
-        """Batch estimation: one selectivity per query, in query order.
-
-        Values are bit-identical to per-query :meth:`estimate` — the
-        batch caches memoize pure functions of the query plan — but
-        queries sharing plans or subtree structure pay once.  Pass a
-        :class:`BatchContext` to carry the caches across calls (e.g. a
-        serving worker's lifetime).
-        """
-        return [
-            report.selectivity
-            for report in self.report_many(queries, context=context)
-        ]
+    def estimate_many(self, queries: Sequence[TwigQuery]) -> list[float]:
+        """One :meth:`estimate` per query, in query order."""
+        return [report.selectivity for report in self.report_many(queries)]
 
     def report_many(
-        self,
-        queries: Sequence[TwigQuery],
-        *,
-        context: Optional[BatchContext] = None,
+        self, queries: Sequence[TwigQuery]
     ) -> list[EstimateReport]:
-        """Batch :meth:`report`; see :meth:`estimate_many`."""
-        if self._explain is not None:
-            # explain trails are per-query by contract; shared memo hits
-            # would hide lookups from the recording, so fall back
-            return [self.report(query) for query in queries]
-        if context is None:
-            # a private one-call context: skip the signature keying —
-            # it only pays off when plans outlive the call
-            context = BatchContext(keyed=False)
-        return [self._report_batched(query, context) for query in queries]
-
-    def _report_batched(
-        self, query: TwigQuery, context: BatchContext
-    ) -> EstimateReport:
-        key = query.text()
-        entry = context.plans.get(key)
-        if entry is None:
-            budget = EmbeddingBudget(self.max_embeddings)
-            embeddings = enumerate_embeddings(
-                query, self.sketch.graph, self.max_depth, budget
-            )
-            prepared = []
-            for embedding in embeddings:
-                plans = tree_parse(
-                    embedding, self.sketch, self.branch_conditioning
-                )
-                needed = _needed_backward_refs(embedding.root, plans)
-                keys = (
-                    _plan_keys(embedding.root, plans, context)
-                    if context.keyed
-                    else None
-                )
-                prepared.append((embedding.root, plans, needed, keys))
-            entry = (prepared, budget.truncated)
-            context.plans[key] = entry
-        prepared, truncated = entry
-        total = 0.0
-        for root, plans, needed, keys in prepared:
-            base = float(self.sketch.graph.node(root.node_id).count)
-            total += base * self._expand(
-                root, plans, (), needed, context.memo,
-                keys=keys, batch=context,
-            )
-        self._count(len(prepared))
-        return EstimateReport(total, len(prepared), truncated)
+        """One :meth:`report` per query, in query order."""
+        return [self.report(query) for query in queries]
 
     def estimate_embedding(self, embedding: Embedding) -> float:
         """The selectivity of one embedding: ``|n_0| ·`` root expansion."""
@@ -520,23 +407,15 @@ class TwigEstimator:
         context: Context,
         needed: dict[int, frozenset[EdgeRef]],
         memo: dict[tuple, float],
-        keys: Optional[dict[int, int]] = None,
-        batch: Optional[BatchContext] = None,
     ) -> float:
         """Expected binding tuples of ``node``'s subtree per element of its
         synopsis node, given the ancestor count assignment ``context``.
-
-        ``keys`` (batch mode) substitutes plan-signature keys for node
-        identities, so the memo is shared across embeddings and queries;
-        ``batch`` tracks the shared-memo hit counters.
         """
         relevant = tuple(
             item for item in context if item[0] in needed[id(node)]
         )
-        key = ((id(node) if keys is None else keys[id(node)]), relevant)
+        key = (id(node), relevant)
         if key in memo:
-            if batch is not None:
-                batch.hits += 1
             if self._lookups is not None:
                 self._lookups.inc(kind="memo")
             if self._explain is not None:
@@ -547,8 +426,6 @@ class TwigEstimator:
                     memo[key],
                 )
             return memo[key]
-        if batch is not None:
-            batch.misses += 1
 
         frame = (
             None
@@ -567,7 +444,7 @@ class TwigEstimator:
         if result > 0:
             for use in plan.extended_uses:
                 result *= self._extended_factor(
-                    node, use, plans, context, needed, memo, keys, batch
+                    node, use, plans, context, needed, memo
                 )
                 if result == 0:
                     break
@@ -590,14 +467,12 @@ class TwigEstimator:
                 result *= average
                 if result == 0:
                     break
-                result *= self._expand(
-                    child, plans, context, needed, memo, keys, batch
-                )
+                result *= self._expand(child, plans, context, needed, memo)
             for use in plan.uses:
                 if result == 0:
                     break
                 result *= self._histogram_factor(
-                    node, use, plans, context, needed, memo, keys, batch
+                    node, use, plans, context, needed, memo
                 )
         memo[key] = result
         if frame is not None:
@@ -612,8 +487,6 @@ class TwigEstimator:
         context: Context,
         needed: dict[int, frozenset[EdgeRef]],
         memo: dict[tuple, float],
-        keys: Optional[dict[int, int]] = None,
-        batch: Optional[BatchContext] = None,
     ) -> float:
         """``Σ_points mass · Π_E (count · child expansion)`` conditioned on D.
 
@@ -673,7 +546,7 @@ class TwigEstimator:
                     )
                 for child in children:
                     term *= count * self._expand(
-                        child, plans, extended, needed, memo, keys, batch
+                        child, plans, extended, needed, memo
                     )
                     if term == 0:
                         break
@@ -706,8 +579,6 @@ class TwigEstimator:
         context: Context,
         needed,
         memo,
-        keys: Optional[dict[int, int]] = None,
-        batch: Optional[BatchContext] = None,
     ) -> float:
         """One extended-value-histogram factor:
 
@@ -742,7 +613,7 @@ class TwigEstimator:
                         break
                     for child in children:
                         term *= count * self._expand(
-                            child, plans, context, needed, memo, keys, batch
+                            child, plans, context, needed, memo
                         )
                         if term == 0:
                             break
@@ -908,77 +779,3 @@ def _needed_backward_refs(
 
     visit(root)
     return needed
-
-
-def _plan_keys(
-    root: EmbeddingNode, plans: dict[int, NodePlan], context: BatchContext
-) -> dict[int, int]:
-    """Interned plan signatures for every embedding node, keyed by id.
-
-    The signature is a pure function of everything
-    :meth:`TwigEstimator._expand` reads for the node's subtree — the
-    synopsis node, value/branch predicates, absorption flags, child
-    order, and each histogram use's identity, expansion, conditioning,
-    and branch-conditioning structure (child participation enters as the
-    children's own interned keys, computed bottom-up).  Two nodes with
-    equal keys therefore produce bit-identical subtree factors for equal
-    relevant contexts, which is what lets the batch memo be shared
-    across embeddings and queries.
-
-    Signatures embed histogram/summary *object identities*, so keys are
-    only comparable within one sketch (one :class:`BatchContext`).
-    """
-    keys: dict[int, int] = {}
-
-    def visit(node: EmbeddingNode) -> int:
-        for child in node.children:
-            visit(child)
-        plan = plans[id(node)]
-        use_sigs = tuple(
-            (
-                id(use.histogram),
-                tuple(
-                    (dim, tuple(keys[id(child)] for child in children))
-                    for dim, children in use.expansion.items()
-                ),
-                tuple(use.conditions.items()),
-                tuple(
-                    (dim, chain.signature())
-                    for dim, chain in use.branch_conditions.items()
-                ),
-            )
-            for use in plan.uses
-        )
-        ext_sigs = tuple(
-            (
-                id(use.summary),
-                use.predicate,
-                tuple(
-                    (dim, tuple(keys[id(child)] for child in children))
-                    for dim, children in use.expansion.items()
-                ),
-                use.absorbed_branch,
-                use.consumed_value_pred,
-            )
-            for use in plan.extended_uses
-        )
-        signature = (
-            node.node_id,
-            node.value_pred,
-            plan.value_pred_absorbed,
-            tuple(sorted(plan.absorbed_branches)),
-            tuple(
-                tuple(chain.signature() for chain in alternative)
-                for alternative in node.branches
-            ),
-            tuple(keys[id(child)] for child in plan.uncovered),
-            bool(node.children),
-            use_sigs,
-            ext_sigs,
-        )
-        key = context.intern(signature)
-        keys[id(node)] = key
-        return key
-
-    visit(root)
-    return keys

@@ -16,7 +16,7 @@ reports through:
   expansion trails, histogram lookups, and the serving tier chosen
   (``repro estimate --explain``);
 * :mod:`repro.obs.export` — exposition formats and the export-schema
-  validators (metrics, serve-eval, and benchmark envelopes) behind
+  validators (metrics and serve-eval envelopes) behind
   ``python -m repro.obs`` (the CI smoke gate);
 * :mod:`repro.obs.trace_report` — ``repro trace-report``: aggregate a
   ``--trace`` JSONL file into per-span-kind timings and the critical
@@ -27,11 +27,9 @@ See README.md "Observability" and DESIGN.md S24.
 
 from .explain import ExplainEvent, ExplainRecorder, render_explanation
 from .export import (
-    BENCH_SCHEMA,
     SERVE_EVAL_SCHEMA,
     load_payload,
     render_prometheus,
-    validate_bench_payload,
     validate_metrics_payload,
     validate_payload,
     validate_serve_eval_payload,
@@ -58,7 +56,6 @@ from .trace_report import (
 from .tracing import NULL_TRACER, JsonlSink, Span, SpanTracer
 
 __all__ = [
-    "BENCH_SCHEMA",
     "Counter",
     "DEFAULT_BUCKETS",
     "ExplainEvent",
@@ -83,7 +80,6 @@ __all__ = [
     "render_trace_report",
     "reset_default_registry",
     "trace_report",
-    "validate_bench_payload",
     "validate_metrics_payload",
     "validate_payload",
     "validate_serve_eval_payload",

@@ -30,9 +30,6 @@ from .metrics import METRICS_SCHEMA
 #: schema identifier of the ``serve-eval --metrics-json`` envelope
 SERVE_EVAL_SCHEMA = "repro.obs/serve-eval-v1"
 
-#: schema identifier of the benchmark harness's BENCH_twig.json envelope
-BENCH_SCHEMA = "repro.obs/bench-v1"
-
 _METRIC_TYPES = ("counter", "gauge", "histogram")
 
 
@@ -215,48 +212,10 @@ def validate_serve_eval_payload(payload) -> list[str]:
     return problems
 
 
-def validate_bench_payload(payload) -> list[str]:
-    """Schema problems in a ``BENCH_twig.json`` benchmark envelope."""
-    problems: list[str] = []
-    if not isinstance(payload, dict):
-        return [f"payload must be an object, got {type(payload).__name__}"]
-    if payload.get("schema") != BENCH_SCHEMA:
-        problems.append(
-            f"schema must be {BENCH_SCHEMA!r}, got {payload.get('schema')!r}"
-        )
-    results = payload.get("results")
-    if not isinstance(results, list) or not results:
-        problems.append("'results' must be a non-empty list")
-    else:
-        for index, result in enumerate(results):
-            where = f"results[{index}]"
-            if not isinstance(result, dict):
-                problems.append(f"{where} must be an object")
-                continue
-            name = result.get("name")
-            if not isinstance(name, str) or not name:
-                problems.append(f"{where}.name must be a non-empty string")
-            seconds = result.get("seconds")
-            if not isinstance(seconds, (int, float)) or seconds < 0:
-                problems.append(
-                    f"{where}.seconds must be a non-negative number"
-                )
-            if "data" not in result:
-                problems.append(f"{where}.data is missing")
-    metrics = payload.get("metrics")
-    if not isinstance(metrics, dict):
-        problems.append("'metrics' must be an embedded metrics snapshot")
-    else:
-        problems.extend(validate_metrics_payload(metrics))
-    return problems
-
-
 def validate_payload(payload) -> list[str]:
     """Dispatch on the payload's ``schema`` field (the CLI validator)."""
     if isinstance(payload, dict) and payload.get("schema") == SERVE_EVAL_SCHEMA:
         return validate_serve_eval_payload(payload)
-    if isinstance(payload, dict) and payload.get("schema") == BENCH_SCHEMA:
-        return validate_bench_payload(payload)
     return validate_metrics_payload(payload)
 
 

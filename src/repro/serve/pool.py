@@ -9,8 +9,8 @@ cascade's circuit breakers and metrics are shared mutable state that
 every request must observe (a process pool would give each worker its
 own breakers, silently disabling the trip logic), the service is already
 thread-safe, and per-request work is bounded by ``max_embeddings``.
-Process-level parallelism for bulk estimation lives in
-:func:`repro.parallel.parallel_estimate_many`.
+Worker threads share each sketch's answer cache, so a query any worker
+answered is served from the cache by every other.
 
 Backpressure contract:
 
@@ -25,8 +25,8 @@ Backpressure contract:
   without touching the estimator tiers.
 * :meth:`estimate_async` wraps the future for ``await``-ing from an
   asyncio event loop; :meth:`submit_batch` queues one batch task that
-  runs through :meth:`EstimatorService.submit_batch` (shared plan/memo
-  caches) and resolves to the full response list.
+  runs through :meth:`EstimatorService.submit_batch` and resolves to
+  the full response list.
 
 Metrics (into the service's registry): ``serve_pool_requests_total``
 by outcome (``ok``/``shed``/``error``), ``serve_pool_queue_depth``,
@@ -145,8 +145,8 @@ class ServePool:
         deadline: Optional[float] = None,
     ) -> Future:
         """Queue a batch; the future resolves to a list of
-        :class:`EstimateResponse`, one per query in order, computed
-        through the service's shared batch caches."""
+        :class:`EstimateResponse`, one per query in order, computed by
+        :meth:`EstimatorService.submit_batch`."""
         return self._enqueue(
             name, list(queries), batch=True, deadline=deadline
         )

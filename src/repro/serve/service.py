@@ -34,6 +34,13 @@ accepted when it is finite and non-negative — NaN, ±inf, or a negative
 estimate (the signature of corrupted counts) is treated as a tier
 failure, never returned to the caller.
 
+Repeated queries are served from a bounded per-sketch answer cache: each
+registered sketch keeps the last :data:`ANSWER_CACHE_SIZE` accepted
+``twig`` answers, keyed by query text.  Entries are only ever stored
+after the answer passed the finiteness gate, requests carrying an
+``explain=`` recorder bypass the cache (their trail must show the full
+estimation), and re-registering a name starts an empty cache.
+
 The service never raises for estimation failures; only caller mistakes
 (unknown sketch name, invalid registration) raise
 :class:`~repro.errors.ServiceError`.
@@ -44,6 +51,7 @@ from __future__ import annotations
 import math
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -54,7 +62,7 @@ from ..errors import (
     ServiceError,
     SynopsisIntegrityError,
 )
-from ..estimation import BatchContext, PathEstimator, TwigEstimator
+from ..estimation import PathEstimator, TwigEstimator
 from ..obs import explain as _explain
 from ..obs.explain import ExplainRecorder
 from ..obs.metrics import MetricsRegistry, default_registry
@@ -75,6 +83,10 @@ FALLBACK_TIERS = (TIER_TWIG, TIER_PATH, TIER_CST)
 
 #: the documented uniform prior: one expected binding tuple
 DEFAULT_UNIFORM_PRIOR = 1.0
+
+#: accepted twig answers kept per registered sketch (least recently used
+#: evicted first); an entry is a query text and a float
+ANSWER_CACHE_SIZE = 4096
 
 
 class _TierUnavailable(Exception):
@@ -113,28 +125,29 @@ class EstimateResponse:
 
 @dataclass
 class _Entry:
-    """One registered sketch with its per-tier circuit breakers."""
+    """One registered sketch with its per-tier circuit breakers and its
+    answer cache (query text -> accepted twig estimate, LRU order)."""
 
     name: str
     sketch: TwigXSketch
     baseline: Optional[CSTEstimator]
     breakers: dict[str, CircuitBreaker] = field(default_factory=dict)
+    answers: OrderedDict = field(default_factory=OrderedDict)
+    lock: threading.Lock = field(default_factory=threading.Lock)
 
+    def cached(self, text: str) -> Optional[float]:
+        """The cached answer for ``text``, or None."""
+        with self.lock:
+            return self.answers.get(text)
 
-@dataclass
-class _BatchState:
-    """Shared estimator state for one :meth:`EstimatorService.submit_batch`.
-
-    The twig estimator carries a :class:`BatchContext`, so queries in the
-    batch share embedding plans and memoized subtree factors; the path
-    estimator is likewise built once instead of per query.  Answers stay
-    bit-identical to per-query :meth:`~EstimatorService.estimate` — the
-    caches memoize pure functions of the query plan.
-    """
-
-    estimator: TwigEstimator
-    context: BatchContext
-    path: PathEstimator
+    def remember(self, text: str, value: float) -> None:
+        """Cache (or refresh) an accepted answer, evicting the least
+        recently used beyond :data:`ANSWER_CACHE_SIZE`."""
+        with self.lock:
+            self.answers[text] = value
+            self.answers.move_to_end(text)
+            while len(self.answers) > ANSWER_CACHE_SIZE:
+                self.answers.popitem(last=False)
 
 
 def _primary_chain(query: TwigQuery) -> tuple[Path, bool]:
@@ -418,10 +431,8 @@ class EstimatorService:
     ) -> list[EstimateResponse]:
         """Estimate a batch of queries; one response per query, in order.
 
-        Answers are bit-identical to per-query :meth:`estimate` but the
-        batch shares one twig estimator (with a
-        :class:`~repro.estimation.BatchContext` — common embedding plans
-        and subtree factors are computed once) and one path estimator.
+        Each query runs the same cascade as :meth:`estimate`, answer
+        cache included, so answers equal per-query :meth:`estimate`'s.
         Degradation, circuit breakers, and metrics behave exactly as for
         individual requests; ``deadline`` applies *per query*.
 
@@ -434,15 +445,6 @@ class EstimatorService:
                 f"deadline must be positive, got {deadline!r}"
             )
         queries = list(queries)
-        batch = _BatchState(
-            TwigEstimator(
-                entry.sketch,
-                max_embeddings=self.max_embeddings,
-                metrics=self.metrics,
-            ),
-            BatchContext(),
-            PathEstimator(entry.sketch, metrics=self.metrics),
-        )
         responses = []
         with self.tracer.span(
             "serve.batch", sketch=name, queries=len(queries)
@@ -452,7 +454,7 @@ class EstimatorService:
                     "serve.request", sketch=name
                 ) as request_span:
                     response = self._estimate_cascade(
-                        entry, name, query, deadline, None, batch=batch
+                        entry, name, query, deadline, None
                     )
                     request_span.annotate(
                         tier=response.source,
@@ -486,10 +488,11 @@ class EstimatorService:
         query: TwigQuery,
         deadline: Optional[float],
         explain: Optional[ExplainRecorder],
-        batch: Optional[_BatchState] = None,
     ) -> EstimateResponse:
         budget = Budget(deadline=deadline, clock=self._clock)
         warnings: list[str] = []
+        # the answer-cache key; explained requests bypass the cache
+        text = query.text() if explain is None else None
         for tier in FALLBACK_TIERS:
             if budget.expired():
                 warnings.append(
@@ -514,9 +517,11 @@ class EstimatorService:
             try:
                 with self.tracer.span("serve.tier", sketch=name, tier=tier):
                     value = self._run_tier(
-                        entry, tier, query, warnings, explain, batch
+                        entry, tier, query, warnings, explain, text
                     )
                     value = self._accept(value, tier)
+                    if tier == TIER_TWIG and text is not None:
+                        entry.remember(text, value)
             except _TierUnavailable as skip:
                 # Configuration fact, not a failure: the breaker is not
                 # charged (an unavailable tier can never have opened it).
@@ -572,13 +577,12 @@ class EstimatorService:
         query: TwigQuery,
         warnings: list[str],
         explain: Optional[ExplainRecorder] = None,
-        batch: Optional[_BatchState] = None,
+        text: Optional[str] = None,
     ) -> float:
         if tier == TIER_TWIG:
-            if batch is not None:
-                return batch.estimator.estimate_many(
-                    [query], context=batch.context
-                )[0]
+            cached = None if text is None else entry.cached(text)
+            if cached is not None:
+                return cached
             return TwigEstimator(
                 entry.sketch,
                 max_embeddings=self.max_embeddings,
@@ -592,8 +596,6 @@ class EstimatorService:
                     "path tier collapsed branching siblings to the "
                     "primary chain"
                 )
-            if batch is not None:
-                return batch.path.estimate(chain)
             return PathEstimator(
                 entry.sketch, metrics=self.metrics, explain=explain
             ).estimate(chain)

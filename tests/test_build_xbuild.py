@@ -1,6 +1,7 @@
 """Tests for candidate sampling, oracles, and the XBUILD loop."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -15,6 +16,7 @@ from repro.build import (
 from repro.build.sampling import RegionSampler
 from repro.datasets import generate_imdb, generate_xmark
 from repro.estimation import TwigEstimator
+from repro.obs import MetricsRegistry
 from repro.query import count_bindings
 from repro.synopsis import TwigXSketch, XSketchConfig
 from repro.synopsis.validate import error_violations, validate_sketch
@@ -98,13 +100,44 @@ class TestOracles:
         for entry in workload.queries:
             assert oracle.true_count(entry.query) == entry.true_count
 
-    def test_exact_oracle_caches(self, imdb):
-        oracle = ExactOracle(imdb)
-        generator = WorkloadGenerator(imdb, WorkloadSpec(seed=9))
-        (entry,) = generator.positive_workload(1).queries
-        first = oracle.true_count(entry.query)
-        assert oracle.true_count(entry.query) == first
-        assert len(oracle._cache) == 1
+    @pytest.fixture(scope="class")
+    def counted_build(self, imdb, coarse):
+        """A small build whose oracle records every query it is asked."""
+
+        class CountingOracle(ExactOracle):
+            def __init__(self, tree):
+                super().__init__(tree)
+                self.asked = Counter()
+
+            def true_count(self, query):
+                self.asked[query.text()] += 1
+                return super().true_count(query)
+
+        oracle = CountingOracle(imdb)
+        registry = MetricsRegistry()
+        XBuild(
+            imdb, coarse.size_bytes() + 1500, seed=9, sample_queries=6,
+            oracle=oracle, metrics=registry,
+        ).run()
+        return oracle, registry
+
+    def test_build_asks_its_oracle_once_per_query(self, counted_build):
+        """XBUILD's truth cache is the only one: a re-sampled query is a
+        cache hit, never a second oracle call."""
+        oracle, registry = counted_build
+        cache = registry.get("build_oracle_cache_total")
+        assert cache.value(outcome="miss") == sum(oracle.asked.values())
+        assert max(oracle.asked.values()) == 1
+
+    def test_oracle_cache_hits_recorded(self, counted_build):
+        _, registry = counted_build
+        cache = registry.get("build_oracle_cache_total")
+        assert cache.value(outcome="hit") > 0
+        assert cache.value(outcome="miss") > 0
+        # oracle evaluations == cache misses (each miss evaluates once)
+        assert registry.get("build_oracle_calls_total").value() == (
+            cache.value(outcome="miss")
+        )
 
     def test_sketch_oracle_better_than_coarsest(self, imdb, coarse):
         """The reference summary approximates truths with much lower error

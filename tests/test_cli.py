@@ -235,14 +235,17 @@ class TestObservability:
 
 class TestParallelFlags:
     def test_build_with_workers(self, tmp_path, capsys):
+        """``build`` scores serially; ``--workers`` is a serve-eval flag."""
         out_path = tmp_path / "build.json"
         code = main([
             "build", "--dataset", "paperfig", "--budget", "2",
-            "--workers", "2", "--metrics-json", str(out_path),
+            "--metrics-json", str(out_path),
         ])
         assert code == 0
         out = capsys.readouterr().out
-        assert "2 workers" in out
+        assert "refinements)" in out
+        with pytest.raises(SystemExit):
+            main(["build", "--dataset", "paperfig", "--workers", "2"])
         from repro.obs import validate_payload
 
         payload = json.loads(out_path.read_text())

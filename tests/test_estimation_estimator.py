@@ -7,10 +7,12 @@ T = A{B, N, P{K, Y}}; the paper computes s(T) = 10/3.
 
 import pytest
 
+from repro.build import XBuild
 from repro.datasets.paperfig import figure1_document, figure4_documents
 from repro.estimation import TwigEstimator, enumerate_embeddings, tree_parse
 from repro.query import count_bindings, parse_for_clause, parse_path, twig
 from repro.synopsis import EdgeRef, TwigXSketch, XSketchConfig
+from repro.workload import WorkloadGenerator, WorkloadSpec
 
 
 def nid(sketch, tag):
@@ -215,3 +217,27 @@ class TestReport:
         report = estimator.report(twig(parse_path("movie")))
         assert report.selectivity == 0.0
         assert report.embeddings == 0
+
+
+class TestBatchEstimation:
+    """``estimate_many``/``report_many`` are plain loops over ``report``."""
+
+    @pytest.fixture(scope="class")
+    def built(self):
+        document = figure1_document()
+        sketch = XBuild(document, budget_bytes=3072, seed=17).run().sketch
+        spec = WorkloadSpec(seed=11, value_predicates=True)
+        load = WorkloadGenerator(document, spec).positive_workload(30)
+        return sketch, [entry.query for entry in load.queries]
+
+    def test_estimate_many_equals_per_query(self, built):
+        sketch, queries = built
+        estimator = TwigEstimator(sketch)
+        serial = [estimator.estimate(q) for q in queries]
+        assert TwigEstimator(sketch).estimate_many(queries) == serial
+
+    def test_report_many_matches_report(self, built):
+        sketch, queries = built
+        estimator = TwigEstimator(sketch)
+        singles = [estimator.report(q) for q in queries]
+        assert TwigEstimator(sketch).report_many(queries) == singles

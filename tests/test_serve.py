@@ -10,6 +10,8 @@ from repro.baselines import CorrelatedSuffixTree
 from repro.build import xbuild
 from repro.datasets import generate_imdb
 from repro.errors import ServiceError, SynopsisError, SynopsisIntegrityError
+from repro.estimation import TwigEstimator
+from repro.obs import ExplainRecorder
 from repro.query import parse_for_clause, parse_path, twig
 from repro.serve import (
     CLOSED,
@@ -17,13 +19,21 @@ from repro.serve import (
     OPEN,
     CircuitBreaker,
     EstimatorService,
+    ServePool,
     TIER_CST,
     TIER_PATH,
     TIER_TWIG,
     TIER_UNIFORM,
 )
+from repro.serve import service as service_module
 from repro.serve.service import _primary_chain
-from repro.synopsis import load_sketch, save_sketch, sketch_to_dict
+from repro.synopsis import (
+    TwigXSketch,
+    load_sketch,
+    save_sketch,
+    sketch_to_dict,
+)
+from repro.workload import WorkloadGenerator, WorkloadSpec
 
 
 class FakeClock:
@@ -336,6 +346,108 @@ class TestConcurrency:
         assert len(results) == 40
         assert all(math.isfinite(value) for value in results)
         assert len(set(results)) == 1  # read-only sketch: one answer
+
+
+class TestAnswerCache:
+    """Repeated queries are answered from the per-sketch answer cache,
+    and every served twig answer equals a fresh estimator's."""
+
+    @pytest.fixture(scope="class")
+    def queries(self, tree):
+        spec = WorkloadSpec(seed=7, value_predicates=True)
+        load = WorkloadGenerator(tree, spec).positive_workload(12)
+        return [entry.query for entry in load.queries]
+
+    @staticmethod
+    def fresh(sketch, service, queries):
+        return [
+            TwigEstimator(
+                sketch, max_embeddings=service.max_embeddings
+            ).estimate(query)
+            for query in queries
+        ]
+
+    def test_every_path_answers_as_a_fresh_estimator(
+        self, sketch, queries
+    ):
+        service = EstimatorService()
+        service.register("imdb", sketch)
+        expected = self.fresh(sketch, service, queries)
+
+        def answers(responses):
+            assert all(r.source == TIER_TWIG for r in responses)
+            return [r.estimate for r in responses]
+
+        cold = answers([service.estimate("imdb", q) for q in queries])
+        assert len(service._entry("imdb").answers) == len(
+            {q.text() for q in queries}
+        )
+        repeated = answers([service.estimate("imdb", q) for q in queries])
+        batched = answers(service.submit_batch("imdb", queries + queries))
+        with ServePool(service, workers=8) as pool:
+            futures = [pool.submit("imdb", q) for q in queries * 4]
+            pooled = answers([future.result(30) for future in futures])
+        assert cold == expected
+        assert repeated == expected
+        assert batched == expected + expected
+        assert pooled == expected * 4
+
+    def test_replaced_sketch_starts_an_empty_cache(self, tree, sketch,
+                                                   queries):
+        other = TwigXSketch.coarsest(tree)
+        service = EstimatorService()
+        service.register("imdb", sketch)
+        before = [service.estimate("imdb", q).estimate for q in queries]
+        service.register("imdb", other, replace=True)
+        assert not service._entry("imdb").answers
+        after = [service.estimate("imdb", q).estimate for q in queries]
+        assert after == self.fresh(other, service, queries)
+        assert after != before
+
+    def test_poisoned_sketch_caches_nothing(self, sketch, query, tmp_path):
+        """Neither a raising twig tier nor an unusable (negative) twig
+        estimate reaches the cache, and failures still trip the breaker."""
+        service = EstimatorService(failure_threshold=2)
+        service.register("bad", _poisoned(sketch), validate=False)
+        corrupt = load_sketch(_corrupt_file(sketch, tmp_path))
+        service.register("corrupt", corrupt, validate=False)
+        for name in ("bad", "corrupt"):
+            for _ in range(3):
+                assert service.estimate(name, query).source != TIER_TWIG
+            assert not service._entry(name).answers
+            assert service.breaker_states(name)[TIER_TWIG] == OPEN
+
+    def test_cache_never_exceeds_its_cap(self, sketch, queries,
+                                         monkeypatch):
+        monkeypatch.setattr(service_module, "ANSWER_CACHE_SIZE", 3)
+        service = EstimatorService()
+        service.register("imdb", sketch)
+        cache = service._entry("imdb").answers
+        distinct = list({q.text(): q for q in queries}.values())
+        first, second, third, fourth = distinct[:4]
+        for query in (first, second, third, first, fourth):
+            service.estimate("imdb", query)
+        # the hit on ``first`` made ``second`` the least recently used
+        assert list(cache) == [q.text() for q in (third, first, fourth)]
+        for query in queries + queries[:5]:
+            service.estimate("imdb", query)
+            assert len(cache) <= 3
+        answers = [service.estimate("imdb", q).estimate for q in queries]
+        assert answers == self.fresh(sketch, service, queries)
+
+    def test_explain_bypasses_the_cache(self, sketch, query):
+        cold = ExplainRecorder()
+        fresh_service = EstimatorService()
+        fresh_service.register("imdb", sketch)
+        expected = fresh_service.estimate("imdb", query, explain=cold)
+        service = EstimatorService()
+        service.register("imdb", sketch)
+        service.estimate("imdb", query)
+        warm = ExplainRecorder()
+        response = service.estimate("imdb", query, explain=warm)
+        assert response.estimate == expected.estimate
+        assert warm.events == cold.events
+        assert len(warm.events) > 2
 
 
 class TestPrimaryChain:

@@ -1,20 +1,11 @@
-"""Tests for trace aggregation (repro.obs.trace_report) and the
-benchmark-envelope validator (repro.obs.export)."""
+"""Tests for trace aggregation (repro.obs.trace_report)."""
 
 import json
 
 import pytest
 
 from repro.errors import ReproError
-from repro.obs import (
-    BENCH_SCHEMA,
-    METRICS_SCHEMA,
-    load_spans,
-    render_trace_report,
-    trace_report,
-    validate_bench_payload,
-    validate_payload,
-)
+from repro.obs import load_spans, render_trace_report, trace_report
 
 
 def _span(name, span_id, parent_id, duration, start=0.0):
@@ -135,46 +126,3 @@ class TestRender:
     def test_empty_report_renders(self):
         text = render_trace_report(trace_report([]))
         assert "(no finished root span)" in text
-
-
-class TestBenchValidator:
-    def _payload(self):
-        return {
-            "schema": BENCH_SCHEMA,
-            "results": [
-                {"name": "figure8", "seconds": 1.25, "data": {"rows": []}}
-            ],
-            "metrics": {"schema": METRICS_SCHEMA, "metrics": []},
-        }
-
-    def test_valid_payload(self):
-        payload = self._payload()
-        assert validate_bench_payload(payload) == []
-        # the dispatching validator routes on the schema field
-        assert validate_payload(payload) == []
-
-    def test_wrong_schema(self):
-        payload = self._payload()
-        payload["schema"] = "nope"
-        assert any(
-            "schema" in problem
-            for problem in validate_bench_payload(payload)
-        )
-
-    def test_empty_results(self):
-        payload = self._payload()
-        payload["results"] = []
-        assert validate_bench_payload(payload) == ["'results' must be a non-empty list"]
-
-    def test_negative_seconds_and_missing_data(self):
-        payload = self._payload()
-        payload["results"] = [{"name": "x", "seconds": -1}]
-        problems = validate_bench_payload(payload)
-        assert any("seconds" in problem for problem in problems)
-        assert any("data" in problem for problem in problems)
-
-    def test_embedded_metrics_validated(self):
-        payload = self._payload()
-        payload["metrics"] = {"schema": "bogus", "metrics": "nope"}
-        problems = validate_bench_payload(payload)
-        assert any("'metrics'" in problem for problem in problems)
