@@ -351,20 +351,24 @@ class ValueSplit(Refinement):
     predicate: ValuePredicate
     child_tag: Optional[str] = None
 
-    def _matches(self, element) -> bool:
+    def _matches(self, element, index: list) -> bool:
+        """Whether ``element`` falls in the first part; ``index`` is the
+        document's :meth:`~repro.doc.tree.DocumentTree.child_index`."""
         if self.child_tag is None:
             return self.predicate.matches(element.value)
+        matches = self.predicate.matches
         return any(
-            child.tag == self.child_tag and self.predicate.matches(child.value)
-            for child in element.children
+            matches(child.value)
+            for child in index[element.node_id].get(self.child_tag, ())
         )
 
     def apply(self, sketch: TwigXSketch) -> TwigXSketch:
         node = _live_node(sketch, self.node_id)
+        index = sketch.graph.tree.child_index()
         part = {
             element.node_id
             for element in node.extent
-            if self._matches(element)
+            if self._matches(element, index)
         }
         if not part or len(part) == node.count:
             raise BuildError(
@@ -375,16 +379,17 @@ class ValueSplit(Refinement):
         refined = sketch.copy()
         first, _ = refined.split_node(self.node_id, part)
         if self.child_tag is not None:
-            self._split_value_children(refined, first)
+            self._split_value_children(refined, first, index)
         return refined
 
-    def _split_value_children(self, refined: TwigXSketch, first: int) -> None:
+    def _split_value_children(
+        self, refined: TwigXSketch, first: int, index: list
+    ) -> None:
         """Separate the ``child_tag`` children of the matching part."""
         part_children = {
             child.node_id
             for element in refined.graph.node(first).extent
-            for child in element.children
-            if child.tag == self.child_tag
+            for child in index[element.node_id].get(self.child_tag, ())
         }
         for child_node in list(refined.graph.nodes_with_tag(self.child_tag)):
             inside = {

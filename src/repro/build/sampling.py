@@ -12,7 +12,9 @@ The value-oriented proposal helpers (``_value_split_proposals``,
 ``_value_expand_proposals``) implement the DESIGN.md E10/E12 extensions:
 they look for *discriminative* value sources — repeated string values or
 numeric domains — and skip near-unique ones (titles, names), whose splits
-could only shave single elements off an extent.
+could only shave single elements off an extent.  Both read a node's
+:class:`ValueTally`, gathered once per node; XBUILD memoizes what it
+yields by node id.
 """
 
 from __future__ import annotations
@@ -103,43 +105,95 @@ def _value_refine_candidates(sketch: TwigXSketch) -> list[Refinement]:
     ]
 
 
-def _value_observations(
-    node, child_tag: Optional[str]
-) -> list[object]:
-    """The value population a split/expand over ``child_tag`` would see."""
-    if child_tag is None:
-        return [e.value for e in node.extent if e.value is not None]
-    values = []
-    for element in node.extent:
-        for child in element.children:
-            if child.tag == child_tag and child.value is not None:
-                values.append(child.value)
-                break
-    return values
+class ValueTally:
+    """The value sources of one synopsis node, from one pass over its extent.
+
+    ``sources`` lists the node's value sources: ``None`` (the elements'
+    own values) when any element has a value, then the tags of valued
+    children, sorted.  ``groups[source]`` holds, in extent order, one list
+    per element that has values from that source: its own value, or the
+    values of its ``source`` children in document order.  Element values
+    never change and a node id never names another extent, so what a
+    tally yields serves its node for a whole build (DESIGN.md S28).
+    """
+
+    __slots__ = ("sources", "groups", "_strings")
+
+    def __init__(self, node, index: list):
+        own: list[list] = []
+        by_tag: dict[str, list[list]] = {}
+        for element in node.extent:
+            if element.value is not None:
+                own.append([element.value])
+            for tag, children in index[element.node_id].items():
+                values = [c.value for c in children if c.value is not None]
+                if values:
+                    by_tag.setdefault(tag, []).append(values)
+        self.sources: list[Optional[str]] = [None] if own else []
+        self.sources.extend(sorted(by_tag))
+        self.groups: dict[Optional[str], list[list]] = {None: own, **by_tag}
+        self._strings: dict[Optional[str], Counter] = {}
+
+    def observations(self, source: Optional[str]) -> list:
+        """The value population a split/expand over ``source`` would see:
+        each element's first value from it."""
+        return [values[0] for values in self.groups[source]]
+
+    def part_size(self, source: Optional[str], predicate) -> int:
+        """How many extent elements a ValueSplit on ``source`` with this
+        predicate captures: those with a value that matches it
+        (:meth:`ValuePredicate.matches`, so a number never equals a
+        string bound)."""
+        bound = predicate.value
+        if predicate.op == "=" and isinstance(bound, str):
+            return self._string_counts(source)[bound]
+        matches = predicate.matches
+        return sum(
+            1 for values in self.groups[source] if any(map(matches, values))
+        )
+
+    def expand_sources(self) -> list[Optional[str]]:
+        """The sources whose values are discriminative enough for a
+        ValueExpand (DESIGN.md E12): at least two observations, and
+        either all numeric or strings with far fewer distinct values
+        than observations."""
+        qualified: list[Optional[str]] = []
+        for source in self.sources:
+            values = self.observations(source)
+            if len(values) < 2:
+                continue
+            numeric = [v for v in values if isinstance(v, (int, float))]
+            if len(numeric) < len(values):
+                distinct = len(set(str(v) for v in values))
+                if distinct > len(values) * _DISCRIMINATIVE_FRACTION:
+                    continue
+            qualified.append(source)
+        return qualified
+
+    def _string_counts(self, source: Optional[str]) -> Counter:
+        """Per string value, how many elements have it from ``source``."""
+        counts = self._strings.get(source)
+        if counts is None:
+            counts = self._strings[source] = Counter(
+                value
+                for values in self.groups[source]
+                for value in {v for v in values if isinstance(v, str)}
+            )
+        return counts
 
 
-def _value_sources(node) -> list[Optional[str]]:
-    """Candidate value sources at a node: own values, then child tags."""
-    sources: list[Optional[str]] = []
-    if any(e.value is not None for e in node.extent):
-        sources.append(None)
-    child_tags: list[str] = []
-    for element in node.extent:
-        for child in element.children:
-            if child.value is not None and child.tag not in child_tags:
-                child_tags.append(child.tag)
-    sources.extend(sorted(child_tags))
-    return sources
+#: what XBUILD memoizes per node id: value-split proposals, expand sources
+ValueProposals = tuple[list[Refinement], list[Optional[str]]]
 
 
-def _matching_part_size(node, predicate, child_tag) -> int:
-    """How many extent elements a ValueSplit with these settings captures."""
-    probe = ValueSplit(node.node_id, predicate, child_tag)
-    return sum(1 for element in node.extent if probe._matches(element))
+def _tally(sketch: TwigXSketch, node_id: int) -> ValueTally:
+    return ValueTally(
+        sketch.graph.node(node_id), sketch.graph.tree.child_index()
+    )
 
 
 def _value_split_proposals(
-    sketch: TwigXSketch, node_id: int
+    sketch: TwigXSketch, node_id: int, tally: Optional[ValueTally] = None
 ) -> list[Refinement]:
     """ValueSplit proposals for one synopsis node (DESIGN.md E10).
 
@@ -147,42 +201,44 @@ def _value_split_proposals(
     most frequent values; numeric sources ground a median split with a
     ``<`` predicate.  Only proper partitions are proposed.
     """
-    node = sketch.graph.node(node_id)
+    if tally is None:
+        tally = _tally(sketch, node_id)
+    count = sketch.graph.node(node_id).count
     proposals: list[Refinement] = []
-    for child_tag in _value_sources(node):
-        values = _value_observations(node, child_tag)
+    for child_tag in tally.sources:
+        values = tally.observations(child_tag)
         if len(values) < 2:
             continue
         numeric = [v for v in values if isinstance(v, (int, float))]
         if len(numeric) == len(values):
             median = sorted(numeric)[len(numeric) // 2]
             predicate = ValuePredicate("<", median)
-            part = _matching_part_size(node, predicate, child_tag)
-            if 0 < part < node.count:
+            if 0 < tally.part_size(child_tag, predicate) < count:
                 proposals.append(ValueSplit(node_id, predicate, child_tag))
             continue
         frequency = Counter(str(v) for v in values)
-        for value, count in frequency.most_common(_SPLIT_VALUE_LIMIT):
-            if count < 2:
+        for value, occurrences in frequency.most_common(_SPLIT_VALUE_LIMIT):
+            if occurrences < 2:
                 continue  # near-unique strings: splits shave single elements
             predicate = ValuePredicate("=", value)
-            part = _matching_part_size(node, predicate, child_tag)
-            if 0 < part < node.count:
+            if 0 < tally.part_size(child_tag, predicate) < count:
                 proposals.append(ValueSplit(node_id, predicate, child_tag))
     return proposals
 
 
 def _value_expand_proposals(
-    sketch: TwigXSketch, node_id: int
+    sketch: TwigXSketch,
+    node_id: int,
+    sources: Optional[list[Optional[str]]] = None,
 ) -> list[Refinement]:
     """ValueExpand proposals for one synopsis node (DESIGN.md E12).
 
-    A source qualifies when its values are discriminative: any numeric
-    domain, or strings with far fewer distinct values than elements.  The
-    count scope takes the node's heaviest forward edges (the dimensions
-    most likely to correlate with the value).
+    A source qualifies when its values are discriminative
+    (:meth:`ValueTally.expand_sources`, computed here unless given) and
+    the node has no extended summary over it yet.  The count scope takes
+    the node's heaviest forward edges (the dimensions most likely to
+    correlate with the value).
     """
-    node = sketch.graph.node(node_id)
     forward = sorted(
         sketch.graph.children_of(node_id),
         key=lambda edge: edge.child_count,
@@ -194,28 +250,21 @@ def _value_expand_proposals(
     )
     if not scope:
         return []
+    if sources is None:
+        sources = _tally(sketch, node_id).expand_sources()
     existing = {summary.value_tag for summary in sketch.extended_at(node_id)}
-    proposals: list[Refinement] = []
-    for value_tag in _value_sources(node):
-        if value_tag in existing:
-            continue
-        values = _value_observations(node, value_tag)
-        if len(values) < 2:
-            continue
-        numeric = [v for v in values if isinstance(v, (int, float))]
-        if len(numeric) < len(values):
-            distinct = len(set(str(v) for v in values))
-            if distinct > len(values) * _DISCRIMINATIVE_FRACTION:
-                continue
-        proposals.append(ValueExpand(node_id, value_tag, scope))
-    return proposals
+    return [
+        ValueExpand(node_id, value_tag, scope)
+        for value_tag in sources
+        if value_tag not in existing
+    ]
 
 
 def generate_candidates(
     sketch: TwigXSketch,
     rng: random.Random,
     max_candidates: Optional[int] = None,
-    split_memo: Optional[dict[int, list[Refinement]]] = None,
+    value_memo: Optional[dict[int, ValueProposals]] = None,
 ) -> list[Refinement]:
     """One round's candidate pool: applicable refinements, deduplicated,
     shuffled, and capped at ``max_candidates``.
@@ -225,21 +274,30 @@ def generate_candidates(
     (``include_backward``); the paper's measured prototype sticks to
     forward counts.
 
-    ``split_memo`` caches value-split proposals by node id.  They depend
-    only on the node's extent, which never changes while its id lives, so
-    one memo may serve every round of a build (the sketches of one
-    refinement lineage never reuse an id for another extent).
+    ``value_memo`` caches, by node id, what the node's :class:`ValueTally`
+    yields: its value-split proposals and its value-expand sources.  Both
+    depend only on the node's extent, which never changes while its id
+    lives, so one memo may serve every round of a build (the sketches of
+    one refinement lineage never reuse an id for another extent).
     """
-    memo = {} if split_memo is None else split_memo
+    memo = {} if value_memo is None else value_memo
     pool: list[Refinement] = []
     pool.extend(_structural_candidates(sketch))
     pool.extend(_histogram_candidates(sketch))
     pool.extend(_value_refine_candidates(sketch))
+    index = sketch.graph.tree.child_index()
     for node in sketch.graph.iter_nodes():
         if node.node_id not in memo:
-            memo[node.node_id] = _value_split_proposals(sketch, node.node_id)
-        pool.extend(memo[node.node_id])
-        pool.extend(_value_expand_proposals(sketch, node.node_id))
+            tally = ValueTally(node, index)
+            memo[node.node_id] = (
+                _value_split_proposals(sketch, node.node_id, tally),
+                tally.expand_sources(),
+            )
+        splits, expand_sources = memo[node.node_id]
+        pool.extend(splits)
+        pool.extend(
+            _value_expand_proposals(sketch, node.node_id, expand_sources)
+        )
     deduplicated = list(dict.fromkeys(pool))
     rng.shuffle(deduplicated)
     cap = DEFAULT_MAX_CANDIDATES if max_candidates is None else max_candidates

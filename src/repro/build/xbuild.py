@@ -69,7 +69,7 @@ from ..synopsis.summary import TwigXSketch, XSketchConfig
 from ..workload.metrics import average_relative_error
 from .oracles import ExactOracle
 from .refinements import Refinement
-from .sampling import RegionSampler, generate_candidates
+from .sampling import RegionSampler, ValueProposals, generate_candidates
 
 #: default rounds without a size-increasing candidate before giving up
 _MAX_STALL_ROUNDS = 5
@@ -208,8 +208,9 @@ class XBuild:
         self.oracle = oracle if oracle is not None else ExactOracle(tree)
         #: cross-round truth cache: query text -> exact count
         self._truth_cache: dict[str, float] = {}
-        #: value-split proposals per node id, reused across rounds
-        self._split_memo: dict[int, list[Refinement]] = {}
+        #: value-split proposals and value-expand sources per node id,
+        #: reused across rounds
+        self._value_memo: dict[int, ValueProposals] = {}
         self.on_step = on_step
         self.max_stall_rounds = max_stall_rounds
         self.max_steps = max_steps
@@ -439,7 +440,7 @@ class XBuild:
         broken toward the cheaper refinement.
         """
         candidates = generate_candidates(
-            sketch, self.rng, self.max_candidates, self._split_memo
+            sketch, self.rng, self.max_candidates, self._value_memo
         )
         # every candidate derives its estimator from this round's base, so
         # it re-estimates only the embeddings its refinement touched

@@ -5,7 +5,10 @@ and maintains the derived structures the rest of the library needs
 constantly: stable node ids, per-tag extents, and summary counts.  Trees are
 conceptually immutable once frozen — all generators and parsers finish by
 calling :meth:`DocumentTree.freeze` (done automatically by the constructor
-unless ``freeze=False``), and mutation afterwards is a usage error.
+unless ``freeze=False``), and mutation afterwards is a usage error.  The
+lazily built indexes (:meth:`DocumentTree.subtree_end`,
+:meth:`DocumentTree.child_index`) rely on it: no children list changes
+after ``freeze``.
 """
 
 from __future__ import annotations
@@ -40,6 +43,8 @@ class DocumentTree:
         self._extents: dict[str, list[DocumentNode]] = {}
         # largest id in each node's subtree, built on first use
         self._subtree_ends: Optional[list[int]] = None
+        # each node's children grouped by tag, built on first use
+        self._child_index: Optional[list[dict[str, list[DocumentNode]]]] = None
         self._frozen = False
         if freeze:
             self.freeze()
@@ -121,6 +126,28 @@ class DocumentTree:
                     ends[element.node_id] = ends[element.children[-1].node_id]
             self._subtree_ends = ends
         return self._subtree_ends[node.node_id]
+
+    def child_index(self) -> list[dict[str, list[DocumentNode]]]:
+        """Each node's children grouped by tag, indexed by ``node_id``.
+
+        ``child_index()[e.node_id][tag]`` lists the children of ``e`` with
+        that tag in document order; a tag without such children is absent.
+        Childless nodes share one empty dict.  The index is built on first
+        use, like :meth:`subtree_end`, and is shared: callers must not
+        mutate it.
+        """
+        self._require_frozen()
+        if self._child_index is None:
+            no_children: dict[str, list[DocumentNode]] = {}
+            index = [no_children] * len(self._nodes)
+            for element in self._nodes:
+                if element.children:
+                    groups: dict[str, list[DocumentNode]] = {}
+                    for child in element.children:
+                        groups.setdefault(child.tag, []).append(child)
+                    index[element.node_id] = groups
+            self._child_index = index
+        return self._child_index
 
     def tag_counts(self) -> Counter:
         """Multiset of tags — how many elements carry each tag."""

@@ -8,7 +8,9 @@ variables:
 * ``REPRO_SCALE`` — target element count per data set (default 12000);
 * ``REPRO_QUERIES`` — queries per workload (default 120; paper 1000);
 * ``REPRO_BUDGET_STEPS`` — number of synopsis-size points on each curve
-  (default 4).
+  (default 4);
+* ``REPRO_BUDGET_STRIDE`` — extra synopsis bytes per budget step (default
+  3072; the paper's Figure 9 reaches 50 KB, e.g. 4 steps of 12288).
 
 EXPERIMENTS.md records which scale produced the committed numbers.
 """
@@ -36,7 +38,9 @@ class ExperimentConfig:
         default_factory=lambda: _env_int("REPRO_BUDGET_STEPS", 4)
     )
     #: extra synopsis bytes added per budget step during the sweeps
-    budget_stride: int = 3072
+    budget_stride: int = field(
+        default_factory=lambda: _env_int("REPRO_BUDGET_STRIDE", 3072)
+    )
     #: (name, seed) pairs — a tuple so the config stays hashable for caching
     dataset_seeds: tuple = (("xmark", 1), ("imdb", 2), ("sprot", 3))
     workload_seed: int = 101

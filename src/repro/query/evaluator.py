@@ -23,10 +23,17 @@ needed) and the binding count factorizes over twig subtrees::
 
 which the evaluator computes without ever materializing tuples.
 
-:func:`count_bindings` answers ``//tag`` steps from the tree's tag
-extents: node ids are pre-order, so an element's descendants with a tag
-are the slice of ``tree.extent(tag)`` inside the id interval of its
-subtree (the tag-extent jumping of structural XML indexes).
+:func:`count_bindings` reads the tree's indexes instead of walking:
+
+* a ``//tag`` step takes a slice of ``tree.extent(tag)``: node ids are
+  pre-order, so an element's descendants with a tag are the extent's
+  elements inside the id interval of its subtree (the tag-extent jumping
+  of structural XML indexes);
+* a child step reads :meth:`~repro.doc.tree.DocumentTree.child_index`,
+  the element's children grouped by tag;
+* a leaf twig node whose path is one predicate-free child step counts
+  the length of its index list and builds no result list at all.
+
 :func:`eval_path`, :func:`path_exists` and :func:`enumerate_bindings`
 walk the subtree; they are the reference the indexed counts are tested
 against.
@@ -35,6 +42,7 @@ against.
 from __future__ import annotations
 
 from bisect import bisect_right
+from math import prod
 from operator import attrgetter
 from typing import Iterator, Optional
 
@@ -53,9 +61,6 @@ class _VirtualRoot:
     """
 
     __slots__ = ("children",)
-
-    #: below every element id, so the whole document is its subtree
-    node_id = -1
 
     def __init__(self, root: DocumentNode):
         self.children = [root]
@@ -152,82 +157,113 @@ def path_exists(path: Path, context: DocumentNode) -> bool:
 _NODE_ID = attrgetter("node_id")
 
 
-def _indexed_step(
-    frontier: list, step: Step, tree: DocumentTree
+def _descendant_step(
+    frontier, tag: str, tree: DocumentTree
 ) -> list[DocumentNode]:
-    """The step's tag/axis candidates from a document-ordered frontier,
-    duplicate-free and in document order, via the tag extents."""
-    if step.axis != DESCENDANT:
-        candidates = [
-            child
-            for element in frontier
-            for child in element.children
-            if child.tag == step.tag
-        ]
-        if len(frontier) > 1:
-            candidates.sort(key=_NODE_ID)
-        return candidates
-    extent = tree.extent(step.tag)
+    """Elements with ``tag`` below a document-ordered frontier,
+    duplicate-free and in document order: one slice of the tag extent per
+    outermost frontier element."""
+    extent = tree.extent(tag)
     candidates = []
-    covered = -2  # end id of the last subtree sliced; below the virtual root
+    covered = -1  # end id of the last subtree sliced
     for element in frontier:
         if element.node_id <= covered:
             continue  # nested in an earlier element's subtree
-        covered = (
-            tree.subtree_end(element)
-            if element.node_id >= 0
-            else tree.element_count - 1
-        )
+        covered = tree.subtree_end(element)
         low = bisect_right(extent, element.node_id, key=_NODE_ID)
         high = bisect_right(extent, covered, lo=low, key=_NODE_ID)
         candidates.extend(extent[low:high])
     return candidates
 
 
-def _indexed_path(
-    path: Path, context, tree: DocumentTree
-) -> list[DocumentNode]:
-    """:func:`eval_path` over the tag extents of ``tree``."""
-    frontier = [context]
-    for step in path.steps:
-        frontier = _indexed_step(frontier, step, tree)
-        if step.value_pred is not None:
-            frontier = [
-                candidate
-                for candidate in frontier
-                if step.value_pred.matches(candidate.value)
-            ]
-        for branch in step.branches:
-            frontier = [
-                candidate
-                for candidate in frontier
-                if _indexed_path(branch, candidate, tree)
-            ]
+def _child_step(frontier, tag: str, index: list):
+    """Children with ``tag`` of a document-ordered frontier, duplicate-free
+    and in document order.  A single context's list is the index's own."""
+    if len(frontier) == 1:
+        return index[frontier[0].node_id].get(tag, ())
+    candidates = []
+    for element in frontier:
+        candidates.extend(index[element.node_id].get(tag, ()))
+    candidates.sort(key=_NODE_ID)  # nested contexts interleave children
+    return candidates
+
+
+def _filter(candidates, step: Step, tree: DocumentTree, index: list):
+    """The candidates that pass the step's value and branch predicates."""
+    if step.value_pred is not None:
+        matches = step.value_pred.matches
+        candidates = [c for c in candidates if matches(c.value)]
+    for branch in step.branches:
+        candidates = [
+            c for c in candidates
+            if _path_matches([c], branch.steps, tree, index)
+        ]
+    return candidates
+
+
+def _path_matches(frontier, steps, tree: DocumentTree, index: list):
+    """:func:`eval_path` from a document-ordered frontier, over the tag
+    extents and the child index.  The result may be a list the tree owns:
+    read it, never mutate it."""
+    for step in steps:
+        if step.axis == DESCENDANT:
+            frontier = _descendant_step(frontier, step.tag, tree)
+        else:
+            frontier = _child_step(frontier, step.tag, index)
+        frontier = _filter(frontier, step, tree, index)
         if not frontier:
             break
     return frontier
 
 
-def _count_from(node: TwigNode, path: Path, context, tree: DocumentTree) -> int:
-    matches = _indexed_path(path, context, tree)
+def _leaf_tag(node: TwigNode) -> Optional[str]:
+    """The tag of a leaf twig node whose path is one predicate-free child
+    step (its count under ``e`` is the length of an index list), else None."""
+    if node.children or len(node.path.steps) != 1:
+        return None
+    step = node.path.steps[0]
+    if step.axis == DESCENDANT or step.value_pred is not None or step.branches:
+        return None
+    return step.tag
+
+
+def _count(node: TwigNode, matches, tree: DocumentTree, index: list) -> int:
+    """Binding tuples of ``node``'s subtree, given the node's matches."""
     if not node.children:
         return len(matches)
-    total = 0
-    for element in matches:
-        product = 1
-        for child in node.children:
-            product *= _count_from(child, child.path, element, tree)
-            if product == 0:
-                break
-        total += product
-    return total
+    groups = [index[element.node_id] for element in matches]
+    columns, inner = [], []
+    for child in node.children:
+        tag = _leaf_tag(child)
+        if tag is None:
+            inner.append(child)
+        else:  # the leaf's count under each match
+            columns.append([len(group.get(tag, ())) for group in groups])
+    if columns:
+        products = [prod(counts) for counts in zip(*columns)]
+    else:
+        products = [1] * len(matches)
+    for child in inner:
+        steps = child.path.steps
+        products = [
+            product and product * _count(
+                child, _path_matches([element], steps, tree, index),
+                tree, index,
+            )
+            for product, element in zip(products, matches)
+        ]
+    return sum(products)
 
 
 def count_bindings(query: TwigQuery, tree: DocumentTree) -> int:
     """Exact selectivity ``s(T_Q)``: the number of binding tuples."""
-    return _count_from(
-        query.root, absolute_path(query.root.path), virtual_root(tree), tree
-    )
+    # the root path is absolute: its first step matches anywhere in the
+    # document (see absolute_path), i.e. the whole tag extent
+    first, *rest = query.root.path.steps
+    index = tree.child_index()
+    matches = _filter(tree.extent(first.tag), first, tree, index)
+    return _count(query.root, _path_matches(matches, rest, tree, index),
+                  tree, index)
 
 
 def enumerate_bindings(

@@ -235,9 +235,9 @@ class TestIncrementalBuildState:
             sample_value_probability=0.3,
         )
         sketch = builder.run().sketch
-        assert builder._split_memo
+        assert builder._value_memo
         memoized = generate_candidates(
-            sketch, random.Random(5), 10_000, builder._split_memo
+            sketch, random.Random(5), 10_000, builder._value_memo
         )
         fresh = generate_candidates(sketch, random.Random(5), 10_000)
         assert memoized == fresh

@@ -35,6 +35,17 @@ class TestConfig:
         assert config.scale >= 1000
         assert config.queries >= 10
 
+    def test_env_overrides(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BUDGET_STEPS", "3")
+        monkeypatch.setenv("REPRO_BUDGET_STRIDE", "16384")
+        config = ExperimentConfig()
+        assert config.budget_stride == 16384
+        assert config.budgets(2000)[-1] == 2000 + 3 * 16384
+
+    def test_malformed_env_falls_back_to_default(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BUDGET_STRIDE", "lots")
+        assert ExperimentConfig().budget_stride == 3072
+
     def test_budgets_start_at_base(self):
         assert TINY.budgets(1000) == [1000, 2024]
 

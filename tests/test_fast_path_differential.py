@@ -6,19 +6,24 @@
   node's neighbourhood, walked in ``affected`` set order — with the one
   fix the fast path makes on purpose: no edge of the old node survives
   (the rescan left a recursive node's ``old -> old`` self-loop behind).
-* ``count_bindings`` answers ``//tag`` steps from the tag extents; the
-  oracle is the walking evaluator, ``eval_path`` from the virtual root.
+* ``count_bindings`` answers ``//tag`` steps from the tag extents and
+  child steps from the child index; the oracle is the walking evaluator,
+  ``eval_path`` from the virtual root.
 * ``TwigEstimator.derive`` re-estimates only the embeddings a refinement
   touched; the oracle is a fresh estimator over the refined sketch.
 * ``exact_edge_distribution`` counts a forward-only scope from the
   targets' extents; the oracle is its general path, which visits every
   element of the node.
+* ``DocumentTree.child_index`` groups children by tag, and the value
+  proposals read one ``ValueTally`` per node; the oracles filter
+  ``element.children`` and rescan the extent per source and predicate.
 
 CI re-runs this module with ``HYPOTHESIS_PROFILE=fuzz``; the tests that
 set no ``max_examples`` of their own then draw eight times as many.
 """
 
 import random
+from collections import Counter
 from dataclasses import astuple
 
 import pytest
@@ -26,10 +31,24 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.build import generate_candidates
-from repro.build.refinements import ALL_REFINEMENTS, FStabilize, ValueRefine
-from repro.build.sampling import RegionSampler
+from repro.build.refinements import (
+    ALL_REFINEMENTS,
+    FStabilize,
+    ValueExpand,
+    ValueRefine,
+    ValueSplit,
+)
+from repro.build.sampling import (
+    _DISCRIMINATIVE_FRACTION,
+    _SPLIT_VALUE_LIMIT,
+    RegionSampler,
+    ValueTally,
+    _value_expand_proposals,
+    _value_split_proposals,
+)
 from repro.datasets import figure1_document, generate_imdb, generate_xmark
-from repro.doc import build_tree
+from repro.doc import build_tree, parser
+from repro.doc.serializer import serialize
 from repro.errors import BuildError
 from repro.estimation import TwigEstimator
 from repro.estimation import estimator as estimator_module
@@ -53,8 +72,14 @@ from repro.workload import WorkloadGenerator, WorkloadSpec
 TAGS = ("a", "b", "c")
 
 
+INT_VALUES = st.none() | st.integers(0, 3)
+
+#: numbers, strings that spell numbers, and other strings
+MIXED_VALUES = INT_VALUES | st.sampled_from(["0", "1", "x", "y"])
+
+
 @st.composite
-def recursive_trees(draw, max_nodes=40):
+def recursive_trees(draw, max_nodes=40, values=INT_VALUES):
     """Small documents over three tags, so tags nest inside themselves.
 
     Each node hangs under its predecessor or under any earlier node, which
@@ -66,7 +91,7 @@ def recursive_trees(draw, max_nodes=40):
         for index in range(1, size)
     ]
     tags = [draw(st.sampled_from(TAGS)) for _ in range(size)]
-    values = [draw(st.none() | st.integers(0, 3)) for _ in range(size)]
+    values = [draw(values) for _ in range(size)]
     children: list[list[int]] = [[] for _ in range(size)]
     for child, parent in enumerate(parents, start=1):
         children[parent].append(child)
@@ -200,14 +225,15 @@ def paths(draw, branch_depth=1):
 
 @st.composite
 def twigs(draw):
+    """Up to four twig nodes; their steps' branches nest two deep."""
     counter = iter(range(100))
 
     def node():
-        return TwigNode(f"t{next(counter)}", draw(paths()))
+        return TwigNode(f"t{next(counter)}", draw(paths(branch_depth=2)))
 
     root = node()
     frontier = [root]
-    for _ in range(draw(st.integers(0, 2))):
+    for _ in range(draw(st.integers(0, 3))):
         parent = draw(st.sampled_from(frontier))
         frontier.append(parent.add_child(node()))
     return TwigQuery(root)
@@ -232,6 +258,14 @@ def single_path_query(*steps):
     return TwigQuery(TwigNode("t0", Path(steps)))
 
 
+def twig_query(root_step, *leaf_steps):
+    """A root node with one single-step leaf node per ``leaf_steps``."""
+    root = TwigNode("t0", Path((root_step,)))
+    for index, step in enumerate(leaf_steps, start=1):
+        root.add_child(TwigNode(f"t{index}", Path((step,))))
+    return TwigQuery(root)
+
+
 @given(tree=recursive_trees(max_nodes=30), query=twigs())
 @settings(max_examples=200, deadline=None)
 # a `//` step from nested context elements: their subtrees overlap
@@ -245,6 +279,42 @@ def single_path_query(*steps):
     query=single_path_query(
         Step("a", DESCENDANT), Step("b"), Step("c", DESCENDANT)
     ),
+)
+# leaf child steps counted from index list lengths, one tag absent
+@example(
+    tree=build_tree(("r", [("a", ["b", "b", "c"]), ("a", ["b"]), "a"])),
+    query=twig_query(Step("a"), Step("b"), Step("c")),
+)
+@example(
+    tree=build_tree(("r", [("a", ["b", "b", "c"]), ("a", ["b"]), "a"])),
+    query=twig_query(Step("a"), Step("b"), Step("d")),
+)
+# the virtual-root context: the root step matches the document root and
+# the nested elements with its tag
+@example(
+    tree=build_tree(("a", [("a", ["b", ("a", ["b"])]), "b"])),
+    query=single_path_query(Step("a"), Step("b")),
+)
+# a value predicate on a tag that repeats under one parent, as a leaf
+# node and as a branch
+@example(
+    tree=build_tree(("r", [("a", [("b", 1, []), ("b", 2, []), ("b", 2, [])]),
+                           ("a", [("b", 1, [])])])),
+    query=twig_query(Step("a"), Step("b", CHILD, ValuePredicate("=", 2))),
+)
+@example(
+    tree=build_tree(("r", [("a", [("b", 1, []), ("b", 2, []), ("b", 2, [])]),
+                           ("a", [("b", 1, [])])])),
+    query=single_path_query(Step("a", CHILD, None, (
+        Path((Step("b", CHILD, ValuePredicate(">", 1)),)),
+    ))),
+)
+# a nested branch that contains `//`
+@example(
+    tree=build_tree(("r", [("a", [("b", [("x", ["c"])])]), ("a", ["b"])])),
+    query=single_path_query(Step("a", DESCENDANT, None, (
+        Path((Step("b", CHILD, None, (Path((Step("c", DESCENDANT),)),)),)),
+    ))),
 )
 def test_indexed_count_matches_walking_evaluator(tree, query):
     assert count_bindings(query, tree) == walking_count(query, tree)
@@ -498,3 +568,197 @@ def test_forward_distribution_counts_childless_elements_once():
     expected = [((0.0,), 2 / 3), ((2.0,), 1 / 3)]
     assert exact_edge_distribution(graph, a, scope).points() == expected
     assert _general_distribution(graph, a, scope).points() == expected
+
+
+# ----------------------------------------------------------------------
+# (e) child index and value tallies vs rescans of the children
+# ----------------------------------------------------------------------
+def assert_child_index_matches_children(tree):
+    index = tree.child_index()
+    assert len(index) == tree.element_count
+    for element in tree.iter_nodes():
+        groups = index[element.node_id]
+        assert set(groups) == {child.tag for child in element.children}
+        for tag in tree.tags:
+            assert groups.get(tag, []) == [
+                c for c in element.children if c.tag == tag
+            ]
+
+
+def rescan_sources(node):
+    sources = []
+    if any(e.value is not None for e in node.extent):
+        sources.append(None)
+    child_tags = []
+    for element in node.extent:
+        for child in element.children:
+            if child.value is not None and child.tag not in child_tags:
+                child_tags.append(child.tag)
+    return sources + sorted(child_tags)
+
+
+def rescan_observations(node, child_tag):
+    if child_tag is None:
+        return [e.value for e in node.extent if e.value is not None]
+    values = []
+    for element in node.extent:
+        for child in element.children:
+            if child.tag == child_tag and child.value is not None:
+                values.append(child.value)
+                break
+    return values
+
+
+def rescan_part_size(node, predicate, child_tag):
+    def matches(element):
+        if child_tag is None:
+            return predicate.matches(element.value)
+        return any(
+            child.tag == child_tag and predicate.matches(child.value)
+            for child in element.children
+        )
+
+    return sum(1 for element in node.extent if matches(element))
+
+
+def rescan_split_proposals(sketch, node_id):
+    node = sketch.graph.node(node_id)
+    proposals = []
+    for child_tag in rescan_sources(node):
+        values = rescan_observations(node, child_tag)
+        if len(values) < 2:
+            continue
+        numeric = [v for v in values if isinstance(v, (int, float))]
+        if len(numeric) == len(values):
+            median = sorted(numeric)[len(numeric) // 2]
+            predicate = ValuePredicate("<", median)
+            part = rescan_part_size(node, predicate, child_tag)
+            if 0 < part < node.count:
+                proposals.append(ValueSplit(node_id, predicate, child_tag))
+            continue
+        frequency = Counter(str(v) for v in values)
+        for value, count in frequency.most_common(_SPLIT_VALUE_LIMIT):
+            if count < 2:
+                continue
+            predicate = ValuePredicate("=", value)
+            part = rescan_part_size(node, predicate, child_tag)
+            if 0 < part < node.count:
+                proposals.append(ValueSplit(node_id, predicate, child_tag))
+    return proposals
+
+
+def rescan_expand_proposals(sketch, node_id):
+    node = sketch.graph.node(node_id)
+    forward = sorted(
+        sketch.graph.children_of(node_id),
+        key=lambda edge: edge.child_count,
+        reverse=True,
+    )
+    scope = tuple(
+        EdgeRef(node_id, edge.target)
+        for edge in forward[: min(2, sketch.config.max_histogram_dims)]
+    )
+    if not scope:
+        return []
+    existing = {summary.value_tag for summary in sketch.extended_at(node_id)}
+    proposals = []
+    for value_tag in rescan_sources(node):
+        if value_tag in existing:
+            continue
+        values = rescan_observations(node, value_tag)
+        if len(values) < 2:
+            continue
+        numeric = [v for v in values if isinstance(v, (int, float))]
+        if len(numeric) < len(values):
+            if len(set(str(v) for v in values)) > len(values) * _DISCRIMINATIVE_FRACTION:
+                continue
+        proposals.append(ValueExpand(node_id, value_tag, scope))
+    return proposals
+
+
+def probe_predicates(values):
+    """The predicates proposals build from these values (``=`` on the
+    text of frequent values, ``<`` on the median of numbers), plus ``=``
+    and ``>=`` on the frequent values themselves."""
+    frequent = [value for value, _ in Counter(values).most_common(4)]
+    numeric = sorted(v for v in values if isinstance(v, (int, float)))
+    predicates = {ValuePredicate("=", str(value)) for value in frequent}
+    predicates.update(ValuePredicate("=", value) for value in frequent)
+    predicates.update(ValuePredicate(">=", value) for value in frequent)
+    if numeric:
+        predicates.add(ValuePredicate("<", numeric[len(numeric) // 2]))
+    return sorted(predicates, key=repr)
+
+
+def assert_tallies_match_rescans(sketch):
+    index = sketch.graph.tree.child_index()
+    for node in sketch.graph.iter_nodes():
+        tally = ValueTally(node, index)
+        assert tally.sources == rescan_sources(node)
+        for source in tally.sources:
+            observed = tally.observations(source)
+            assert observed == rescan_observations(node, source)
+            for predicate in probe_predicates(observed):
+                assert tally.part_size(source, predicate) == (
+                    rescan_part_size(node, predicate, source)
+                ), (node.node_id, source, predicate)
+        assert _value_split_proposals(sketch, node.node_id, tally) == (
+            rescan_split_proposals(sketch, node.node_id)
+        )
+        assert _value_split_proposals(sketch, node.node_id) == (
+            rescan_split_proposals(sketch, node.node_id)
+        )
+        for sources in (tally.expand_sources(), None):
+            assert _value_expand_proposals(sketch, node.node_id, sources) == (
+                rescan_expand_proposals(sketch, node.node_id)
+            )
+
+
+def value_split_lineage(sketch, rng, rounds):
+    """The sketch and its successors: each round applies a random value
+    split when one is proposed, else the first applicable candidate."""
+    lineage = [sketch]
+    for _ in range(rounds):
+        splits = [
+            proposal
+            for node in sketch.graph.iter_nodes()
+            for proposal in _value_split_proposals(sketch, node.node_id)
+        ]
+        if splits:
+            sketch = rng.choice(splits).apply(sketch)
+        else:
+            sketch = advance(sketch, rng)
+        lineage.append(sketch)
+    return lineage
+
+
+@given(tree=recursive_trees(values=MIXED_VALUES), data=st.data())
+def test_index_and_tallies_match_rescans_on_random_trees(tree, data):
+    assert_child_index_matches_children(tree)
+    sketch = TwigXSketch.coarsest(tree)
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    for refined in value_split_lineage(sketch, rng, data.draw(
+        st.integers(0, 3)
+    )):
+        assert_tallies_match_rescans(refined)
+
+
+@pytest.mark.parametrize("name", ["imdb", "xmark"])
+def test_index_and_tallies_match_rescans_on_datasets(name):
+    tree = (
+        generate_imdb(3000, seed=2) if name == "imdb"
+        else generate_xmark(4000, seed=5)
+    )
+    assert_child_index_matches_children(tree)
+    sketch = TwigXSketch.coarsest(tree)
+    for refined in value_split_lineage(sketch, random.Random(9), 4):
+        assert_tallies_match_rescans(refined)
+
+
+def test_parsing_leaves_the_indexes_unbuilt():
+    tree = parser.parse_string(serialize(generate_imdb(300, seed=4)))
+    assert tree._child_index is None
+    assert tree._subtree_ends is None
+    count_bindings(single_path_query(Step("movie"), Step("actor")), tree)
+    assert tree._child_index is not None
+    assert_child_index_matches_children(tree)
