@@ -40,8 +40,10 @@ build pays one ``if`` per would-be span.
 
 from __future__ import annotations
 
+import gc
 import random
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
@@ -260,7 +262,17 @@ class XBuild:
         )
 
     def run(self) -> XBuildResult:
-        """Build the synopsis; sizes along ``steps`` increase monotonically."""
+        """Build the synopsis; sizes along ``steps`` increase monotonically.
+
+        The heap as it stands on entry, the document above all, is frozen
+        out of cyclic garbage collection for the run, so full collections
+        do not re-walk it.  It is thawed on exit, unless the caller had
+        frozen it already.
+        """
+        with _frozen_heap():
+            return self._run()
+
+    def _run(self) -> XBuildResult:
         state = self._initial_state()
         size = state.sketch.size_bytes()
         truncated = False
@@ -502,6 +514,21 @@ class XBuild:
                         refined_error,
                     )
         return best
+
+
+@contextmanager
+def _frozen_heap():
+    """Move every object tracked so far into the collector's permanent
+    generation for the ``with`` body; a heap frozen by the caller stays as
+    it is."""
+    if gc.get_freeze_count():
+        yield
+        return
+    gc.freeze()
+    try:
+        yield
+    finally:
+        gc.unfreeze()
 
 
 def xbuild(

@@ -113,31 +113,32 @@ def _forward_distribution(
 ) -> SparseDistribution:
     """:func:`exact_edge_distribution` of a forward-only scope.
 
-    One pass over each target's extent counts, per element of ``node_id``,
-    its children in that target.  Elements without any such child share
-    the all-zero vector, so they are counted, not visited.
+    Each element of ``node_id`` counts its children in a target among its
+    children with the target's tag, read from the document's child index:
+    the work is the node's extent plus those children, not the targets'
+    extents.
     """
+    tree = synopsis.tree
+    index = tree.child_index()
     assignment = synopsis.assignment
-    per_target: dict[int, dict[int, int]] = {}
+    extent = synopsis.node(node_id).extent
+    rows = [index[element.node_id] for element in extent]
+    columns = []
     for target in targets:
-        if target in per_target:
+        node = synopsis.node(target)
+        tag = node.tag
+        if node.count == len(tree.extent(tag)):
+            # the target holds every element of its tag
+            columns.append([len(children.get(tag, ())) for children in rows])
             continue
-        counts: dict[int, int] = {}
-        for child in synopsis.node(target).extent:
-            parent = child.parent
-            if parent is not None and assignment[parent.node_id] == node_id:
-                counts[parent.node_id] = counts.get(parent.node_id, 0) + 1
-        per_target[target] = counts
-    columns = [per_target[target] for target in targets]
-    parents = set().union(*columns)
-    vectors = Counter(
-        tuple(column.get(parent, 0) for column in columns)
-        for parent in parents
-    )
-    untouched = synopsis.node(node_id).count - len(parents)
-    if untouched:
-        vectors[(0,) * len(targets)] += untouched
-    return SparseDistribution(vectors)
+        hits = Counter([
+            child.parent
+            for children in rows
+            for child in children.get(tag, ())
+            if assignment[child.node_id] == target
+        ])
+        columns.append([hits.get(element, 0) for element in extent])
+    return SparseDistribution(Counter(zip(*columns)))
 
 
 def mean_child_count(

@@ -23,12 +23,16 @@ scaffolding and is *not* charged to the synopsis size budget (see
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Iterator, Optional
 
 from ..doc.node import DocumentNode
 from ..doc.tree import DocumentTree
 from ..errors import SynopsisError
+
+_element_id = attrgetter("node_id")
 
 
 @dataclass
@@ -173,35 +177,18 @@ class GraphSynopsis:
     ) -> None:
         """Swap the edges of split node ``old_id`` for those of its parts.
 
-        Only edges incident to the two parts change counts; they are
-        counted from the parts' own extents (each element's children and
-        its parent).  Every other edge with an endpoint in ``affected``
-        keeps its counts but moves, with the parts' edges, to the end of
-        ``edges``: in the order a rescan of every ``affected`` extent, in
-        set iteration order, first meets the edge's document edges — each
-        element's child pairs, then its parent pair.  That order is
-        observable (candidate pools, default statistics and serialization
-        all iterate ``edges``), so builds stay bit-identical to the rescan.
+        Only edges incident to the two parts change counts (see
+        :meth:`_part_edges`).  Every other edge with an endpoint in
+        ``affected`` keeps its counts but moves, with the parts' edges, to
+        the end of ``edges``: in the order a rescan of every ``affected``
+        extent, in set iteration order, first meets the edge's document
+        edges — each element's child pairs, then its parent pair.  That
+        order is observable (candidate pools, default statistics and
+        serialization all iterate ``edges``), so builds stay bit-identical
+        to the rescan.
         """
         self._adjacency = None
-        assignment = self.assignment
-        split_ids = {part.node_id for part in parts}
-
-        def pairs() -> Iterator[tuple[DocumentNode, DocumentNode]]:
-            for part in parts:
-                for element in part.extent:
-                    for child in element.children:
-                        yield element, child
-                    parent = element.parent
-                    if (
-                        parent is not None
-                        and assignment[parent.node_id] not in split_ids
-                    ):
-                        yield parent, element
-
-        tallies = _tally(pairs(), assignment)
-        moved = {key: self._edge(key, t) for key, t in tallies.items()}
-        witnesses = {key: tuple(t[2:]) for key, t in tallies.items()}
+        moved, witnesses = self._part_edges(old_id, parts)
         for key in [
             key for key in self.edges
             if key[0] in affected or key[1] in affected or old_id in key
@@ -212,7 +199,7 @@ class GraphSynopsis:
                 moved[key] = edge
                 witnesses[key] = witness
         rank = {node_id: index for index, node_id in enumerate(affected)}
-        after_children = len(assignment)
+        after_children = len(self.assignment)
 
         def scan_position(key: tuple[int, int]) -> tuple[int, int, int]:
             source, target = key
@@ -227,6 +214,142 @@ class GraphSynopsis:
         for key in sorted(moved, key=scan_position):
             self.edges[key] = moved[key]
             self._witnesses[key] = witnesses[key]
+
+    def _part_edges(
+        self, old_id: int, parts: tuple[SynopsisNode, SynopsisNode]
+    ) -> tuple[dict, dict]:
+        """The edges incident to the parts of split node ``old_id``, and
+        their witnesses; ``edges`` still holds the old node's edges.
+
+        Only the smaller part S is tallied (Hopcroft's rule, as Paige &
+        Tarjan apply it to partition refinement): each S element's child
+        pairs and its parent pair.  The larger part L's counts are the old
+        node's minus S's.  Child counts subtract.  Parent counts of L's
+        outgoing edges subtract too, since the old node's elements
+        partition into S and L.  An incoming parent that has a child in S
+        keeps one in L when some same-tag child of it lies in L.  L's witnesses come from
+        the old node's when those lie in L, else from a scan of L in
+        document order that stops at the first hit.  A recursive node (an
+        ``old -> old`` edge) has pairs inside itself, so both parts are
+        tallied.
+        """
+        assignment = self.assignment
+        recursive = (old_id, old_id) in self.edges
+        small, large = sorted(parts, key=lambda part: part.count)
+        tallies = _tally(
+            _part_pairs(
+                parts if recursive else (small,),
+                assignment,
+                {part.node_id for part in parts},
+            ),
+            assignment,
+        )
+        edges = {key: self._edge(key, t) for key, t in tallies.items()}
+        witnesses = {key: tuple(t[2:]) for key, t in tallies.items()}
+        if recursive:
+            return edges, witnesses
+        small_id, large_id = small.node_id, large.node_id
+        for (source, target), edge in self.edges.items():
+            if source == old_id:
+                key, small_key = (large_id, target), (small_id, target)
+            elif target == old_id:
+                key, small_key = (source, large_id), (source, small_id)
+            else:
+                continue
+            tally = tallies.get(small_key)
+            child_count, parent_count = edge.child_count, edge.parent_count
+            if tally is not None:
+                child_count -= tally[0]
+                parent_count -= len(tally[1])
+            if not child_count:
+                continue
+            witness = self._witnesses[(source, target)]
+            if source == old_id:
+                witnesses[key] = self._outgoing_witness(large, target, witness)
+            else:
+                if tally is not None:
+                    parent_count += sum(
+                        1 for parent_id in tally[1]
+                        if self._first_child_in(parent_id, large_id) is not None
+                    )
+                witnesses[key] = self._incoming_witness(source, large, witness)
+            edges[key] = SynopsisEdge(
+                key[0],
+                key[1],
+                child_count,
+                parent_count,
+                self.nodes[key[0]].count,
+                self.nodes[key[1]].count,
+            )
+        return edges, witnesses
+
+    def _first_child_in(
+        self, element_id: int, node_id: int
+    ) -> Optional[DocumentNode]:
+        """The first child of element ``element_id`` in node ``node_id``."""
+        assignment = self.assignment
+        tag = self.nodes[node_id].tag
+        for child in self.tree.child_index()[element_id].get(tag, ()):
+            if assignment[child.node_id] == node_id:
+                return child
+        return None
+
+    def _outgoing_witness(
+        self, part: SynopsisNode, target: int, witness: tuple[int, int, int]
+    ) -> tuple[int, int, int]:
+        """The witness of ``part -> target`` from the split node's
+        ``witness`` on its edge to ``target``: its elements where those lie
+        in ``part``, else a scan of ``part`` in document order."""
+        parent_id, child_id, first_target = witness
+        assignment, extent = self.assignment, part.extent
+        if assignment[parent_id] == part.node_id:
+            start = bisect_left(extent, parent_id, key=_element_id)
+        else:
+            for start, element in enumerate(extent):
+                child = self._first_child_in(element.node_id, target)
+                if child is not None:
+                    parent_id, child_id = element.node_id, child.node_id
+                    break
+        parent = self.tree.node_by_id(first_target).parent
+        if assignment[parent.node_id] != part.node_id:
+            # Only a part element nested between the first parent and its
+            # first child can parent a smaller child.
+            first_target = child_id
+            for position in range(start + 1, len(extent)):
+                element_id = extent[position].node_id
+                if element_id > first_target:
+                    break
+                child = self._first_child_in(element_id, target)
+                if child is not None and child.node_id < first_target:
+                    first_target = child.node_id
+        return parent_id, child_id, first_target
+
+    def _incoming_witness(
+        self, source: int, part: SynopsisNode, witness: tuple[int, int, int]
+    ) -> tuple[int, int, int]:
+        """The witness of ``source -> part`` from the split node's
+        ``witness`` on its edge from ``source``, like
+        :meth:`_outgoing_witness`."""
+        parent_id, child_id, first_target = witness
+        assignment = self.assignment
+        if assignment[first_target] != part.node_id:
+            first_target = next(
+                element.node_id
+                for element in part.extent
+                if element.parent is not None
+                and assignment[element.parent.node_id] == source
+            )
+        if assignment[child_id] != part.node_id:
+            # A smaller parent of a part element precedes the first one's
+            # parent, so it is an ancestor of it: the outermost one wins.
+            ancestor = self.tree.node_by_id(first_target).parent
+            while ancestor is not None:
+                if assignment[ancestor.node_id] == source:
+                    child = self._first_child_in(ancestor.node_id, part.node_id)
+                    if child is not None:
+                        parent_id, child_id = ancestor.node_id, child.node_id
+                ancestor = ancestor.parent
+        return parent_id, child_id, first_target
 
     # ------------------------------------------------------------------
     # accessors
@@ -328,30 +451,33 @@ class GraphSynopsis:
             self.assignment[element.node_id] = first.node_id
         for element in outside:
             self.assignment[element.node_id] = second.node_id
-        # The parts and their neighbours, inserted in this exact sequence:
-        # the set's iteration order fixes the order of the rebuilt edges.
+        # The parts and their neighbours, inserted in the sequence a scan of
+        # the old extent first meets them: each parent node at the first
+        # element it parents, then each child node at its first pair.  The
+        # set's iteration order fixes the order of the rebuilt edges.
+        parents, children = [], []
+        for (source, target), witness in self._witnesses.items():
+            if target == node_id and source != node_id:
+                parents.append((witness[2], source))
+            elif source == node_id and target != node_id:
+                children.append((witness[:2], target))
         affected = {first.node_id, second.node_id}
-        affected.update(
-            self.assignment[e.parent.node_id]
-            for e in node.extent
-            if e.parent is not None
-        )
-        affected.update(
-            self.assignment[c.node_id] for e in node.extent for c in e.children
-        )
+        affected.update(source for _, source in sorted(parents))
+        affected.update(target for _, target in sorted(children))
         self._replace_split_edges(node_id, (first, second), affected)
         return first.node_id, second.node_id
 
     def copy(self) -> "GraphSynopsis":
-        """A structural copy sharing the document (cheap enough for XBUILD
-        candidate evaluation: extent lists are copied shallowly)."""
+        """A structural copy sharing the document and the nodes.
+
+        No code mutates a :class:`SynopsisNode` or its extent once built
+        (a split replaces the node), so the copy shares them; the
+        assignment and the edges are copied.
+        """
         duplicate = GraphSynopsis(self.tree)
         duplicate.assignment = list(self.assignment)
         duplicate._next_id = self._next_id
-        duplicate.nodes = {
-            node_id: SynopsisNode(node.node_id, node.tag, list(node.extent))
-            for node_id, node in self.nodes.items()
-        }
+        duplicate.nodes = dict(self.nodes)
         duplicate.edges = {
             key: SynopsisEdge(
                 edge.source,
@@ -411,6 +537,21 @@ class GraphSynopsis:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<GraphSynopsis nodes={self.node_count} edges={self.edge_count}>"
+
+
+def _part_pairs(
+    parts: Iterable[SynopsisNode], assignment: list[int], split_ids: set[int]
+) -> Iterator[tuple[DocumentNode, DocumentNode]]:
+    """The (parent, child) document edges incident to ``parts``: each
+    element's child pairs, then its parent pair unless that parent lies in
+    a node of ``split_ids`` (whose own child pairs hold it)."""
+    for part in parts:
+        for element in part.extent:
+            for child in element.children:
+                yield element, child
+            parent = element.parent
+            if parent is not None and assignment[parent.node_id] not in split_ids:
+                yield parent, element
 
 
 def _tally(

@@ -1,19 +1,22 @@
 """Differential property tests: each fast path against its slow reference.
 
-* ``GraphSynopsis.split_node`` recounts only the edges of the two new
-  parts and re-inserts the neighbours' edges in the order a rescan would
-  meet them.  The oracle here is that rescan — every extent of the split
+* ``GraphSynopsis.split_node`` tallies only the smaller part's document
+  edges, derives the larger part's counts and witnesses from the old
+  node's, and re-inserts the neighbours' edges in the order a rescan would
+  meet them.  The oracles are that rescan — every extent of the split
   node's neighbourhood, walked in ``affected`` set order — with the one
   fix the fast path makes on purpose: no edge of the old node survives
-  (the rescan left a recursive node's ``old -> old`` self-loop behind).
+  (the rescan left a recursive node's ``old -> old`` self-loop behind);
+  and a full recount for counts and witnesses.
 * ``count_bindings`` answers ``//tag`` steps from the tag extents and
   child steps from the child index; the oracle is the walking evaluator,
   ``eval_path`` from the virtual root.
 * ``TwigEstimator.derive`` re-estimates only the embeddings a refinement
   touched; the oracle is a fresh estimator over the refined sketch.
-* ``exact_edge_distribution`` counts a forward-only scope from the
-  targets' extents; the oracle is its general path, which visits every
-  element of the node.
+* ``exact_edge_distribution`` counts a forward-only scope from each
+  element's children in the child index; the oracles are the count from
+  the targets' extents it replaced and its general path, which visits
+  every element of the node and its ancestors.
 * ``DocumentTree.child_index`` groups children by tag, and the value
   proposals read one ``ValueTally`` per node; the oracles filter
   ``element.children`` and rescan the extent per source and predicate.
@@ -49,6 +52,7 @@ from repro.build.sampling import (
 from repro.datasets import figure1_document, generate_imdb, generate_xmark
 from repro.doc import build_tree, parser
 from repro.doc.serializer import serialize
+from repro.histogram.sparse import SparseDistribution
 from repro.errors import BuildError
 from repro.estimation import TwigEstimator
 from repro.estimation import estimator as estimator_module
@@ -62,11 +66,13 @@ from repro.query.evaluator import (
 )
 from repro.query.values import ValuePredicate
 from repro.synopsis import TwigXSketch, XSketchConfig, label_split_synopsis
+from repro.synopsis import graph as graph_module
 from repro.synopsis.distributions import (
     EdgeRef,
     _general_distribution,
     exact_edge_distribution,
 )
+from repro.synopsis.graph import GraphSynopsis
 from repro.workload import WorkloadGenerator, WorkloadSpec
 
 TAGS = ("a", "b", "c")
@@ -160,6 +166,30 @@ def edge_rows(graph):
     return [(key, astuple(edge)) for key, edge in graph.edges.items()]
 
 
+def split_and_check(graph, node_id, part, split=GraphSynopsis.split_node):
+    """Split ``node_id`` by ``part`` and check the result: counts and
+    ``edges`` order against the rescan, counts and witnesses against a
+    full recount.  Returns the two new node ids."""
+    old_extent = list(graph.node(node_id).extent)
+    before = dict(edge_rows(graph))
+    first, second = split(graph, node_id, part)
+    affected = {first, second}
+    affected.update(
+        graph.node_of(e.parent) for e in old_extent if e.parent is not None
+    )
+    affected.update(
+        graph.node_of(c) for e in old_extent for c in e.children
+    )
+    assert edge_rows(graph) == rescan_edges(before, graph, node_id, affected)
+    fresh = graph.copy()
+    fresh._recompute_all_edges()
+    assert sorted(edge_rows(fresh)) == sorted(edge_rows(graph))
+    assert fresh._witnesses == graph._witnesses
+    assert set(graph._witnesses) == set(graph.edges)
+    graph.validate()
+    return first, second
+
+
 @given(tree=recursive_trees(), data=st.data())
 @settings(max_examples=80, deadline=None)
 def test_split_recount_matches_rescan_order_and_full_recount(tree, data):
@@ -174,24 +204,208 @@ def test_split_recount_matches_rescan_order_and_full_recount(tree, data):
             st.lists(st.sampled_from(ids), min_size=1, max_size=len(ids) - 1,
                      unique=True)
         ))
-        old_extent = list(node.extent)
-        before = dict(edge_rows(graph))
-        first, second = graph.split_node(node.node_id, part)
-        affected = {first, second}
-        affected.update(
-            graph.node_of(e.parent) for e in old_extent if e.parent is not None
-        )
-        affected.update(
-            graph.node_of(c) for e in old_extent for c in e.children
-        )
-        assert edge_rows(graph) == rescan_edges(
-            before, graph, node.node_id, affected
-        )
-        fresh = graph.copy()
-        fresh._recompute_all_edges()
-        assert sorted(edge_rows(fresh)) == sorted(edge_rows(graph))
-        assert set(graph._witnesses) == set(graph.edges)
-        graph.validate()
+        split_and_check(graph, node.node_id, part)
+
+
+@given(tree=recursive_trees(), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_lopsided_splits_match_the_references(tree, data):
+    """One element split off, as the first part or as the second."""
+    graph = label_split_synopsis(tree)
+    for _ in range(data.draw(st.integers(1, 6))):
+        splittable = [node for node in graph.iter_nodes() if node.count > 1]
+        if not splittable:
+            break
+        node = data.draw(st.sampled_from(splittable))
+        ids = {element.node_id for element in node.extent}
+        single = data.draw(st.sampled_from(sorted(ids)))
+        part = {single} if data.draw(st.booleans()) else ids - {single}
+        split_and_check(graph, node.node_id, part)
+
+
+def seeded_tree(rng, size):
+    """A random document over four tags, grown like :func:`recursive_trees`."""
+    children = [[] for _ in range(size)]
+    for child in range(1, size):
+        children[rng.choice([child - 1, rng.randrange(child)])].append(child)
+    tags = [rng.choice("abcd") for _ in range(size)]
+
+    def spec(index):
+        return (tags[index], [spec(c) for c in children[index]])
+
+    return build_tree(spec(0))
+
+
+def test_split_order_on_seeded_random_trees():
+    """Neighbour ids that share hash slots make the ``affected`` set's
+    iteration order depend on insertion order; these trees and split
+    sequences include such sets, for the parents and for the children."""
+    for seed in range(40):
+        rng = random.Random(seed)
+        graph = label_split_synopsis(seeded_tree(rng, rng.randint(5, 30)))
+        for _ in range(8):
+            splittable = [n for n in graph.iter_nodes() if n.count > 1]
+            if not splittable:
+                break
+            node = rng.choice(splittable)
+            ids = [element.node_id for element in node.extent]
+            part = set(rng.sample(ids, rng.randint(1, len(ids) - 1)))
+            split_and_check(graph, node.node_id, part)
+
+
+def test_split_order_when_child_nodes_share_hash_slots():
+    """A split sequence, found by search, whose child nodes iterate in
+    another order when not inserted in first-meet order."""
+    tree = build_tree((
+        "c",
+        [
+            ("c", [("a", ["d"])]),
+            ("d", [("a", [("c", [("d", ["a", "b"])]), "d", ("d", ["d"])])]),
+        ],
+    ))
+    graph = label_split_synopsis(tree)
+    for node_id, part in [
+        (2, {3, 7, 12}), (4, {7}), (5, {11}), (0, {0, 1}), (10, {1})
+    ]:
+        split_and_check(graph, node_id, part)
+
+
+#: ``x`` nests in itself (a recursive node, and a parent node whose
+#: elements nest), ``a`` nests in itself only through ``b``
+NESTED = (
+    "r",
+    [
+        ("x", [
+            ("x", ["a", ("a", ["b"])]),
+            ("a", [("b", [("a", ["b", "c"])]), ("b", [("a", ["c"])]), "c"]),
+            "a",
+        ]),
+        ("a", ["c", ("b", ["a", "c"])]),
+        ("x", ["a", ("x", [("a", ["c"])])]),
+    ],
+)
+
+
+def witness_sides(graph, node_id, small):
+    """For each edge incident to ``node_id``, whether the witness elements
+    the larger part's witness derives from lie in the smaller part."""
+    sides = set()
+    for (source, target), (parent_id, child_id, first) in (
+        graph._witnesses.items()
+    ):
+        if source == target:
+            continue
+        if source == node_id:
+            sides.add(("out p", parent_id in small))
+            parent = graph.tree.node_by_id(first).parent.node_id
+            sides.add(("out t", parent in small))
+        elif target == node_id:
+            sides.add(("in c", child_id in small))
+            sides.add(("in t", first in small))
+    return sides
+
+
+def test_single_element_splits_of_every_node_both_ways():
+    """Every element of every node split off alone, as the first part and
+    as the second; between them, each witness of the old node lies in the
+    smaller part and in the larger part."""
+    tree = build_tree(NESTED)
+    seen = set()
+    recursive = fast = 0
+    for tag in tree.tags:
+        for element in tree.extent(tag):
+            for first_small in (True, False):
+                graph = label_split_synopsis(tree)
+                node = graph.nodes_with_tag(tag)[0]
+                if node.count == 1:
+                    continue
+                ids = {e.node_id for e in node.extent}
+                part = {element.node_id}
+                if (node.node_id, node.node_id) in graph.edges:
+                    recursive += 1
+                else:
+                    fast += 1
+                    seen |= witness_sides(graph, node.node_id, part)
+                split_and_check(
+                    graph, node.node_id, part if first_small else ids - part
+                )
+    assert recursive and fast
+    assert seen == {
+        (kind, inside)
+        for kind in ("out p", "out t", "in c", "in t")
+        for inside in (True, False)
+    }
+
+
+def record_tally_calls(monkeypatch):
+    """The pairs each later :func:`_tally` call is fed, one list a call."""
+    calls = []
+    tally = graph_module._tally
+
+    def recording(pairs, assignment):
+        pairs = list(pairs)
+        calls.append(pairs)
+        return tally(pairs, assignment)
+
+    monkeypatch.setattr(graph_module, "_tally", recording)
+    return calls
+
+
+def incident_pairs(elements):
+    """The (parent, child) document edges with an end in ``elements``."""
+    return {(e.parent, e) for e in elements if e.parent is not None} | {
+        (e, c) for e in elements for c in e.children
+    }
+
+
+@pytest.mark.parametrize("small_first", [True, False])
+def test_split_tallies_only_the_smaller_part(monkeypatch, small_first):
+    """Splitting three elements off a large node feeds the tally their
+    own pairs, each once, and nothing of the rest of the node."""
+    tree = build_tree(("r", [("a", ["b", ("c", ["b"])])] * 300))
+    graph = label_split_synopsis(tree)
+    node = graph.nodes_with_tag("a")[0]
+    small = node.extent[100:103]
+    part = {element.node_id for element in small}
+    if not small_first:
+        part = {element.node_id for element in node.extent} - part
+    calls = record_tally_calls(monkeypatch)
+    split_and_check(graph, node.node_id, part)
+    assert len(calls[0]) == len(incident_pairs(small))
+    assert set(calls[0]) == incident_pairs(small)
+
+
+def test_recursive_split_recounts_both_parts(monkeypatch):
+    """A node with an edge to itself has pairs inside itself: both parts
+    are tallied, and the result still matches the references."""
+    tree = build_tree(("r", [("a", [("a", ["b"]), "b"]), ("a", ["b"])]))
+    graph = label_split_synopsis(tree)
+    node = graph.nodes_with_tag("a")[0]
+    assert (node.node_id, node.node_id) in graph.edges
+    calls = record_tally_calls(monkeypatch)
+    split_and_check(graph, node.node_id, {node.extent[1].node_id})
+    assert set(calls[0]) == incident_pairs(tree.extent("a"))
+
+
+def test_value_splits_on_a_child_tag_match_the_references(monkeypatch):
+    """Child-tag value splits split the node and then its valued children
+    by parentage; every one of those splits matches the references."""
+    def child_tag_splits(sketch):
+        return [
+            proposal
+            for node in sketch.graph.iter_nodes()
+            for proposal in _value_split_proposals(sketch, node.node_id)
+            if proposal.child_tag is not None
+        ]
+
+    monkeypatch.setattr(GraphSynopsis, "split_node", split_and_check)
+    coarsest = TwigXSketch.coarsest(generate_imdb(1500, seed=3))
+    proposals = child_tag_splits(coarsest)
+    assert len(proposals) >= 3
+    for proposal in proposals[:8]:
+        refined = proposal.apply(coarsest)
+        for again in child_tag_splits(refined)[:1]:
+            again.apply(refined)
 
 
 # ----------------------------------------------------------------------
@@ -530,8 +744,46 @@ def test_unstored_edge_counts_follow_a_split_of_another_parent():
 
 
 # ----------------------------------------------------------------------
-# (d) forward edge distribution vs the general path
+# (d) forward edge distribution vs the target-side count and the general path
 # ----------------------------------------------------------------------
+def target_side_distribution(synopsis, node_id, targets):
+    """The forward-only distribution counted from the targets' side.
+
+    One pass over each target's extent counts, per element of
+    ``node_id``, its children in that target.  Elements without any such
+    child share the all-zero vector, so they are counted, not visited.
+    """
+    assignment = synopsis.assignment
+    per_target = {}
+    for target in targets:
+        if target in per_target:
+            continue
+        counts = {}
+        for child in synopsis.node(target).extent:
+            parent = child.parent
+            if parent is not None and assignment[parent.node_id] == node_id:
+                counts[parent.node_id] = counts.get(parent.node_id, 0) + 1
+        per_target[target] = counts
+    columns = [per_target[target] for target in targets]
+    parents = set().union(*columns)
+    vectors = Counter(
+        tuple(column.get(parent, 0) for column in columns)
+        for parent in parents
+    )
+    untouched = synopsis.node(node_id).count - len(parents)
+    if untouched:
+        vectors[(0,) * len(targets)] += untouched
+    return SparseDistribution(vectors)
+
+
+def assert_forward_matches_references(graph, node_id, targets):
+    scope = [EdgeRef(node_id, target) for target in targets]
+    points = exact_edge_distribution(graph, node_id, scope).points()
+    assert points == target_side_distribution(graph, node_id, targets).points()
+    assert points == _general_distribution(graph, node_id, scope).points()
+    return points
+
+
 @given(tree=recursive_trees(), data=st.data())
 def test_forward_distribution_matches_general_path(tree, data):
     graph = label_split_synopsis(tree)
@@ -549,13 +801,10 @@ def test_forward_distribution_matches_general_path(tree, data):
         return
     node_id = data.draw(st.sampled_from(sources))
     targets = [edge.target for edge in graph.children_of(node_id)]
-    scope = [EdgeRef(node_id, target) for target in data.draw(
+    assert_forward_matches_references(graph, node_id, data.draw(
         st.lists(st.sampled_from(targets), min_size=1, max_size=3,
                  unique=True)
-    )]
-    assert exact_edge_distribution(graph, node_id, scope).points() == (
-        _general_distribution(graph, node_id, scope).points()
-    )
+    ))
 
 
 def test_forward_distribution_counts_childless_elements_once():
@@ -564,10 +813,37 @@ def test_forward_distribution_counts_childless_elements_once():
     tree = build_tree(("r", [("a", ["b", "b", "c"]), ("a", ["c"]), "a"]))
     graph = label_split_synopsis(tree)
     a, b = (graph.nodes_with_tag(tag)[0].node_id for tag in "ab")
-    scope = [EdgeRef(a, b)]
-    expected = [((0.0,), 2 / 3), ((2.0,), 1 / 3)]
-    assert exact_edge_distribution(graph, a, scope).points() == expected
-    assert _general_distribution(graph, a, scope).points() == expected
+    assert assert_forward_matches_references(graph, a, [b]) == [
+        ((0.0,), 2 / 3), ((2.0,), 1 / 3)
+    ]
+
+
+def test_forward_distribution_over_same_tag_and_split_targets():
+    """Targets that share the source's tag, a target holding only part of
+    its tag's extent next to one holding all of it, and elements with no
+    child in the scope."""
+    tree = build_tree((
+        "r",
+        [
+            ("a", [("a", ["b", ("a", ["b"])]), "b", "b"]),
+            ("a", [("a", ["c"])]),
+            ("a", ["c"]),
+        ],
+    ))
+    graph = label_split_synopsis(tree)
+    a = graph.nodes_with_tag("a")[0]
+    nested = {e.node_id for e in a.extent if e.parent.tag == "a"}
+    inner, outer = graph.split_node(a.node_id, nested)
+    b, c = (graph.nodes_with_tag(tag)[0].node_id for tag in "bc")
+    for node_id in (inner, outer):
+        targets = [edge.target for edge in graph.children_of(node_id)]
+        for width in (1, 2, 3):
+            for start in range(len(targets)):
+                assert_forward_matches_references(
+                    graph, node_id, targets[start:start + width]
+                )
+    assert {inner, b, c} <= {e.target for e in graph.children_of(outer)}
+    assert {inner, b, c} <= {e.target for e in graph.children_of(inner)}
 
 
 # ----------------------------------------------------------------------

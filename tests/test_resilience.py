@@ -1,6 +1,7 @@
 """Tests for repro.resilience: budgets, retry, fault injection, and the
 XBUILD checkpoint/resume protocol (resume must be bit-identical)."""
 
+import gc
 import json
 
 import pytest
@@ -498,6 +499,43 @@ class TestXBuildResilience:
         assert "deadline" in result.reason
         # the best-so-far sketch is still a valid synopsis
         assert result.sketch.size_bytes() > 0
+
+    @pytest.mark.parametrize("caller_froze", [False, True])
+    def test_run_leaves_the_gc_freeze_as_it_found_it(
+        self, small_tree, build_budget, caller_froze
+    ):
+        """The heap is frozen while a build runs, and thawed after a
+        completed, a truncated and a raising build; a heap the caller
+        froze stays frozen."""
+        if caller_froze:
+            gc.freeze()
+        try:
+            def frozen_after_run():
+                return gc.get_freeze_count() > 0
+
+            assert frozen_after_run() == caller_froze
+            during = []
+            completed = XBuild(
+                small_tree, build_budget, seed=5,
+                on_step=lambda _: during.append(gc.get_freeze_count()),
+            ).run()
+            assert not completed.truncated
+            assert during and min(during) > 0
+            assert frozen_after_run() == caller_froze
+            ticks = iter(range(10**6))
+            guard = Budget(deadline=10.0, clock=lambda: next(ticks))
+            truncated = XBuild(
+                small_tree, build_budget, seed=5, guard=guard
+            ).run()
+            assert truncated.truncated
+            assert frozen_after_run() == caller_froze
+            with FaultPlan(Fault(SITE_BUILD_STEP)).active():
+                with pytest.raises(FaultInjected):
+                    XBuild(small_tree, build_budget, seed=5).run()
+            assert frozen_after_run() == caller_froze
+        finally:
+            if caller_froze:
+                gc.unfreeze()
 
     def test_step_limit_marks_truncated(self, small_tree, build_budget):
         result = XBuild(

@@ -1,5 +1,7 @@
 """Tests for the graph synopsis: partition, edges, stability, splitting."""
 
+from dataclasses import astuple
+
 import pytest
 
 from repro.datasets.paperfig import figure1_document, figure4_documents
@@ -234,6 +236,10 @@ class TestFromPartition:
 
 class TestCopy:
     def test_copy_is_independent(self, fig1_synopsis):
+        nodes = dict(fig1_synopsis.nodes)
+        extents = {key: list(node.extent) for key, node in nodes.items()}
+        edges = {key: astuple(edge) for key, edge in fig1_synopsis.edges.items()}
+        witnesses = dict(fig1_synopsis._witnesses)
         duplicate = fig1_synopsis.copy()
         paper = node_by_tag(duplicate, "paper")
         duplicate.split_node(paper.node_id, {paper.extent[0].node_id})
@@ -241,6 +247,16 @@ class TestCopy:
         assert len(duplicate.nodes_with_tag("paper")) == 2
         fig1_synopsis.validate()
         duplicate.validate()
+        assert fig1_synopsis.nodes.keys() == nodes.keys()
+        assert all(fig1_synopsis.nodes[key] is node for key, node in nodes.items())
+        assert {
+            key: node.extent for key, node in fig1_synopsis.nodes.items()
+        } == extents
+        assert {
+            key: astuple(edge) for key, edge in fig1_synopsis.edges.items()
+        } == edges
+        assert list(fig1_synopsis.edges) == list(edges)
+        assert fig1_synopsis._witnesses == witnesses
 
     def test_ancestor_in(self, fig1_synopsis):
         author = node_by_tag(fig1_synopsis, "author")
