@@ -6,7 +6,7 @@ The package splits into three layers:
   splits, histogram refine/expand, value refine/split/expand);
 * :mod:`repro.build.sampling` — candidate generation and region-anchored
   query sampling;
-* :mod:`repro.build.oracles` — the truth oracles gain is measured against;
+* :mod:`repro.build.oracles` — the truth oracle gain is measured against;
 * :mod:`repro.build.xbuild` — the greedy construction loop itself.
 
 Typical use::
@@ -15,7 +15,7 @@ Typical use::
     sketch = xbuild(tree, budget_bytes=16 * 1024, seed=17)
 """
 
-from .oracles import ExactOracle, SketchOracle, build_reference_sketch
+from .oracles import ExactOracle, build_reference_sketch
 from .refinements import (
     BStabilize,
     EdgeExpand,
@@ -38,7 +38,6 @@ __all__ = [
     "FStabilize",
     "Refinement",
     "RegionSampler",
-    "SketchOracle",
     "ValueExpand",
     "ValueRefine",
     "ValueSplit",

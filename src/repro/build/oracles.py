@@ -2,24 +2,19 @@
 
 XBUILD scores a candidate refinement by how much it reduces estimation
 error on queries sampled around the refinement's region, against an
-*oracle* for the true counts:
+*oracle* for the true counts: :class:`ExactOracle` evaluates queries on
+the document.  It does not cache: XBUILD keeps the one truth cache, keyed
+by query text, and asks its oracle only on a miss.
 
-* :class:`ExactOracle` — evaluates queries on the document.  Exact, and
-  cheap at the small query volumes XBUILD samples; this is the default.
-* :class:`SketchOracle` — estimates against a large *reference summary*
-  (:func:`build_reference_sketch`): exact per-node joint distributions
-  over the forward-stable edges, uncompressed value histograms.  Trades a
-  little truth for evaluation speed on huge documents, where exact twig
-  evaluation would dominate construction time.
-
-Neither caches: XBUILD keeps the one truth cache, keyed by query text,
-and asks its oracle only on a miss.
+:func:`build_reference_sketch` builds a large, high-fidelity summary
+(exact per-node joint distributions over a backward bisimulation,
+uncompressed value histograms) whose estimates are exact where the
+paper guarantees it (§6.2).
 """
 
 from __future__ import annotations
 
 from ..doc.tree import DocumentTree
-from ..estimation.estimator import TwigEstimator
 from ..query.ast import TwigQuery
 from ..query.evaluator import count_bindings
 from ..resilience.faults import SITE_ORACLE, fault_check
@@ -113,21 +108,3 @@ def build_reference_sketch(tree: DocumentTree) -> TwigXSketch:
         if summary is not None:
             sketch.value_stats[node.node_id] = summary
     return sketch
-
-
-class SketchOracle:
-    """Approximate truths from a reference summary.
-
-    The reference's estimates are far closer to the truth than anything a
-    budgeted synopsis produces, which is all the greedy gain comparison
-    needs (relative ordering of candidates).
-    """
-
-    def __init__(self, tree: DocumentTree):
-        self.reference = build_reference_sketch(tree)
-        self._estimator = TwigEstimator(self.reference)
-
-    def true_count(self, query: TwigQuery) -> float:
-        """Reference-summary estimate of the query's selectivity."""
-        fault_check(SITE_ORACLE)
-        return self._estimator.estimate(query)

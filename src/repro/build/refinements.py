@@ -21,17 +21,40 @@ the construction loop can probe candidates freely.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
 from ..errors import BuildError, SynopsisError
 from ..query.values import ValuePredicate
 from ..synopsis.distributions import EdgeRef
+from ..synopsis.graph import GraphSynopsis
 from ..synopsis.summary import TwigXSketch
 
 
 class Refinement:
-    """Common behaviour of all refinement operations."""
+    """Common behaviour of all refinement operations.
+
+    Every subclass's :meth:`apply` first checks that the sketch's graph
+    has extents: a loaded synopsis (:mod:`repro.synopsis.persist`) has
+    none, and refining it raises :class:`~repro.errors.BuildError`.
+    """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        apply = vars(cls).get("apply")
+        if apply is not None:
+
+            @functools.wraps(apply)
+            def guarded(self, sketch: TwigXSketch) -> TwigXSketch:
+                if not isinstance(sketch.graph, GraphSynopsis):
+                    raise BuildError(
+                        "a loaded synopsis has no extents; refinement "
+                        "requires the original document"
+                    )
+                return apply(self, sketch)
+
+            cls.apply = guarded
 
     def apply(self, sketch: TwigXSketch) -> TwigXSketch:  # pragma: no cover
         raise NotImplementedError

@@ -18,8 +18,6 @@ Commands:
   workload and print its Table 2 characteristics;
 * ``demo [--dataset imdb|xmark|sprot] [--scale N]`` — run the estimate
   flow on a built-in synthetic data set (no input file needed);
-* ``analyze [PATHS...] [--json]`` — run the static import-contract
-  analyzer (same engine as ``python -m repro.analysis``);
 * ``validate SKETCH.json`` — integrity-check a saved synopsis: digest,
   schema, and every invariant in ``repro.synopsis.validate``;
 * ``serve-eval`` — run a workload through the graceful-degradation
@@ -51,11 +49,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from collections import Counter
 
-from .analysis import analyze_paths, default_roots, render_json, render_text
 from .baselines import CorrelatedSuffixTree
 from .build import XBuild
 from .datasets import (
@@ -248,20 +244,6 @@ def cmd_workload(args) -> int:
             )
             print(f"  [{entry.true_count:>8,}] {flat}")
     return 0
-
-
-def cmd_analyze(args) -> int:
-    paths = args.paths or default_roots()
-    missing = [path for path in paths if not os.path.exists(path)]
-    if missing:
-        raise ReproError("no such path: " + ", ".join(missing))
-    findings = analyze_paths(paths)
-    report = render_json(findings) if args.json else render_text(findings)
-    if report:
-        print(report)
-    if findings and not args.json:
-        print(f"{len(findings)} finding(s)")
-    return 1 if findings else 0
 
 
 def cmd_validate(args) -> int:
@@ -539,18 +521,6 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--budget", type=float, default=8.0, help="KB")
     demo.add_argument("--exact", action="store_true", default=True)
     demo.set_defaults(handler=cmd_estimate, file=None)
-
-    analyze = commands.add_parser(
-        "analyze", help="run the static import-contract analyzer"
-    )
-    analyze.add_argument(
-        "paths", nargs="*",
-        help="files or directories to analyze "
-             "(default: src tests benchmarks examples, where present)",
-    )
-    analyze.add_argument("--json", action="store_true",
-                         help="emit findings as a JSON array")
-    analyze.set_defaults(handler=cmd_analyze)
 
     validate = commands.add_parser(
         "validate", help="integrity-check a saved synopsis"

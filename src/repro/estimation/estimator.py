@@ -369,10 +369,6 @@ class TwigEstimator:
             derived._changes = changes
         return derived
 
-    def estimate_many(self, queries: Sequence[TwigQuery]) -> list[float]:
-        """One :meth:`estimate` per query, in query order."""
-        return [report.selectivity for report in self.report_many(queries)]
-
     def report_many(
         self, queries: Sequence[TwigQuery]
     ) -> list[EstimateReport]:

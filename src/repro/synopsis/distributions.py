@@ -64,8 +64,9 @@ def exact_edge_distribution(
             )
 
     if all(ref.is_forward_at(node_id) for ref in scope):
-        return _forward_distribution(
-            synopsis, node_id, [ref.target for ref in scope]
+        targets = [ref.target for ref in scope]
+        return SparseDistribution(
+            Counter(zip(*forward_columns(synopsis, node_id, targets)))
         )
     return _general_distribution(synopsis, node_id, scope)
 
@@ -108,10 +109,11 @@ def _general_distribution(
     return SparseDistribution.from_observations(observations)
 
 
-def _forward_distribution(
-    synopsis: GraphSynopsis, node_id: int, targets: list[int]
-) -> SparseDistribution:
-    """:func:`exact_edge_distribution` of a forward-only scope.
+def forward_columns(
+    synopsis: GraphSynopsis, node_id: int, targets: Sequence[int]
+) -> list[list[int]]:
+    """Per target, each element's number of children in that target, in
+    extent order.
 
     Each element of ``node_id`` counts its children in a target among its
     children with the target's tag, read from the document's child index:
@@ -138,7 +140,7 @@ def _forward_distribution(
             if assignment[child.node_id] == target
         ])
         columns.append([hits.get(element, 0) for element in extent])
-    return SparseDistribution(Counter(zip(*columns)))
+    return columns
 
 
 def mean_child_count(

@@ -414,12 +414,7 @@ def sketch_from_dict(payload: dict, strict: bool = False) -> TwigXSketch:
 
     config = _load_config(payload)
     graph = _load_graph(payload)
-    sketch = TwigXSketch.__new__(TwigXSketch)
-    sketch.graph = graph
-    sketch.config = config
-    sketch.edge_stats = {}
-    sketch.value_stats = {}
-    sketch.extended_stats = {}
+    sketch = TwigXSketch(graph, config)
     entries = _require_list(payload["edge_histograms"], "edge_histograms")
     for index, entry in enumerate(entries):
         path = f"edge_histograms[{index}]"

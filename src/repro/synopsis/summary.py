@@ -26,7 +26,7 @@ from ..histogram.centroid import CentroidHistogram
 from ..histogram.value import build_value_histogram
 from ..histogram.wavelet import WaveletHistogram
 from . import size as sizing
-from .distributions import EdgeRef, exact_edge_distribution
+from .distributions import EdgeRef, exact_edge_distribution, forward_columns
 from .graph import GraphSynopsis, label_split_synopsis
 
 ENGINES = ("centroid", "wavelet", "exact")
@@ -263,9 +263,11 @@ class TwigXSketch:
         """Build an extended value histogram ``H^v(V, C1..Ck)``.
 
         The value observation per element is its own value
-        (``value_tag=None``) or the value of its *first* child tagged
+        (``value_tag=None``) or the first value among its children tagged
         ``value_tag`` — well-defined for the single-occurrence children
-        (``type``, ``year``) these summaries target.
+        (``type``, ``year``) these summaries target.  The count
+        observations are the forward counts of
+        :func:`~repro.synopsis.distributions.forward_columns`.
 
         Raises:
             SynopsisError: for an empty scope, a missing edge, or a scope
@@ -287,18 +289,21 @@ class TwigXSketch:
                     f"{ref.source}->{ref.target}"
                 )
 
-        observations = []
-        for element in self.graph.node(node_id).extent:
-            tally: dict[int, int] = {}
-            value = element.value if value_tag is None else None
-            for child in element.children:
-                child_node = self.graph.node_of(child)
-                tally[child_node] = tally.get(child_node, 0) + 1
-                if value_tag is not None and value is None and child.tag == value_tag:
-                    value = child.value
-            counts = tuple(tally.get(ref.target, 0) for ref in scope)
-            observations.append((value, counts))
-        histogram = ValueCountHistogram(observations, value_buckets, count_buckets)
+        extent = self.graph.node(node_id).extent
+        values = [element.value for element in extent]
+        if value_tag is not None:
+            index = self.graph.tree.child_index()
+            for position, element in enumerate(extent):
+                children = index[element.node_id].get(value_tag, ())
+                values[position] = next(
+                    (c.value for c in children if c.value is not None), None
+                )
+        counts = zip(*forward_columns(
+            self.graph, node_id, [ref.target for ref in scope]
+        ))
+        histogram = ValueCountHistogram(
+            list(zip(values, counts)), value_buckets, count_buckets
+        )
         return ExtendedValueSummary(
             node_id, value_tag, scope, histogram, value_buckets, count_buckets
         )

@@ -1,6 +1,5 @@
-"""Deliberately broken package exercised by tests/test_analysis.py."""
+"""Deliberately broken package exercised by tests/test_contracts.py."""
 
 from .a import accumulate
-from .missing import thing
 
-__all__ = ["thing", "phantom"]
+__all__ = ["phantom"]

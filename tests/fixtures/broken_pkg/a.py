@@ -1,6 +1,6 @@
 """Half of an import cycle, plus one of each lint-rule violation."""
 
-from .b import beta, gamma, make_edge_histogram
+from .b import beta, make_edge_histogram
 
 
 def accumulate(item, bucket=[]):
@@ -13,10 +13,11 @@ def debug(item):
     return item
 
 
-def quiet(item):
-    print(item)  # analysis: ignore[stray-print]
-    return item
-
-
 def sketch():
     return make_edge_histogram("node", ("edge",), 8.0)
+
+
+def deferred():
+    from .b import gamma
+
+    return beta + gamma

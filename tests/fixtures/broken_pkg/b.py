@@ -1,9 +1,10 @@
-"""Other half of the import cycle; defines what a.py imports (mostly)."""
+"""Other half of the import cycle, which still imports cleanly: ``a``
+is bound as a module and read only at call time."""
 
-from .a import accumulate
+from . import a
 
 beta = 2
 
 
 def make_edge_histogram(node, scope, buckets):
-    return (node, scope, buckets, accumulate)
+    return (node, scope, buckets, a.accumulate)

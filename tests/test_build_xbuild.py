@@ -7,7 +7,6 @@ import pytest
 
 from repro.build import (
     ExactOracle,
-    SketchOracle,
     XBuild,
     build_reference_sketch,
     generate_candidates,
@@ -142,12 +141,14 @@ class TestOracles:
     def test_sketch_oracle_better_than_coarsest(self, imdb, coarse):
         """The reference summary approximates truths with much lower error
         than the coarsest synopsis (branch-correlated twigs remain its
-        weak spot; XBUILD's default oracle is ExactOracle)."""
-        oracle = SketchOracle(imdb)
+        weak spot)."""
+        reference = TwigEstimator(build_reference_sketch(imdb))
         generator = WorkloadGenerator(imdb, WorkloadSpec(seed=10))
         workload = generator.positive_workload(25)
         truths = workload.true_counts()
-        reference_estimates = [oracle.true_count(e.query) for e in workload.queries]
+        reference_estimates = [
+            reference.estimate(e.query) for e in workload.queries
+        ]
         coarse_estimator = TwigEstimator(coarse)
         coarse_estimates = [
             coarse_estimator.estimate(e.query) for e in workload.queries

@@ -1,7 +1,6 @@
 """Tests for the command-line interface (repro.cli)."""
 
 import json
-from pathlib import Path
 
 import pytest
 
@@ -121,36 +120,6 @@ class TestPersistenceFlow:
         assert code == 0
         out = capsys.readouterr().out
         assert "estimated selectivity:" in out
-
-
-class TestAnalyze:
-    def test_analyze_clean_repo_exits_zero(self, capsys):
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        assert main(["analyze", src]) == 0
-        assert capsys.readouterr().out == ""
-
-    def test_analyze_broken_fixture_reports_findings(self, capsys):
-        fixture = str(
-            Path(__file__).resolve().parent / "fixtures" / "broken_pkg"
-        )
-        assert main(["analyze", fixture]) == 1
-        out = capsys.readouterr().out
-        assert "[missing-module]" in out
-        assert "finding(s)" in out
-
-    def test_analyze_json_output(self, capsys):
-        fixture = str(
-            Path(__file__).resolve().parent / "fixtures" / "broken_pkg"
-        )
-        assert main(["analyze", "--json", fixture]) == 1
-        payload = json.loads(capsys.readouterr().out)
-        assert {entry["rule"] for entry in payload} >= {
-            "missing-module", "import-cycle", "mutable-default"
-        }
-
-    def test_analyze_missing_path_is_error(self, capsys):
-        assert main(["analyze", "no-such-directory"]) == 2
-        assert "no such path" in capsys.readouterr().err
 
 
 class TestObservability:

@@ -220,7 +220,7 @@ class TestReport:
 
 
 class TestBatchEstimation:
-    """``estimate_many``/``report_many`` are plain loops over ``report``."""
+    """``report_many`` is a plain loop over ``report``."""
 
     @pytest.fixture(scope="class")
     def built(self):
@@ -229,12 +229,6 @@ class TestBatchEstimation:
         spec = WorkloadSpec(seed=11, value_predicates=True)
         load = WorkloadGenerator(document, spec).positive_workload(30)
         return sketch, [entry.query for entry in load.queries]
-
-    def test_estimate_many_equals_per_query(self, built):
-        sketch, queries = built
-        estimator = TwigEstimator(sketch)
-        serial = [estimator.estimate(q) for q in queries]
-        assert TwigEstimator(sketch).estimate_many(queries) == serial
 
     def test_report_many_matches_report(self, built):
         sketch, queries = built

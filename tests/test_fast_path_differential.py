@@ -16,7 +16,9 @@
 * ``exact_edge_distribution`` counts a forward-only scope from each
   element's children in the child index; the oracles are the count from
   the targets' extents it replaced and its general path, which visits
-  every element of the node and its ancestors.
+  every element of the node and its ancestors.  ``make_extended_summary``
+  reads the same counts and its child values from the child index; the
+  oracle is the tally of every child of every element it replaced.
 * ``DocumentTree.child_index`` groups children by tag, and the value
   proposals read one ``ValueTally`` per node; the oracles filter
   ``element.children`` and rescan the extent per source and predicate.
@@ -28,6 +30,7 @@ set no ``max_examples`` of their own then draw eight times as many.
 import random
 from collections import Counter
 from dataclasses import astuple
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -52,6 +55,8 @@ from repro.build.sampling import (
 from repro.datasets import figure1_document, generate_imdb, generate_xmark
 from repro.doc import build_tree, parser
 from repro.doc.serializer import serialize
+from repro.histogram import joint
+from repro.histogram.joint import ValueCountHistogram
 from repro.histogram.sparse import SparseDistribution
 from repro.errors import BuildError
 from repro.estimation import TwigEstimator
@@ -744,7 +749,8 @@ def test_unstored_edge_counts_follow_a_split_of_another_parent():
 
 
 # ----------------------------------------------------------------------
-# (d) forward edge distribution vs the target-side count and the general path
+# (d) forward edge distribution vs the target-side count and the general
+#     path; extended-summary observations vs a tally of every child
 # ----------------------------------------------------------------------
 def target_side_distribution(synopsis, node_id, targets):
     """The forward-only distribution counted from the targets' side.
@@ -784,8 +790,9 @@ def assert_forward_matches_references(graph, node_id, targets):
     return points
 
 
-@given(tree=recursive_trees(), data=st.data())
-def test_forward_distribution_matches_general_path(tree, data):
+def draw_forward_scope(tree, data):
+    """A label-split synopsis after up to three random splits, one of its
+    nodes with children, and up to three of that node's child nodes."""
     graph = label_split_synopsis(tree)
     for _ in range(data.draw(st.integers(0, 3))):
         splittable = [node for node in graph.iter_nodes() if node.count > 1]
@@ -798,13 +805,20 @@ def test_forward_distribution_matches_general_path(tree, data):
         )]))
     sources = sorted({source for source, _ in graph.edges})
     if not sources:
-        return
+        return graph, None, []
     node_id = data.draw(st.sampled_from(sources))
     targets = [edge.target for edge in graph.children_of(node_id)]
-    assert_forward_matches_references(graph, node_id, data.draw(
+    return graph, node_id, data.draw(
         st.lists(st.sampled_from(targets), min_size=1, max_size=3,
                  unique=True)
-    ))
+    )
+
+
+@given(tree=recursive_trees(), data=st.data())
+def test_forward_distribution_matches_general_path(tree, data):
+    graph, node_id, targets = draw_forward_scope(tree, data)
+    if targets:
+        assert_forward_matches_references(graph, node_id, targets)
 
 
 def test_forward_distribution_counts_childless_elements_once():
@@ -844,6 +858,70 @@ def test_forward_distribution_over_same_tag_and_split_targets():
                 )
     assert {inner, b, c} <= {e.target for e in graph.children_of(outer)}
     assert {inner, b, c} <= {e.target for e in graph.children_of(inner)}
+
+
+def tallied_extended_observations(synopsis, node_id, value_tag, targets):
+    """The ``(value, counts)`` observations of an extended summary from a
+    tally of every child of every element of ``node_id``.
+
+    The value is the element's own (``value_tag`` None) or the first
+    non-None value among its children tagged ``value_tag``; the counts are
+    its children in each target.
+    """
+    observations = []
+    for element in synopsis.node(node_id).extent:
+        tally = {}
+        value = element.value if value_tag is None else None
+        for child in element.children:
+            child_node = synopsis.node_of(child)
+            tally[child_node] = tally.get(child_node, 0) + 1
+            if value is None and child.tag == value_tag:
+                value = child.value
+        observations.append(
+            (value, tuple(tally.get(target, 0) for target in targets))
+        )
+    return observations
+
+
+def extended_observations(sketch, node_id, value_tag, targets):
+    """The observations ``make_extended_summary`` hands its histogram."""
+    seen = []
+
+    def record(observations, *budgets):
+        seen.append(observations)
+        return ValueCountHistogram(observations, *budgets)
+
+    scope = [EdgeRef(node_id, target) for target in targets]
+    with mock.patch.object(joint, "ValueCountHistogram", record):
+        sketch.make_extended_summary(node_id, value_tag, scope, 4, 4)
+    return seen[0]
+
+
+@given(tree=recursive_trees(values=MIXED_VALUES), data=st.data())
+def test_extended_summary_observations_match_the_children_tally(tree, data):
+    graph, node_id, targets = draw_forward_scope(tree, data)
+    if not targets:
+        return
+    sketch = TwigXSketch(graph, XSketchConfig())
+    for value_tag in (None, *TAGS):
+        assert extended_observations(
+            sketch, node_id, value_tag, targets
+        ) == tallied_extended_observations(graph, node_id, value_tag, targets)
+
+
+def test_extended_summary_takes_the_first_present_child_value():
+    """Children tagged ``value_tag`` without a value are skipped, and an
+    element without such a child observes None."""
+    tree = build_tree((
+        "r", [("a", [("v", None, []), ("b", 1, []), ("v", 2, []),
+                     ("v", 3, [])]), ("a", ["b"])],
+    ))
+    graph = label_split_synopsis(tree)
+    a, b = (graph.nodes_with_tag(tag)[0].node_id for tag in "ab")
+    sketch = TwigXSketch(graph, XSketchConfig())
+    observed = extended_observations(sketch, a, "v", [b])
+    assert observed == [(2, (1,)), (None, (1,))]
+    assert observed == tallied_extended_observations(graph, a, "v", [b])
 
 
 # ----------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """Tests for synopsis persistence (repro.synopsis.persist)."""
 
 import json
+import random
 
 import pytest
 
-from repro.build import ValueExpand, xbuild
+from repro.build import ValueExpand, generate_candidates, xbuild
+from repro.build.refinements import ALL_REFINEMENTS
 from repro.datasets import figure1_document, generate_imdb, movie_document
-from repro.errors import SynopsisError, SynopsisIntegrityError
+from repro.errors import BuildError, SynopsisError, SynopsisIntegrityError
 from repro.estimation import PathEstimator, TwigEstimator
 from repro.query import parse_for_clause, parse_path, twig
 from repro.synopsis import (
@@ -226,6 +228,28 @@ class TestFrozenGraph:
         loaded = sketch_from_dict(sketch_to_dict(built_sketch))
         with pytest.raises(SynopsisError):
             loaded.graph.split_node(0, {1})
+
+    def test_loaded_sketch_split_raises_synopsis_error(self, built_sketch):
+        loaded = sketch_from_dict(sketch_to_dict(built_sketch))
+        with pytest.raises(SynopsisError, match="no extents"):
+            loaded.split_node(0, {1})
+
+    def test_every_refinement_kind_raises_build_error_on_loaded(self):
+        """One candidate of each kind that applies to a sketch over the
+        document raises the typed error on the sketch's loaded copy."""
+        sketch = TwigXSketch.coarsest(figure1_document())
+        loaded = sketch_from_dict(sketch_to_dict(sketch))
+        by_kind = {}
+        for candidate in generate_candidates(sketch, random.Random(5)):
+            try:
+                candidate.apply(sketch)
+            except BuildError:
+                continue
+            by_kind.setdefault(type(candidate), candidate)
+        assert set(by_kind) == set(ALL_REFINEMENTS)
+        for candidate in by_kind.values():
+            with pytest.raises(BuildError, match="no extents"):
+                candidate.apply(loaded)
 
     def test_missing_node_lookup(self, built_sketch):
         loaded = sketch_from_dict(sketch_to_dict(built_sketch))
