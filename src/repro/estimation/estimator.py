@@ -27,6 +27,7 @@ rules reconstructed from the conference text; see DESIGN.md §3).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -158,7 +159,9 @@ class TwigEstimator:
         max_embeddings: cap on enumerated embeddings per query.
         metrics: optional registry for lookup counters — ``None`` (the
             default) records nothing, keeping XBUILD's inner estimation
-            loop free of instrumentation cost.
+            loop free of instrumentation cost.  Lookups are tallied per
+            kind in the instance and added to the counter when a public
+            call returns, so one estimator is not shared between threads.
         explain: optional :class:`~repro.obs.explain.ExplainRecorder`
             capturing the expansion trail and histogram lookups.
     """
@@ -200,6 +203,10 @@ class TwigEstimator:
                 "estimator statistics lookups, by kind",
                 ["kind"],
             )
+        )
+        #: lookups per kind not yet added to ``_lookups``
+        self._tally: Optional[Counter[str]] = (
+            None if metrics is None else Counter()
         )
         self._estimates = (
             None
@@ -246,6 +253,19 @@ class TwigEstimator:
 
     def report(self, query: TwigQuery) -> EstimateReport:
         """Estimate with diagnostics."""
+        try:
+            return self._report(query)
+        finally:
+            self._flush_lookups()
+
+    def _flush_lookups(self) -> None:
+        """Add the tallied lookups to ``estimator_lookups_total``."""
+        if self._tally:
+            for kind, count in self._tally.items():
+                self._lookups.inc(count, kind=kind)
+            self._tally.clear()
+
+    def _report(self, query: TwigQuery) -> EstimateReport:
         if self._records is not None:
             record = self._records.get(query.text())
             if record is not None:
@@ -270,7 +290,7 @@ class TwigEstimator:
                 f"{len(embeddings)} embeddings"
                 + (", truncated" if budget.truncated else ""),
             )
-        values = [self.estimate_embedding(e) for e in embeddings]
+        values = [self._embedding_value(e) for e in embeddings]
         total = sum(values)
         if self._records is not None:
             self._records[query.text()] = _Record(
@@ -314,7 +334,7 @@ class TwigEstimator:
                 or not nodes.isdisjoint(changes.nodes)
                 or not edges.isdisjoint(changes.edges)
             ):
-                value = self.estimate_embedding(embedding)
+                value = self._embedding_value(embedding)
             values.append(value)
         self._count(len(embeddings))
         return EstimateReport(sum(values), len(embeddings), truncated)
@@ -377,6 +397,12 @@ class TwigEstimator:
 
     def estimate_embedding(self, embedding: Embedding) -> float:
         """The selectivity of one embedding: ``|n_0| ·`` root expansion."""
+        try:
+            return self._embedding_value(embedding)
+        finally:
+            self._flush_lookups()
+
+    def _embedding_value(self, embedding: Embedding) -> float:
         plans = tree_parse(embedding, self.sketch, self.branch_conditioning)
         root = embedding.root
         base = float(self.sketch.graph.node(root.node_id).count)
@@ -412,8 +438,8 @@ class TwigEstimator:
         )
         key = (id(node), relevant)
         if key in memo:
-            if self._lookups is not None:
-                self._lookups.inc(kind="memo")
+            if self._tally is not None:
+                self._tally["memo"] += 1
             if self._explain is not None:
                 self._explain.record(
                     _explain.KIND_MEMO,
@@ -450,8 +476,8 @@ class TwigEstimator:
                 average = self._average_child_count(
                     node.node_id, child.node_id
                 )
-                if self._lookups is not None:
-                    self._lookups.inc(kind="uniform")
+                if self._tally is not None:
+                    self._tally["uniform"] += 1
                 if self._explain is not None:
                     self._explain.record(
                         _explain.KIND_UNIFORM,
@@ -549,8 +575,8 @@ class TwigEstimator:
                 if term == 0:
                     break
             total += term
-        if self._lookups is not None:
-            self._lookups.inc(kind="histogram")
+        if self._tally is not None:
+            self._tally["histogram"] += 1
         if self._explain is not None:
             scope = ",".join(
                 f"{ref.source}->{ref.target}" for ref in use.histogram.scope
@@ -584,8 +610,8 @@ class TwigEstimator:
         paper's value↔structure correlation in action.
         """
         match = use.summary.histogram.match_mass(use.predicate)
-        if self._lookups is not None:
-            self._lookups.inc(kind="extended")
+        if self._tally is not None:
+            self._tally["extended"] += 1
         if self._explain is not None:
             self._explain.record(
                 _explain.KIND_EXTENDED,
@@ -635,7 +661,7 @@ class TwigEstimator:
         """
         factor = 1.0
         if node.value_pred is not None and not skip_value_pred:
-            factor *= self.value_selectivity(node.node_id, node.value_pred)
+            factor *= self._value_selectivity(node.node_id, node.value_pred)
         for index, alternatives in enumerate(node.branches):
             if index in absorbed_branches:
                 continue
@@ -649,13 +675,19 @@ class TwigEstimator:
 
         Elements without values (no value histogram stored) cannot match.
         """
+        try:
+            return self._value_selectivity(node_id, predicate)
+        finally:
+            self._flush_lookups()
+
+    def _value_selectivity(self, node_id: int, predicate) -> float:
         summary = self.sketch.value_summary(node_id)
         selectivity = (
             0.0 if summary is None
             else summary.histogram.selectivity(predicate)
         )
-        if self._lookups is not None:
-            self._lookups.inc(kind="value")
+        if self._tally is not None:
+            self._tally["value"] += 1
         if self._explain is not None:
             self._explain.record(
                 _explain.KIND_VALUE,
@@ -677,8 +709,8 @@ class TwigEstimator:
             miss *= 1.0 - self._branch_chain(node_id, chain)
             if miss == 0:
                 break
-        if self._lookups is not None:
-            self._lookups.inc(kind="branch")
+        if self._tally is not None:
+            self._tally["branch"] += 1
         if self._explain is not None:
             self._explain.record(
                 _explain.KIND_BRANCH,

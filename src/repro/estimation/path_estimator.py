@@ -49,17 +49,9 @@ class PathEstimator:
         self.sketch = sketch
         self.max_depth = max_depth
         self._explain = explain
-        self._lookups = (
-            None
-            if metrics is None
-            else metrics.counter(
-                "estimator_lookups_total",
-                "estimator statistics lookups, by kind",
-                ["kind"],
-            )
-        )
         # Branch probabilities and value selectivities are shared with the
-        # twig estimator; reuse its implementation on the same sketch.
+        # twig estimator; reuse its implementation on the same sketch, and
+        # its lookup tally for the per-step lookups.
         self._twig = TwigEstimator(
             sketch, max_depth, metrics=metrics, explain=explain
         )
@@ -67,10 +59,13 @@ class PathEstimator:
     def estimate(self, path: Path) -> float:
         """Estimated number of elements in the path's result set."""
         total = 0.0
-        for chain in _chain_expansions(
-            self.sketch.graph, None, path, self.max_depth
-        ):
-            total += self._chain_estimate(chain)
+        try:
+            for chain in _chain_expansions(
+                self.sketch.graph, None, path, self.max_depth
+            ):
+                total += self._chain_estimate(chain)
+        finally:
+            self._twig._flush_lookups()
         if self._explain is not None:
             self._explain.record(
                 _explain.KIND_RESULT, "path cardinality", value=total
@@ -104,6 +99,7 @@ class PathEstimator:
                 _explain.KIND_EMBEDDING, f"chain of {len(chain)} step(s)"
             )
         )
+        tally = self._twig._tally
         for node_id, step in chain:
             node_size = graph.node(node_id).count
             if previous_id is None:
@@ -111,10 +107,12 @@ class PathEstimator:
             else:
                 coverage = _safe_ratio(selected, graph.node(previous_id).count)
                 reached = self.sketch.edge_child_count(previous_id, node_id) * coverage
-            if self._lookups is not None:
-                self._lookups.inc(kind="path_step")
+            if tally is not None:
+                tally["path_step"] += 1
             if step.value_pred is not None:
-                reached *= self._twig.value_selectivity(node_id, step.value_pred)
+                reached *= self._twig._value_selectivity(
+                    node_id, step.value_pred
+                )
             for branch in step.branches:
                 alternatives = _embed_branch(
                     graph, node_id, branch, self.max_depth, EmbeddingBudget()

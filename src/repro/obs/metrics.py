@@ -31,6 +31,7 @@ instrumented subsystems record into unless handed an explicit one;
 
 from __future__ import annotations
 
+import bisect
 import math
 import re
 import threading
@@ -85,12 +86,19 @@ class _Metric:
         self._series: dict = {}
 
     def _key(self, labels: dict) -> tuple:
-        if set(labels) != set(self.labelnames):
-            raise MetricsError(
-                f"metric {self.name!r} takes labels "
-                f"{list(self.labelnames)}, got {sorted(labels)}"
-            )
-        return tuple(str(labels[name]) for name in self.labelnames)
+        # Label names are unique, so as many labels as names, each of them
+        # found, is exactly the declared label set.
+        if len(labels) == len(self.labelnames):
+            try:
+                values = [labels[name] for name in self.labelnames]
+            except KeyError:
+                pass
+            else:
+                return tuple([str(value) for value in values])
+        raise MetricsError(
+            f"metric {self.name!r} takes labels "
+            f"{list(self.labelnames)}, got {sorted(labels)}"
+        )
 
     def _labels_dict(self, key: tuple) -> dict[str, str]:
         return dict(zip(self.labelnames, key))
@@ -142,6 +150,12 @@ class Gauge(_Metric):
 
     def dec(self, amount: float = 1.0, **labels) -> None:
         self.inc(-amount, **labels)
+
+    def remove(self, **labels) -> None:
+        """Drop the labelled series from exports (no-op when absent)."""
+        key = self._key(labels)
+        with self._lock:
+            self._series.pop(key, None)
 
     def value(self, **labels) -> float:
         key = self._key(labels)
@@ -203,12 +217,8 @@ class Histogram(_Metric):
                 state = self._series[key] = _HistogramSeries(
                     len(self.buckets) + 1
                 )
-            index = len(self.buckets)  # the +Inf bucket
-            for position, bound in enumerate(self.buckets):
-                if value <= bound:
-                    index = position
-                    break
-            state.bucket_counts[index] += 1
+            # the first bound >= value; len(buckets) is the +Inf bucket
+            state.bucket_counts[bisect.bisect_left(self.buckets, value)] += 1
             state.sum += value
             state.count += 1
 

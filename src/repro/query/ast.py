@@ -12,7 +12,7 @@ predicates* (existential sub-paths).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from ..errors import QueryError
@@ -39,6 +39,10 @@ class Step:
     axis: str = CHILD
     value_pred: Optional[ValuePredicate] = None
     branches: tuple["Path", ...] = ()
+    #: the rendering, memoised by :meth:`text` (the step is frozen)
+    _text: Optional[str] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.axis not in (CHILD, DESCENDANT):
@@ -48,12 +52,16 @@ class Step:
 
     def text(self) -> str:
         """Render the step in the library's query syntax."""
-        parts = [self.tag]
-        if self.value_pred is not None:
-            parts.append(self.value_pred.text())
-        for branch in self.branches:
-            parts.append(f"[{branch.text()}]")
-        return "".join(parts)
+        text = self._text
+        if text is None:
+            parts = [self.tag]
+            if self.value_pred is not None:
+                parts.append(self.value_pred.text())
+            for branch in self.branches:
+                parts.append(f"[{branch.text()}]")
+            text = "".join(parts)
+            self.__dict__["_text"] = text  # past the frozen __setattr__
+        return text
 
     def without_predicates(self) -> "Step":
         """The bare structural step (used when matching against a synopsis)."""
@@ -65,6 +73,10 @@ class Path:
     """A chain of steps, e.g. ``movie[/type{=Action}]/actor``."""
 
     steps: tuple[Step, ...]
+    #: the rendering, memoised by :meth:`text` (the path is frozen)
+    _text: Optional[str] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if not self.steps:
@@ -85,14 +97,18 @@ class Path:
 
     def text(self) -> str:
         """Render the path in the library's query syntax."""
-        pieces: list[str] = []
-        for index, step in enumerate(self.steps):
-            if step.axis == DESCENDANT:
-                pieces.append("//")
-            elif index > 0:
-                pieces.append("/")
-            pieces.append(step.text())
-        return "".join(pieces)
+        text = self._text
+        if text is None:
+            pieces: list[str] = []
+            for index, step in enumerate(self.steps):
+                if step.axis == DESCENDANT:
+                    pieces.append("//")
+                elif index > 0:
+                    pieces.append("/")
+                pieces.append(step.text())
+            text = "".join(pieces)
+            self.__dict__["_text"] = text  # past the frozen __setattr__
+        return text
 
     def tags(self) -> tuple[str, ...]:
         """The sequence of tags along the path."""
@@ -135,12 +151,27 @@ class TwigNode:
             yield from child.iter_subtree()
 
     def text(self) -> str:
-        """Render as ``var in path`` plus child clauses, one per line."""
+        """Render as ``var in path`` plus child clauses, one per line.
+
+        Each child clause is indented two spaces per level; a line break
+        inside a clause (a string value) starts an indented line of its
+        own, as ``str.splitlines`` splits it.
+        """
         lines = [f"{self.var} in {self.path.text()}"]
         for child in self.children:
-            for line in child.text().splitlines():
-                lines.append(f"  {line}")
+            child._indented_lines("  ", lines)
         return "\n".join(lines)
+
+    def _indented_lines(self, indent: str, lines: list[str]) -> None:
+        """Append this subtree's lines, each prefixed by ``indent``."""
+        clause = f"{self.var} in {self.path.text()}"
+        if self.children:
+            # a trailing line break before the first child line leaves an
+            # empty line, which splitting the clause alone would drop
+            clause += "\n"
+        lines += [indent + line for line in clause.splitlines()]
+        for child in self.children:
+            child._indented_lines(indent + "  ", lines)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<TwigNode {self.var}:{self.path.text()}>"

@@ -125,8 +125,12 @@ class EstimateResponse:
 
 @dataclass
 class _Entry:
-    """One registered sketch with its per-tier circuit breakers and its
-    answer cache (query text -> accepted twig estimate, LRU order)."""
+    """One registered sketch with its per-tier circuit breakers, its
+    answer cache (query text -> accepted twig estimate, LRU order), and
+    the breaker states last written to the gauges.
+
+    ``lock`` guards the cache, ``exported`` and ``retired``; an entry is
+    retired once unregistered or replaced, and then exports nothing."""
 
     name: str
     sketch: TwigXSketch
@@ -134,11 +138,17 @@ class _Entry:
     breakers: dict[str, CircuitBreaker] = field(default_factory=dict)
     answers: OrderedDict = field(default_factory=OrderedDict)
     lock: threading.Lock = field(default_factory=threading.Lock)
+    exported: dict[str, str] = field(default_factory=dict)
+    retired: bool = False
 
     def cached(self, text: str) -> Optional[float]:
-        """The cached answer for ``text``, or None."""
+        """The cached answer for ``text`` (now the most recently used),
+        or None."""
         with self.lock:
-            return self.answers.get(text)
+            value = self.answers.get(text)
+            if value is not None:
+                self.answers.move_to_end(text)
+            return value
 
     def remember(self, text: str, value: float) -> None:
         """Cache (or refresh) an accepted answer, evicting the least
@@ -183,8 +193,9 @@ class EstimatorService:
         clock: monotonic time source (override in tests).
         metrics: registry serving metrics are recorded into — request/
             failure/degradation counters, per-tier latency histograms,
-            and live circuit-breaker state gauges (default: the
-            process-global registry).
+            and circuit-breaker state gauges, written when a response
+            finds a state changed (default: the process-global
+            registry).
         tracer: span tracer wrapping each request and tier attempt
             (default: the disabled no-op tracer).
     """
@@ -318,22 +329,39 @@ class EstimatorService:
                 self.failure_threshold, self.cooldown, clock=self._clock
             )
         with self._lock:
-            if name in self._entries and not replace:
+            old = self._entries.get(name)
+            if old is not None and not replace:
                 raise ServiceError(
                     f"sketch {name!r} is already registered "
                     f"(pass replace=True to overwrite)"
                 )
             self._entries[name] = entry
-        self._sync_breaker_gauges(
-            name, {tier: b.state for tier, b in entry.breakers.items()}
-        )
+            # Under the registry lock, so an unregister or a second
+            # register of the name cannot interleave with the gauges.
+            if old is not None:
+                self._retire(old)
+            self._export_breakers(entry, force=True)
 
     def unregister(self, name: str) -> None:
-        """Remove a registered sketch; unknown names raise."""
+        """Remove a registered sketch and its breaker gauges; unknown
+        names raise."""
         with self._lock:
             if name not in self._entries:
                 raise ServiceError(f"no sketch registered as {name!r}")
-            del self._entries[name]
+            entry = self._entries.pop(name)
+            self._retire(entry)
+            for tier in entry.breakers:
+                for state in (CLOSED, OPEN, HALF_OPEN):
+                    self._breaker_gauge.remove(
+                        sketch=name, tier=tier, state=state
+                    )
+
+    @staticmethod
+    def _retire(entry: _Entry) -> None:
+        """Stop ``entry`` exporting gauges; a response still in flight
+        on it finishes without touching them."""
+        with entry.lock:
+            entry.retired = True
 
     def names(self) -> list[str]:
         """The registered sketch names, sorted."""
@@ -347,27 +375,40 @@ class EstimatorService:
     def breaker_states(self, name: str) -> dict[str, str]:
         """Current circuit state per tier (monitoring hook).
 
-        Also refreshes the ``serve_breaker_state`` gauges, so polling
-        this (or the registry snapshot) always sees live states.
+        Also rewrites the sketch's ``serve_breaker_state`` gauges, so
+        polling this sees live states.  Between polls the gauges show the
+        states after the sketch's last response: an open circuit turns
+        half-open by time alone, without a write.
         """
-        entry = self._entry(name)
-        states = {tier: b.state for tier, b in entry.breakers.items()}
-        self._sync_breaker_gauges(name, states)
-        return states
+        return self._export_breakers(self._entry(name), force=True)
 
-    def _sync_breaker_gauges(
-        self, name: str, states: dict[str, str]
-    ) -> None:
+    def _export_breakers(
+        self, entry: _Entry, force: bool = False
+    ) -> dict[str, str]:
         """Mirror breaker states into the registry: current state 1,
-        the other two 0 (the Prometheus state-set idiom)."""
-        for tier, current in states.items():
-            for state in (CLOSED, OPEN, HALF_OPEN):
-                self._breaker_gauge.set(
-                    1.0 if state == current else 0.0,
-                    sketch=name,
-                    tier=tier,
-                    state=state,
-                )
+        the other two 0 (the Prometheus state-set idiom).
+
+        Only tiers whose state differs from the last export are written,
+        unless ``force``.  States are read and written under the entry
+        lock, so a thread holding older states cannot overwrite newer
+        ones.  Returns the states read.
+        """
+        with entry.lock:
+            states = {tier: b.state for tier, b in entry.breakers.items()}
+            if entry.retired:
+                return states
+            for tier, current in states.items():
+                if not force and entry.exported.get(tier) == current:
+                    continue
+                for state in (CLOSED, OPEN, HALF_OPEN):
+                    self._breaker_gauge.set(
+                        1.0 if state == current else 0.0,
+                        sketch=entry.name,
+                        tier=tier,
+                        state=state,
+                    )
+            entry.exported = states
+            return states
 
     def _entry(self, name: str) -> _Entry:
         with self._lock:
@@ -477,9 +518,7 @@ class EstimatorService:
             self._degraded_counter.inc(sketch=name)
         if response.warnings:
             self._warnings_counter.inc(len(response.warnings), sketch=name)
-        self._sync_breaker_gauges(
-            name, {tier: b.state for tier, b in entry.breakers.items()}
-        )
+        self._export_breakers(entry)
 
     def _estimate_cascade(
         self,
@@ -520,8 +559,6 @@ class EstimatorService:
                         entry, tier, query, warnings, explain, text
                     )
                     value = self._accept(value, tier)
-                    if tier == TIER_TWIG and text is not None:
-                        entry.remember(text, value)
             except _TierUnavailable as skip:
                 # Configuration fact, not a failure: the breaker is not
                 # charged (an unavailable tier can never have opened it).
@@ -580,15 +617,24 @@ class EstimatorService:
         text: Optional[str] = None,
     ) -> float:
         if tier == TIER_TWIG:
-            cached = None if text is None else entry.cached(text)
+            if text is None:
+                cached = None
+            else:
+                cached = entry.cached(text)
             if cached is not None:
                 return cached
-            return TwigEstimator(
-                entry.sketch,
-                max_embeddings=self.max_embeddings,
-                metrics=self.metrics,
-                explain=explain,
-            ).estimate(query)
+            value = self._accept(
+                TwigEstimator(
+                    entry.sketch,
+                    max_embeddings=self.max_embeddings,
+                    metrics=self.metrics,
+                    explain=explain,
+                ).estimate(query),
+                tier,
+            )
+            if text is not None:
+                entry.remember(text, value)
+            return value
         if tier == TIER_PATH:
             chain, collapsed = _primary_chain(query)
             if collapsed:

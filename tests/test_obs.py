@@ -7,16 +7,18 @@ values sum to the returned estimate), the exporters/validators, and the
 instrumentation hooks threaded through build/estimate/serve/parse.
 """
 
+import collections
 import json
 import math
+import random
 import threading
 
 import pytest
 
-from repro.build import XBuild
+from repro.build import XBuild, generate_candidates
 from repro.datasets import figure1_document, generate_imdb
 from repro.doc import parse_string
-from repro.errors import ReproError
+from repro.errors import BuildError, ReproError
 from repro.estimation import PathEstimator, TwigEstimator
 from repro.obs import (
     DEFAULT_BUCKETS,
@@ -40,8 +42,9 @@ from repro.obs import (
 )
 from repro.obs import explain as explain_mod
 from repro.obs.tracing import _NULL_SPAN
-from repro.query import parse_for_clause, parse_path
+from repro.query import Path, parse_for_clause, parse_path
 from repro.serve import EstimatorService
+from repro.workload import WorkloadGenerator, WorkloadSpec
 
 
 # ----------------------------------------------------------------------
@@ -130,8 +133,81 @@ class TestHistogram:
         with pytest.raises(MetricsError):
             histogram.observe(math.nan)
 
+    def test_bound_values_fall_in_their_own_bucket(self):
+        histogram = MetricsRegistry().histogram(
+            "edge_seconds", "h", buckets=(0.1, 1.0)
+        )
+        for value in (0.1, 1.0, 1.0000001, -1.0):
+            histogram.observe(value)
+        assert histogram.snapshot_series()["buckets"] == [
+            [0.1, 2], [1.0, 3], ["+Inf", 4]
+        ]
+
     def test_default_buckets_are_increasing(self):
         assert list(DEFAULT_BUCKETS) == sorted(DEFAULT_BUCKETS)
+
+
+class TestLabelChecks:
+    """Every metric kind accepts exactly its declared label set and keys
+    each label value as ``str(value)``."""
+
+    UPDATES = {
+        "counter": lambda metric, **labels: metric.inc(**labels),
+        "gauge": lambda metric, **labels: metric.set(1.0, **labels),
+        "histogram": lambda metric, **labels: metric.observe(0.1, **labels),
+    }
+
+    @staticmethod
+    def make(kind):
+        registry = MetricsRegistry()
+        return getattr(registry, kind)("m_total", "m", ["sketch", "tier"])
+
+    @pytest.mark.parametrize("kind", sorted(UPDATES))
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            {"sketch": "a"},
+            {"sketch": "a", "tier": "t", "extra": "x"},
+            {"sketch": "a", "teir": "t"},
+            {},
+        ],
+        ids=["missing", "extra", "misspelled", "none"],
+    )
+    def test_wrong_label_set_rejected(self, kind, labels):
+        metric = self.make(kind)
+        message = (
+            f"metric 'm_total' takes labels ['sketch', 'tier'], "
+            f"got {sorted(labels)}"
+        )
+        with pytest.raises(MetricsError) as caught:
+            self.UPDATES[kind](metric, **labels)
+        assert str(caught.value) == message
+        assert metric.series() == []
+
+    @pytest.mark.parametrize("kind", sorted(UPDATES))
+    def test_values_key_as_their_string(self, kind):
+        metric = self.make(kind)
+        self.UPDATES[kind](metric, sketch=7, tier=None)
+        self.UPDATES[kind](metric, tier="None", sketch="7")
+        [(labels, _)] = metric.series()
+        assert labels == {"sketch": "7", "tier": "None"}
+
+    def test_unlabelled_metric_takes_no_labels(self):
+        counter = MetricsRegistry().counter("plain_total", "p")
+        counter.inc()
+        with pytest.raises(MetricsError):
+            counter.inc(tier="twig")
+        assert counter.series() == [({}, 1.0)]
+
+    def test_gauge_remove_drops_one_series(self):
+        gauge = MetricsRegistry().gauge("g", "g", ["tier"])
+        gauge.set(1, tier="twig")
+        gauge.set(0, tier="path")
+        gauge.remove(tier="twig")
+        gauge.remove(tier="cst")  # absent: no-op
+        assert gauge.series() == [({"tier": "path"}, 0.0)]
+        with pytest.raises(MetricsError):
+            gauge.remove(stage="twig")
 
 
 class TestRegistry:
@@ -333,6 +409,130 @@ class TestExplain:
         assert total > 0
         steps = recorder.by_kind(explain_mod.KIND_STEP)
         assert steps and all(event.value is not None for event in steps)
+
+
+class _ReferenceTally(collections.Counter):
+    """An estimator lookup tally that also adds each lookup, as it
+    happens, to ``reference`` (the per-lookup count)."""
+
+    def __init__(self, reference):
+        super().__init__()
+        self.reference = reference
+
+    def __setitem__(self, kind, count):
+        self.reference[kind] += count - self[kind]
+        super().__setitem__(kind, count)
+
+
+def _lookup_totals(registry):
+    metric = registry.get("estimator_lookups_total")
+    return {labels["kind"]: value for labels, value in metric.series()}
+
+
+def _primary_chain(query):
+    steps, node = [], query.root
+    while node is not None:
+        steps.extend(node.path.steps)
+        node = node.children[0] if node.children else None
+    return Path(tuple(steps))
+
+
+class TestLookupCounts:
+    """``estimator_lookups_total`` is added once per public call; after
+    every call it equals a count taken at each lookup."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self):
+        tree = generate_imdb(800, seed=5)
+        sketch = XBuild(tree, budget_bytes=3 * 1024, seed=5).run().sketch
+        spec = WorkloadSpec(
+            seed=3, value_predicates=True, branch_probability=0.5
+        )
+        queries = [
+            entry.query
+            for entry in WorkloadGenerator(tree, spec)
+            .positive_workload(12).queries
+        ]
+        rng = random.Random(4)
+        for candidate in generate_candidates(sketch, rng):
+            try:
+                refined = candidate.apply(sketch)
+            except BuildError:
+                continue
+            return sketch, refined, queries
+        pytest.fail("no applicable refinement")
+
+    def test_totals_equal_a_per_lookup_count(self, inputs):
+        sketch, refined, queries = inputs
+        registry = MetricsRegistry()
+        reference = collections.Counter()
+
+        def tracked(estimator):
+            estimator._tally = _ReferenceTally(reference)
+            return estimator
+
+        base = tracked(TwigEstimator(sketch, metrics=registry))
+        base.keep_records()
+        for query in queries:
+            base.estimate(query)
+            assert _lookup_totals(registry) == reference
+            base.report(query)  # answered from the record
+            assert _lookup_totals(registry) == reference
+        derived = tracked(base.derive(refined))
+        for query in queries:
+            derived.report(query)
+            assert _lookup_totals(registry) == reference
+        path = PathEstimator(sketch, metrics=registry)
+        tracked(path._twig)
+        for query in queries:
+            path.estimate(_primary_chain(query))
+            assert _lookup_totals(registry) == reference
+        assert {"memo", "uniform", "histogram", "value", "branch",
+                "path_step"} <= set(reference)
+        assert not base._tally and not derived._tally
+
+    def test_each_lookup_is_one_explained_event(self, inputs):
+        sketch, _, queries = inputs
+        registry = MetricsRegistry()
+        recorder = ExplainRecorder()
+        estimator = TwigEstimator(sketch, metrics=registry, explain=recorder)
+        path = PathEstimator(sketch, metrics=registry, explain=recorder)
+        for query in queries:
+            estimator.report(query)
+            path.estimate(_primary_chain(query))
+        explained = {
+            kind: len(recorder.by_kind(
+                explain_mod.KIND_STEP if kind == "path_step" else kind
+            ))
+            for kind in _lookup_totals(registry)
+        }
+        assert _lookup_totals(registry) == explained
+
+    def test_a_failing_call_still_adds_its_lookups(self, inputs):
+        sketch, _, queries = inputs
+        registry = MetricsRegistry()
+        reference = collections.Counter()
+        estimator = TwigEstimator(sketch, metrics=registry)
+        estimator._tally = _ReferenceTally(reference)
+        calls = []
+
+        def failing(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise RuntimeError("storage went away")
+            return 0.5
+
+        estimator._branch_chain = failing
+        branching = [q for q in queries if any(
+            step.branches for node in q.nodes() for step in node.path.steps
+        )]
+        with pytest.raises(RuntimeError):
+            for query in branching:
+                before = collections.Counter(reference)
+                estimator.report(query)
+        assert len(calls) == 3
+        assert reference != before  # the failing call made lookups
+        assert _lookup_totals(registry) == reference
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,10 @@
 """Tests for path / for-clause parsing (repro.query.parser, forclause)."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from repro.datasets import generate_imdb
 from repro.errors import ParseError, QueryError
 from repro.query import (
     CHILD,
@@ -12,6 +15,8 @@ from repro.query import (
     parse_for_clause,
     parse_path,
 )
+from repro.query.ast import TwigNode, TwigQuery
+from repro.workload import WorkloadGenerator, WorkloadSpec
 
 
 class TestParsePath:
@@ -214,3 +219,132 @@ class TestTwigQueryModel:
         text = query.text()
         assert "a in author" in text
         assert "p in paper" in text
+
+
+# ----------------------------------------------------------------------
+# Query text: the memoised renderer against the plain recursive one
+# ----------------------------------------------------------------------
+def reference_step_text(step: Step) -> str:
+    parts = [step.tag]
+    if step.value_pred is not None:
+        parts.append(step.value_pred.text())
+    for branch in step.branches:
+        parts.append(f"[{reference_path_text(branch)}]")
+    return "".join(parts)
+
+
+def reference_path_text(path: Path) -> str:
+    pieces = []
+    for index, step in enumerate(path.steps):
+        if step.axis == DESCENDANT:
+            pieces.append("//")
+        elif index > 0:
+            pieces.append("/")
+        pieces.append(reference_step_text(step))
+    return "".join(pieces)
+
+
+def reference_node_text(node: TwigNode) -> str:
+    """Re-renders and re-splits every subtree at each level."""
+    lines = [f"{node.var} in {reference_path_text(node.path)}"]
+    for child in node.children:
+        for line in reference_node_text(child).splitlines():
+            lines.append(f"  {line}")
+    return "\n".join(lines)
+
+
+#: short strings mixing line boundaries that ``str.splitlines`` splits on
+_awkward = st.lists(
+    st.sampled_from(
+        ["a", "b", " ", "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c",
+         "\x85", "\u2028"]
+    ),
+    max_size=5,
+).map("".join)
+
+
+@st.composite
+def _awkward_twigs(draw):
+    def step():
+        predicate = draw(st.one_of(
+            st.none(),
+            _awkward.map(lambda value: ValuePredicate("=", value)),
+            st.integers(0, 9).map(lambda low: ValuePredicate.between(low, 9)),
+        ))
+        branches = tuple(
+            Path((Step("b" + draw(_awkward)),))
+            for _ in range(draw(st.integers(0, 2)))
+        )
+        axis = draw(st.sampled_from([CHILD, DESCENDANT]))
+        return Step("t" + draw(_awkward), axis, predicate, branches)
+
+    nodes = []
+    for _ in range(draw(st.integers(1, 6))):
+        steps = tuple(step() for _ in range(draw(st.integers(1, 2))))
+        node = TwigNode(draw(_awkward) or "v", Path(steps))
+        if nodes:
+            draw(st.sampled_from(nodes)).add_child(node)
+        nodes.append(node)
+    return TwigQuery(nodes[0])
+
+
+class TestQueryText:
+    @given(_awkward_twigs())
+    def test_matches_the_reference_renderer(self, query):
+        expected = reference_node_text(query.root)
+        assert query.text() == expected
+        assert query.text() == expected  # memoised paths render the same
+        for node in query.nodes():
+            assert node.path.text() == reference_path_text(node.path)
+
+    def test_line_break_in_a_string_value(self):
+        query = parse_for_clause("for m in movie, a in m/actor")
+        query.root.children[0].add_child(TwigNode("n", Path((
+            Step("name", value_pred=ValuePredicate("=", "Ann\nLee\n")),
+        ))))
+        query.root.children[0].children[0].add_child(
+            TwigNode("x", Path.of("first"))
+        )
+        text = query.text()
+        assert text == reference_node_text(query.root)
+        assert text == (
+            "m in movie\n  a in actor\n    n in name{=Ann\n    Lee\n"
+            "    }\n      x in first"
+        )
+
+    @pytest.mark.parametrize("values", [False, True], ids=["P", "P+V"])
+    def test_generated_workloads(self, values):
+        tree = generate_imdb(1500, seed=2)
+        spec = WorkloadSpec(
+            seed=11, value_predicates=values, branch_probability=0.6,
+            descendant_probability=0.3,
+        )
+        queries = [
+            entry.query
+            for entry in WorkloadGenerator(tree, spec)
+            .positive_workload(40).queries
+        ]
+        steps = [step for q in queries for n in q.nodes()
+                 for step in n.path.steps]
+        assert any(step.branches for step in steps)
+        assert any(step.axis == DESCENDANT for step in steps)
+        assert any(q.root.children and q.root.children[0].children
+                   for q in queries)
+        assert values == any(q.has_value_predicates() for q in queries)
+        for query in queries:
+            assert query.text() == reference_node_text(query.root)
+
+    def test_memo_follows_a_patched_path(self):
+        """WorkloadGenerator patches a node by assigning a new Path; the
+        node renders the new path, the old Path keeps its own text."""
+        query = parse_for_clause("for m in movie, a in m/actor")
+        node = query.root.children[0]
+        old = node.path
+        before = query.text()
+        last = old.last
+        patched = Step(last.tag, last.axis, ValuePredicate("=", "Lee"),
+                       last.branches + (Path.of("name"),))
+        node.path = Path(old.steps[:-1] + (patched,))
+        assert query.text() == reference_node_text(query.root)
+        assert query.text() == "m in movie\n  a in actor{=Lee}[name]"
+        assert old.text() == "actor" and before == "m in movie\n  a in actor"

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 import threading
 
 import pytest
@@ -11,7 +12,8 @@ from repro.build import xbuild
 from repro.datasets import generate_imdb
 from repro.errors import ServiceError, SynopsisError, SynopsisIntegrityError
 from repro.estimation import TwigEstimator
-from repro.obs import ExplainRecorder
+from repro.obs import ExplainRecorder, MetricsRegistry
+from repro.obs.metrics import Gauge
 from repro.query import parse_for_clause, parse_path, twig
 from repro.serve import (
     CLOSED,
@@ -148,6 +150,43 @@ class TestRegistry:
         assert service.names() == []
         with pytest.raises(ServiceError):
             service.unregister("a")
+
+    def test_unregister_drops_breaker_gauges(self, sketch, query):
+        registry = MetricsRegistry()
+        service = EstimatorService(failure_threshold=1, metrics=registry)
+        service.register("kept", sketch)
+        service.register("gone", sketch)
+        service.unregister("gone")
+        assert {key[0] for key in _breaker_gauges(registry)} == {"kept"}
+        # a response that finishes after the unregister exports nothing,
+        # though both of its tiers failed and opened their circuits
+        gated = sketch.copy()
+        gated.graph = _GatedGraph()
+        service.register("gone", gated, validate=False)
+        assert len(_breaker_gauges(registry)) == 6
+        responses = []
+        worker = threading.Thread(
+            target=lambda: responses.append(service.estimate("gone", query))
+        )
+        worker.start()
+        assert gated.graph.entered.wait(30)
+        service.unregister("gone")
+        gated.graph.release.set()
+        worker.join(30)
+        assert not worker.is_alive()
+        assert responses[0].source == TIER_UNIFORM
+        assert {key[0] for key in _breaker_gauges(registry)} == {"kept"}
+        _live_states(service, "kept")
+
+    def test_replace_keeps_one_state_per_tier(self, sketch, query):
+        service = EstimatorService(
+            failure_threshold=1, metrics=MetricsRegistry()
+        )
+        service.register("a", _poisoned(sketch), validate=False)
+        service.estimate("a", query)
+        assert service.breaker_states("a")[TIER_TWIG] == OPEN
+        service.register("a", sketch, replace=True)
+        assert _live_states(service, "a")[TIER_TWIG] == CLOSED
 
 
 class TestHappyPath:
@@ -315,6 +354,139 @@ class TestCircuitBreaker:
             CircuitBreaker(0)
         with pytest.raises(ServiceError):
             CircuitBreaker(5, cooldown=0)
+
+
+def _breaker_gauges(registry):
+    """(sketch, tier) -> {state: value} from the registry's gauges."""
+    gauges = {}
+    for labels, value in registry.get("serve_breaker_state").series():
+        key = (labels["sketch"], labels["tier"])
+        gauges.setdefault(key, {})[labels["state"]] = value
+    return gauges
+
+
+def _live_states(service, name):
+    """The breaker states ``name``'s gauges show, checked against
+    ``breaker_states()`` (read after the gauges, since it re-exports)."""
+    gauges = {
+        tier: states
+        for (sketch, tier), states in _breaker_gauges(service.metrics).items()
+        if sketch == name
+    }
+    states = service.breaker_states(name)
+    assert set(gauges) == set(states)
+    for tier, values in gauges.items():
+        assert sorted(values.values()) == [0.0, 0.0, 1.0], (tier, values)
+        assert values[states[tier]] == 1.0, (tier, values, states)
+    return states
+
+
+class _GatedGraph:
+    """A graph whose first read blocks until released, then every read
+    fails like corrupt storage."""
+
+    def __init__(self):
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def __getattr__(self, name):
+        self.entered.set()
+        self.release.wait(30)
+        raise SynopsisError("synopsis storage is corrupt")
+
+
+class TestBreakerGauges:
+    """``serve_breaker_state`` shows one state at 1 per (sketch, tier)
+    after every response, and is written only when a state changes."""
+
+    @pytest.fixture()
+    def sets(self, monkeypatch):
+        calls = []
+        original = Gauge.set
+
+        def counting(gauge, value, **labels):
+            calls.append(labels)
+            original(gauge, value, **labels)
+
+        monkeypatch.setattr(Gauge, "set", counting)
+        return calls
+
+    def test_gauges_follow_each_transition(self, sketch, sets):
+        clock = FakeClock()
+        service = EstimatorService(
+            failure_threshold=2, cooldown=30.0, clock=clock,
+            metrics=MetricsRegistry(),
+        )
+        flaky = sketch.copy()
+        service.register("flaky", flaky, validate=False)
+        service.register("good", sketch)
+        first = parse_for_clause("for m in movie, a in m/actor")
+        second = parse_for_clause("for m in movie, t in m/title")
+        closed = {TIER_TWIG: CLOSED, TIER_PATH: CLOSED, TIER_CST: CLOSED}
+        # (sketch, query, storage works, advance, twig, path, tiers written)
+        steps = [
+            ("flaky", first, False, 0, CLOSED, CLOSED, 0),  # 1 failure each
+            ("flaky", first, False, 0, OPEN, OPEN, 2),      # the threshold
+            ("good", first, True, 0, None, None, 0),        # other sketch
+            ("flaky", first, False, 0, OPEN, OPEN, 0),      # circuit skips
+            ("flaky", first, True, 31, CLOSED, HALF_OPEN, 2),  # good probe
+            ("flaky", first, False, 0, CLOSED, HALF_OPEN, 0),  # cached answer
+            ("flaky", second, False, 0, CLOSED, OPEN, 1),   # path probe fails
+            ("flaky", second, False, 0, OPEN, OPEN, 1),     # twig threshold
+            ("flaky", first, False, 31, CLOSED, HALF_OPEN, 2),  # cached probe
+        ]
+        for name, query, works, advance, twig, path, written in steps:
+            clock.advance(advance)
+            flaky.graph = sketch.graph if works else _ExplodingGraph()
+            del sets[:]
+            response = service.estimate(name, query)
+            assert len(sets) == 3 * written, (name, twig, path, sets)
+            states = _live_states(service, name)
+            if name == "flaky":
+                assert states == {**closed, TIER_TWIG: twig, TIER_PATH: path}
+            else:
+                assert states == closed and response.source == TIER_TWIG
+
+    def test_cached_answer_writes_no_gauge(self, sketch, query, sets):
+        service = EstimatorService(metrics=MetricsRegistry())
+        service.register("imdb", sketch)
+        service.estimate("imdb", query)
+        del sets[:]
+        for _ in range(3):
+            service.estimate("imdb", query)
+        service.submit_batch("imdb", [query] * 4)
+        assert sets == []
+        # polling re-exports every series unconditionally
+        service.breaker_states("imdb")
+        assert len(sets) == 9
+
+    def test_pool_threads_leave_the_latest_states(self, sketch):
+        """Under concurrent responses with states changing, the gauges
+        end at the states after the last response."""
+        clock = FakeClock()
+        service = EstimatorService(
+            failure_threshold=2, cooldown=2.0, clock=clock,
+            metrics=MetricsRegistry(),
+        )
+        service.register("bad", _poisoned(sketch), validate=False)
+        query = parse_for_clause("for m in movie, a in m/actor")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ServePool(service, workers=4) as pool:
+                futures = [pool.submit("bad", query) for _ in range(40)]
+                for _ in range(40):
+                    clock.advance(1.0)  # circuits turn half-open, reopen
+                    service.estimate("bad", query)
+                for future in futures:
+                    assert future.result(30).source == TIER_UNIFORM
+        finally:
+            sys.setswitchinterval(interval)
+        entry = service._entry("bad")
+        expected = {tier: b.state for tier, b in entry.breakers.items()}
+        gauges = _breaker_gauges(service.metrics)
+        for tier, state in expected.items():
+            assert gauges[("bad", tier)][state] == 1.0
 
 
 class TestConcurrency:
