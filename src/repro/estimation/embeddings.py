@@ -146,9 +146,8 @@ def _chain_expansions(
                 yield [(node.node_id, step)]
             return
         if step.axis != DESCENDANT:
-            for candidate in synopsis.children_of(current):
-                if synopsis.node(candidate.target).tag == step.tag:
-                    yield [(candidate.target, step)]
+            for target in synopsis.child_ids_with_tag(current, step.tag):
+                yield [(target, step)]
             return
         # Descendant axis: DFS over synopsis *walks* of length >= 1.  Walks
         # may revisit nodes (recursive tags like section/section produce

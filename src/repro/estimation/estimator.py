@@ -45,7 +45,7 @@ from .embeddings import (
     EmbeddingNode,
     enumerate_embeddings,
 )
-from .treeparse import NodePlan, tree_parse
+from .treeparse import HistogramUse, NodePlan, tree_parse
 
 Context = tuple[tuple[EdgeRef, float], ...]
 
@@ -195,6 +195,10 @@ class TwigEstimator:
         self._label_cache: dict[int, str] = {}
         self._average_cache: dict[tuple[int, int], float] = {}
         self._positive_cache: dict[tuple[int, int], float] = {}
+        #: (id(histogram), kept dims) -> (histogram, marginal points,
+        #: dim -> position); holding the histogram keeps its id unique,
+        #: and refinements replace histograms, never change them
+        self._marginals: dict[tuple, tuple] = {}
         self._lookups = (
             None
             if metrics is None
@@ -406,16 +410,15 @@ class TwigEstimator:
         plans = tree_parse(embedding, self.sketch, self.branch_conditioning)
         root = embedding.root
         base = float(self.sketch.graph.node(root.node_id).count)
-        needed = _needed_backward_refs(root, plans)
         memo: dict[tuple[int, Context], float] = {}
         if self._explain is None:
-            return base * self._expand(root, plans, (), needed, memo)
+            return base * self._expand(root, plans, (), memo)
         frame = self._explain.enter(
             _explain.KIND_EMBEDDING,
             f"root {self._node_label(root.node_id)}",
             f"|root| = {base:g}",
         )
-        total = base * self._expand(root, plans, (), needed, memo)
+        total = base * self._expand(root, plans, (), memo)
         self._explain.exit(frame, total)
         return total
 
@@ -427,17 +430,21 @@ class TwigEstimator:
         node: EmbeddingNode,
         plans: dict[int, NodePlan],
         context: Context,
-        needed: dict[int, frozenset[EdgeRef]],
         memo: dict[tuple, float],
     ) -> float:
         """Expected binding tuples of ``node``'s subtree per element of its
         synopsis node, given the ancestor count assignment ``context``.
         """
-        relevant = tuple(
-            item for item in context if item[0] in needed[id(node)]
+        plan = plans[id(node)]
+        needed = plan.needed
+        relevant = (
+            tuple(item for item in context if item[0] in needed)
+            if needed and context
+            else ()
         )
         key = (id(node), relevant)
-        if key in memo:
+        cached = memo.get(key)
+        if cached is not None:
             if self._tally is not None:
                 self._tally["memo"] += 1
             if self._explain is not None:
@@ -445,9 +452,9 @@ class TwigEstimator:
                     _explain.KIND_MEMO,
                     self._node_label(node.node_id),
                     "cached subtree factor",
-                    memo[key],
+                    cached,
                 )
-            return memo[key]
+            return cached
 
         frame = (
             None
@@ -456,17 +463,18 @@ class TwigEstimator:
                 _explain.KIND_EXPAND, self._node_label(node.node_id)
             )
         )
-        plan = plans[id(node)]
-        result = self._local_factor(
-            node,
-            dict(relevant),
-            plan.absorbed_branches,
-            skip_value_pred=plan.value_pred_absorbed,
-        )
+        if node.value_pred is None and not node.branches:
+            result = 1.0
+        else:
+            result = self._local_factor(
+                node,
+                plan.absorbed_branches,
+                skip_value_pred=plan.value_pred_absorbed,
+            )
         if result > 0:
             for use in plan.extended_uses:
                 result *= self._extended_factor(
-                    node, use, plans, context, needed, memo
+                    node, use, plans, context, memo
                 )
                 if result == 0:
                     break
@@ -489,12 +497,12 @@ class TwigEstimator:
                 result *= average
                 if result == 0:
                     break
-                result *= self._expand(child, plans, context, needed, memo)
+                result *= self._expand(child, plans, context, memo)
             for use in plan.uses:
                 if result == 0:
                     break
                 result *= self._histogram_factor(
-                    node, use, plans, context, needed, memo
+                    node, use, plans, context, memo, bool(needed)
                 )
         memo[key] = result
         if frame is not None:
@@ -504,30 +512,41 @@ class TwigEstimator:
     def _histogram_factor(
         self,
         node: EmbeddingNode,
-        use,
+        use: HistogramUse,
         plans: dict[int, NodePlan],
         context: Context,
-        needed: dict[int, frozenset[EdgeRef]],
         memo: dict[tuple, float],
+        extend: bool,
     ) -> float:
         """``Σ_points mass · Π_E (count · child expansion)`` conditioned on D.
 
         Marginalizes unused dimensions first (Forward Independence), then
         conditions on the ancestor values of the D dimensions (Correlation
-        Scope Independence).
+        Scope Independence).  Only with ``extend`` (some node of the
+        subtree conditions on a count) are the expanded counts appended
+        to the context the children see.
         """
-        context_map = dict(context)
-        kept = use.kept_dimensions()
-        points = use.histogram.points()
-        if len(kept) < use.histogram.dimensions:
-            points = ops.marginalize(points, kept)
-        remap = {dim: position for position, dim in enumerate(kept)}
-
-        assignment = {
-            remap[dim]: context_map[ref]
-            for dim, ref in use.conditions.items()
-            if ref in context_map
-        }
+        kept = use.kept
+        histogram = use.histogram
+        marginal = self._marginals.get((id(histogram), kept))
+        if marginal is None:
+            # Forward Independence: drop the dimensions the query leaves
+            # untouched, once per histogram and kept set
+            points = histogram.points()
+            if len(kept) < histogram.dimensions:
+                points = ops.marginalize(points, kept)
+            remap = {dim: position for position, dim in enumerate(kept)}
+            marginal = (histogram, points, remap)
+            self._marginals[(id(histogram), kept)] = marginal
+        _, points, remap = marginal
+        assignment = None
+        if use.conditions and context:
+            context_map = dict(context)
+            assignment = {
+                remap[dim]: context_map[ref]
+                for dim, ref in use.conditions.items()
+                if ref in context_map
+            }
         if assignment:
             surviving = [p for p in remap.values() if p not in assignment]
             points = ops.condition(points, assignment)
@@ -537,17 +556,22 @@ class TwigEstimator:
                 if position not in assignment
             }
 
-        branch_satisfaction = {
-            dim: self._per_child_satisfaction(chain)
-            for dim, chain in use.branch_conditions.items()
-        }
+        branch_rates = (
+            [
+                (remap[dim], self._per_child_satisfaction(chain))
+                for dim, chain in use.branch_conditions.items()
+            ]
+            if use.branch_conditions
+            else ()
+        )
+        scope = histogram.scope
+        expansion = use.expansion
 
         total = 0.0
         for vector, mass in points:
             term = mass
-            extended: Optional[Context] = None
-            for dim, chain_rate in branch_satisfaction.items():
-                count = vector[remap[dim]]
+            for position, chain_rate in branch_rates:
+                count = vector[position]
                 if count <= 0 or chain_rate <= 0:
                     term = 0.0
                     break
@@ -555,21 +579,19 @@ class TwigEstimator:
                 term *= 1.0 - (1.0 - chain_rate) ** count
             if term == 0:
                 continue
-            for dim, children in use.expansion.items():
+            # no node below conditions on a count: the context is unread
+            extended: Optional[Context] = None if extend else context
+            for dim, children in expansion.items():
                 count = vector[remap[dim]]
                 if count <= 0:
                     term = 0.0
                     break
-                ref = use.histogram.scope[dim]
                 if extended is None:
                     extended = context + tuple(
-                        (use.histogram.scope[d], vector[remap[d]])
-                        for d in use.expansion
+                        (scope[d], vector[remap[d]]) for d in expansion
                     )
                 for child in children:
-                    term *= count * self._expand(
-                        child, plans, extended, needed, memo
-                    )
+                    term *= count * self._expand(child, plans, extended, memo)
                     if term == 0:
                         break
                 if term == 0:
@@ -578,13 +600,13 @@ class TwigEstimator:
         if self._tally is not None:
             self._tally["histogram"] += 1
         if self._explain is not None:
-            scope = ",".join(
-                f"{ref.source}->{ref.target}" for ref in use.histogram.scope
+            scope_text = ",".join(
+                f"{ref.source}->{ref.target}" for ref in scope
             )
             self._explain.record(
                 _explain.KIND_HISTOGRAM,
-                f"H[{scope}] at {self._node_label(node.node_id)}",
-                f"{len(points)} points, {len(assignment)} conditioned, "
+                f"H[{scope_text}] at {self._node_label(node.node_id)}",
+                f"{len(points)} points, {len(assignment or ())} conditioned, "
                 f"{len(use.expansion)} expanding dims",
                 total,
             )
@@ -599,7 +621,6 @@ class TwigEstimator:
         use,
         plans,
         context: Context,
-        needed,
         memo,
     ) -> float:
         """One extended-value-histogram factor:
@@ -635,7 +656,7 @@ class TwigEstimator:
                         break
                     for child in children:
                         term *= count * self._expand(
-                            child, plans, context, needed, memo
+                            child, plans, context, memo
                         )
                         if term == 0:
                             break
@@ -648,7 +669,6 @@ class TwigEstimator:
     def _local_factor(
         self,
         node: EmbeddingNode,
-        context_map: dict[EdgeRef, float],
         absorbed_branches: frozenset | set = frozenset(),
         skip_value_pred: bool = False,
     ) -> float:
@@ -751,7 +771,7 @@ class TwigEstimator:
     def _per_child_satisfaction(self, chain: EmbeddingNode) -> float:
         """P(one specific child of the chain's node satisfies the chain):
         its own predicates times the probability of the remaining steps."""
-        rate = self._local_factor(chain, {})
+        rate = self._local_factor(chain)
         if chain.children:
             rate *= self._branch_chain(chain.node_id, chain.children[0])
         return min(1.0, max(0.0, rate))
@@ -783,27 +803,3 @@ class TwigEstimator:
         self._positive_cache[(parent_id, child_id)] = probability
         return probability
 
-
-def _needed_backward_refs(
-    root: EmbeddingNode, plans: dict[int, NodePlan]
-) -> dict[int, frozenset[EdgeRef]]:
-    """For each embedding node, the backward refs its subtree conditions on.
-
-    Used to memoize :meth:`TwigEstimator._expand` on just the relevant part
-    of the ancestor context.
-    """
-    needed: dict[int, frozenset[EdgeRef]] = {}
-
-    def visit(node: EmbeddingNode) -> frozenset[EdgeRef]:
-        refs: set[EdgeRef] = set()
-        plan = plans[id(node)]
-        for use in plan.uses:
-            refs.update(use.conditions.values())
-        for child in node.children:
-            refs |= visit(child)
-        result = frozenset(refs)
-        needed[id(node)] = result
-        return result
-
-    visit(root)
-    return needed

@@ -23,7 +23,6 @@ paper's Forward Independence assumption.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
 from typing import Optional
 
 from ..query.values import ValuePredicate
@@ -58,11 +57,21 @@ class HistogramUse:
     conditions: dict[int, EdgeRef] = field(default_factory=dict)
     branch_conditions: dict[int, EmbeddingNode] = field(default_factory=dict)
 
+    #: the dimensions that survive marginalization (E ∪ D ∪ branches),
+    #: ascending; computed from the three maps when not given
+    kept: Optional[tuple[int, ...]] = None
+
+    def __post_init__(self) -> None:
+        if self.kept is None:
+            self.kept = tuple(sorted(
+                set(self.expansion)
+                | set(self.conditions)
+                | set(self.branch_conditions)
+            ))
+
     def kept_dimensions(self) -> list[int]:
         """Dimensions that survive marginalization (E ∪ D ∪ branches)."""
-        return sorted(
-            set(self.expansion) | set(self.conditions) | set(self.branch_conditions)
-        )
+        return list(self.kept)
 
 
 @dataclass
@@ -88,7 +97,7 @@ class NodePlan:
     """The per-node output of TREEPARSE.
 
     Attributes:
-        node: the embedding node.
+        node: the embedding node (None in :data:`LEAF_PLAN`).
         uses: one entry per histogram that covers at least one child edge
             or usable backward count.
         uncovered: children whose edge no histogram covers (``U_i``).
@@ -97,15 +106,25 @@ class NodePlan:
         absorbed_branches: indexes into ``node.branches`` that were folded
             into a histogram use; the estimator's independent branch
             handling must skip them.
+        needed: the backward refs the uses of this node's subtree condition
+            on; the estimator memoizes a subtree on just that part of its
+            ancestor context.
     """
 
-    node: EmbeddingNode
+    node: Optional[EmbeddingNode]
     uses: list[HistogramUse] = field(default_factory=list)
     extended_uses: list[ExtendedUse] = field(default_factory=list)
     uncovered: list[EmbeddingNode] = field(default_factory=list)
     covered_refs: set[EdgeRef] = field(default_factory=set)
     absorbed_branches: set[int] = field(default_factory=set)
     value_pred_absorbed: bool = False
+    needed: frozenset[EdgeRef] = frozenset()
+
+
+#: The plan of every leaf (a node without children or branches): nothing
+#: expands, nothing is absorbed.  One object serves every leaf, so its
+#: containers are immutable.
+LEAF_PLAN = NodePlan(None, (), (), (), frozenset(), frozenset())
 
 
 def tree_parse(
@@ -116,74 +135,105 @@ def tree_parse(
     """Run TREEPARSE over ``embedding``; returns plans keyed by ``id(node)``.
 
     Mirrors the paper's Figure 7: a depth-first traversal maintaining the
-    set of covered edge refs; leaf nodes get empty plans.  With
+    set of covered edge refs; leaf nodes share :data:`LEAF_PLAN`.  With
     ``branch_conditioning`` (default), single-alternative branch
     predicates whose edge is covered by a histogram are absorbed into the
     histogram factor (see :class:`HistogramUse`); disabling it reproduces
-    the pure independence treatment of branches.
+    the pure independence treatment of branches.  Each plan's ``needed``
+    set is collected on the way back up.
     """
     plans: dict[int, NodePlan] = {}
     covered: set[EdgeRef] = set()
+    histograms_at = sketch.histograms_at
+    extended_stats = sketch.extended_stats
 
-    def visit(node: EmbeddingNode) -> None:
+    def visit(node: EmbeddingNode) -> frozenset[EdgeRef]:
+        children = node.children
+        if not children and not node.branches:
+            plans[id(node)] = LEAF_PLAN
+            return LEAF_PLAN.needed
+        node_id = node.node_id
         plan = NodePlan(node)
         plans[id(node)] = plan
-        if node.children or node.branches:
-            histograms = sketch.histograms_at(node.node_id)
-            child_edges: dict[EdgeRef, list[EmbeddingNode]] = {}
-            for child in node.children:
-                child_edges.setdefault(
-                    EdgeRef(node.node_id, child.node_id), []
-                ).append(child)
-            # single-alternative branch predicates, keyed by their first
-            # edge: candidates for conditioning inside a histogram
-            branch_edges: dict[EdgeRef, tuple[int, EmbeddingNode]] = {}
-            if branch_conditioning:
-                for index, alternatives in enumerate(node.branches):
-                    if len(alternatives) == 1:
-                        head = alternatives[0]
-                        branch_edges.setdefault(
-                            EdgeRef(node.node_id, head.node_id), (index, head)
-                        )
+        # keyed by the plain (source, target) pair, which equals the
+        # EdgeRef of a histogram dimension
+        child_edges: dict[tuple[int, int], list[EmbeddingNode]] = {}
+        for child in children:
+            key = (node_id, child.node_id)
+            group = child_edges.get(key)
+            if group is None:
+                child_edges[key] = [child]
+            else:
+                group.append(child)
+        # single-alternative branch predicates, keyed by their first
+        # edge: candidates for conditioning inside a histogram
+        branch_edges: dict[tuple[int, int], tuple[int, EmbeddingNode]] = {}
+        if branch_conditioning:
+            for index, alternatives in enumerate(node.branches):
+                if len(alternatives) == 1:
+                    head = alternatives[0]
+                    branch_edges.setdefault(
+                        (node_id, head.node_id), (index, head)
+                    )
 
-            used: dict[int, HistogramUse] = {}
-            assigned: set[EdgeRef] = set()
-            absorbed: set[EdgeRef] = set()
-            _plan_extended_uses(
-                sketch, node, plan, child_edges, assigned
-            )
-            for histogram in histograms:
-                use = HistogramUse(histogram)
-                for dim, ref in enumerate(histogram.scope):
-                    if (
-                        ref.is_forward_at(node.node_id)
-                        and ref in child_edges
-                        and ref not in assigned
-                    ):
-                        use.expansion[dim] = child_edges[ref]
-                        assigned.add(ref)
-                    elif (
-                        ref.is_forward_at(node.node_id)
-                        and ref in branch_edges
-                        and ref not in absorbed
-                        and branch_edges[ref][0] not in plan.absorbed_branches
-                    ):
-                        branch_index, head = branch_edges[ref]
-                        use.branch_conditions[dim] = head
-                        plan.absorbed_branches.add(branch_index)
-                        absorbed.add(ref)
-                    elif not ref.is_forward_at(node.node_id) and ref in covered:
-                        use.conditions[dim] = ref
-                if use.expansion or use.branch_conditions:
-                    used[id(histogram)] = use
-                    plan.uses.append(use)
-            for ref, children in child_edges.items():
-                if ref not in assigned:
-                    plan.uncovered.extend(children)
-            plan.covered_refs = set(assigned)
-            covered.update(assigned)
-        for child in node.children:
-            visit(child)
+        assigned: set[EdgeRef] = set()
+        if node_id in extended_stats:
+            _plan_extended_uses(sketch, node, plan, child_edges, assigned)
+        absorbed_branches = plan.absorbed_branches
+        needed: set[EdgeRef] = set()
+        for histogram in histograms_at(node_id):
+            scope = histogram.scope
+            if child_edges.keys().isdisjoint(scope) and (
+                not branch_edges or branch_edges.keys().isdisjoint(scope)
+            ):
+                # expands no child and absorbs no branch: no use
+                continue
+            expansion = conditions = branch_conditions = None
+            kept = []
+            for dim, ref in enumerate(scope):
+                if ref.source != node_id:
+                    if ref in covered:
+                        if conditions is None:
+                            conditions = {}
+                        conditions[dim] = ref
+                        kept.append(dim)
+                elif ref in child_edges and ref not in assigned:
+                    if expansion is None:
+                        expansion = {}
+                    expansion[dim] = child_edges[ref]
+                    assigned.add(ref)
+                    kept.append(dim)
+                elif (
+                    ref in branch_edges
+                    and branch_edges[ref][0] not in absorbed_branches
+                ):
+                    branch_index, head = branch_edges[ref]
+                    if branch_conditions is None:
+                        branch_conditions = {}
+                    branch_conditions[dim] = head
+                    absorbed_branches.add(branch_index)
+                    kept.append(dim)
+            if expansion is not None or branch_conditions is not None:
+                plan.uses.append(HistogramUse(
+                    histogram,
+                    expansion or {},
+                    conditions or {},
+                    branch_conditions or {},
+                    tuple(kept),
+                ))
+                if conditions is not None:
+                    needed.update(conditions.values())
+        for key, group in child_edges.items():
+            if key not in assigned:
+                plan.uncovered.extend(group)
+        plan.covered_refs = assigned
+        covered.update(assigned)
+        for child in children:
+            child_needed = visit(child)
+            if child_needed:
+                needed.update(child_needed)
+        plan.needed = frozenset(needed)
+        return plan.needed
 
     visit(embedding.root)
     return plans
@@ -193,7 +243,7 @@ def _plan_extended_uses(
     sketch: TwigXSketch,
     node: EmbeddingNode,
     plan: NodePlan,
-    child_edges: dict[EdgeRef, list[EmbeddingNode]],
+    child_edges: dict[tuple[int, int], list[EmbeddingNode]],
     assigned: set[EdgeRef],
 ) -> None:
     """Match the node's extended value histograms against its predicates.

@@ -17,20 +17,23 @@ synopsis extents); compression to a histogram happens in
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from ..errors import SynopsisError
 from ..histogram.sparse import SparseDistribution
 from .graph import GraphSynopsis
 
 
-@dataclass(frozen=True, order=True)
-class EdgeRef:
+class EdgeRef(NamedTuple):
     """Identity of a count dimension: the synopsis edge it counts.
 
     At node ``n``, a ref with ``source == n`` is a forward count; any other
     source is a backward count anchored at that ancestor node.
+
+    A tuple, so hashing, equality and ordering run in C: the hash is
+    ``hash((source, target))`` and a ref equals the plain
+    ``(source, target)`` pair, so TREEPARSE looks refs up in dicts keyed
+    by edge pairs.
     """
 
     source: int

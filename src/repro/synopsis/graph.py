@@ -26,7 +26,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from ..doc.node import DocumentNode
 from ..doc.tree import DocumentTree
@@ -80,7 +80,96 @@ class SynopsisEdge:
         return f"<Edge {self.source}->{self.target} {flags or '-'}>"
 
 
-class GraphSynopsis:
+class _Adjacency(NamedTuple):
+    """The read indexes of a graph, all built in one pass."""
+
+    #: node id -> outgoing edges, in ``edges`` order
+    children: dict[int, list[SynopsisEdge]]
+    #: node id -> incoming edges, in ``edges`` order
+    parents: dict[int, list[SynopsisEdge]]
+    #: node id -> child tag -> target ids, in ``edges`` order
+    child_ids_by_tag: dict[int, dict[str, list[int]]]
+    #: tag -> nodes with that tag, in ``nodes`` order
+    nodes_by_tag: dict[str, list]
+
+
+class IndexedGraph:
+    """The read API a graph synopsis shares with a loaded one.
+
+    Subclasses hold ``nodes`` (id -> node with a ``tag``) and ``edges``
+    ((source, target) -> :class:`SynopsisEdge`), and set ``_adjacency``
+    to None whenever either changes; the indexes are rebuilt on the next
+    read.
+    """
+
+    nodes: dict
+    edges: dict[tuple[int, int], SynopsisEdge]
+    _adjacency: Optional[_Adjacency]
+
+    def _adjacency_index(self) -> _Adjacency:
+        """The indexes over ``nodes`` and ``edges``, built on first use."""
+        if self._adjacency is None:
+            nodes = self.nodes
+            children: dict[int, list[SynopsisEdge]] = {}
+            parents: dict[int, list[SynopsisEdge]] = {}
+            by_tag: dict[int, dict[str, list[int]]] = {}
+            for edge in self.edges.values():
+                children.setdefault(edge.source, []).append(edge)
+                parents.setdefault(edge.target, []).append(edge)
+                by_tag.setdefault(edge.source, {}).setdefault(
+                    nodes[edge.target].tag, []
+                ).append(edge.target)
+            tags: dict[str, list] = {}
+            for node in nodes.values():
+                tags.setdefault(node.tag, []).append(node)
+            self._adjacency = _Adjacency(children, parents, by_tag, tags)
+        return self._adjacency
+
+    def node(self, node_id: int):
+        """The node with the given id."""
+        try:
+            return self.nodes[node_id]
+        except KeyError:
+            raise SynopsisError(f"no synopsis node #{node_id}") from None
+
+    def edge(self, source: int, target: int) -> Optional[SynopsisEdge]:
+        """The edge source→target, or None when absent."""
+        return self.edges.get((source, target))
+
+    def children_of(self, node_id: int) -> list[SynopsisEdge]:
+        """Outgoing edges of a node."""
+        return list(self._adjacency_index().children.get(node_id, ()))
+
+    def parents_of(self, node_id: int) -> list[SynopsisEdge]:
+        """Incoming edges of a node."""
+        return list(self._adjacency_index().parents.get(node_id, ()))
+
+    def child_ids_with_tag(self, node_id: int, tag: str) -> list[int]:
+        """Targets of the node's outgoing edges whose tag is ``tag``, in
+        ``edges`` order.  The list is the index's own: do not mutate it."""
+        by_tag = self._adjacency_index().child_ids_by_tag.get(node_id)
+        return by_tag.get(tag, []) if by_tag is not None else []
+
+    def nodes_with_tag(self, tag: str) -> list:
+        """All nodes whose elements carry ``tag``, in ``nodes`` order."""
+        return list(self._adjacency_index().nodes_by_tag.get(tag, ()))
+
+    def iter_nodes(self) -> Iterator:
+        """All nodes (insertion order)."""
+        return iter(self.nodes.values())
+
+    @property
+    def node_count(self) -> int:
+        """Number of nodes."""
+        return len(self.nodes)
+
+    @property
+    def edge_count(self) -> int:
+        """Number of edges."""
+        return len(self.edges)
+
+
+class GraphSynopsis(IndexedGraph):
     """A partition of a document's elements plus the induced edge graph.
 
     Build one with :func:`label_split_synopsis` (the coarsest summary) or
@@ -352,59 +441,11 @@ class GraphSynopsis:
         return parent_id, child_id, first_target
 
     # ------------------------------------------------------------------
-    # accessors
+    # accessors (the rest are IndexedGraph's)
     # ------------------------------------------------------------------
-    def node(self, node_id: int) -> SynopsisNode:
-        """The synopsis node with the given id."""
-        try:
-            return self.nodes[node_id]
-        except KeyError:
-            raise SynopsisError(f"no synopsis node #{node_id}") from None
-
-    def edge(self, source: int, target: int) -> Optional[SynopsisEdge]:
-        """The edge source→target, or None when absent."""
-        return self.edges.get((source, target))
-
     def node_of(self, element: DocumentNode) -> int:
         """The synopsis node id containing ``element``."""
         return self.assignment[element.node_id]
-
-    def _adjacency_index(self) -> tuple[dict, dict]:
-        """(children, parents) edge lists per node id, in ``edges`` order."""
-        if self._adjacency is None:
-            children: dict[int, list[SynopsisEdge]] = {}
-            parents: dict[int, list[SynopsisEdge]] = {}
-            for edge in self.edges.values():
-                children.setdefault(edge.source, []).append(edge)
-                parents.setdefault(edge.target, []).append(edge)
-            self._adjacency = (children, parents)
-        return self._adjacency
-
-    def children_of(self, node_id: int) -> list[SynopsisEdge]:
-        """Outgoing edges of a synopsis node."""
-        return list(self._adjacency_index()[0].get(node_id, ()))
-
-    def parents_of(self, node_id: int) -> list[SynopsisEdge]:
-        """Incoming edges of a synopsis node."""
-        return list(self._adjacency_index()[1].get(node_id, ()))
-
-    def nodes_with_tag(self, tag: str) -> list[SynopsisNode]:
-        """All synopsis nodes whose elements carry ``tag``."""
-        return [node for node in self.nodes.values() if node.tag == tag]
-
-    def iter_nodes(self) -> Iterator[SynopsisNode]:
-        """All synopsis nodes (insertion order)."""
-        return iter(self.nodes.values())
-
-    @property
-    def node_count(self) -> int:
-        """Number of synopsis nodes."""
-        return len(self.nodes)
-
-    @property
-    def edge_count(self) -> int:
-        """Number of synopsis edges."""
-        return len(self.edges)
 
     # ------------------------------------------------------------------
     # nearest-ancestor lookup (used by backward counts)

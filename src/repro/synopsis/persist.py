@@ -37,7 +37,7 @@ from ..errors import SynopsisError, SynopsisIntegrityError
 from ..histogram.joint import ValueCountHistogram
 from ..histogram.value import NumericValueHistogram, StringValueHistogram
 from .distributions import EdgeRef
-from .graph import SynopsisEdge
+from .graph import IndexedGraph, SynopsisEdge
 from .summary import (
     EdgeHistogram,
     ExtendedValueSummary,
@@ -95,11 +95,12 @@ class FrozenNode:
     count: int
 
 
-class FrozenGraph:
+class FrozenGraph(IndexedGraph):
     """The stored part of a graph synopsis (no extents, no document).
 
-    Implements the read API the estimators use; mutation helpers
-    (splitting) raise :class:`SynopsisError`.
+    Shares the read API the estimators use, and its lazily built
+    indexes, with :class:`GraphSynopsis` through :class:`IndexedGraph`;
+    mutation helpers (splitting) raise :class:`SynopsisError`.
     """
 
     def __init__(self, nodes: list[FrozenNode], edges: list[SynopsisEdge]):
@@ -107,44 +108,7 @@ class FrozenGraph:
         self.edges: dict[tuple[int, int], SynopsisEdge] = {
             (e.source, e.target): e for e in edges
         }
-
-    # -- read API (mirrors GraphSynopsis) -------------------------------
-    def node(self, node_id: int) -> FrozenNode:
-        """The node with the given id."""
-        try:
-            return self.nodes[node_id]
-        except KeyError:
-            raise SynopsisError(f"no synopsis node #{node_id}") from None
-
-    def edge(self, source: int, target: int):
-        """The edge source→target, or None."""
-        return self.edges.get((source, target))
-
-    def children_of(self, node_id: int) -> list[SynopsisEdge]:
-        """Outgoing edges of a node."""
-        return [e for key, e in self.edges.items() if key[0] == node_id]
-
-    def parents_of(self, node_id: int) -> list[SynopsisEdge]:
-        """Incoming edges of a node."""
-        return [e for key, e in self.edges.items() if key[1] == node_id]
-
-    def nodes_with_tag(self, tag: str) -> list[FrozenNode]:
-        """All nodes whose elements carry ``tag``."""
-        return [n for n in self.nodes.values() if n.tag == tag]
-
-    def iter_nodes(self):
-        """All nodes (insertion order)."""
-        return iter(self.nodes.values())
-
-    @property
-    def node_count(self) -> int:
-        """Number of nodes."""
-        return len(self.nodes)
-
-    @property
-    def edge_count(self) -> int:
-        """Number of edges."""
-        return len(self.edges)
+        self._adjacency = None
 
     # -- mutation is unavailable ----------------------------------------
     def split_node(self, node_id: int, part):

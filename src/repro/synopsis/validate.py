@@ -320,15 +320,19 @@ def _check_edge_histograms(sketch: TwigXSketch) -> list[Violation]:
             where = f"edge_histograms[{node_id}][{position}]"
             scope_ok = True
             for ref in histogram.scope:
-                if graph.edge(ref.source, ref.target) is None:
-                    violations.append(
-                        Violation(
-                            "histogram-scope", f"{where}.scope",
-                            f"scope references missing edge "
-                            f"{ref.source}->{ref.target}",
-                        )
+                if not isinstance(ref, EdgeRef):
+                    detail = f"a non-EdgeRef entry {ref!r}"
+                elif graph.edge(ref.source, ref.target) is None:
+                    detail = f"missing edge {ref.source}->{ref.target}"
+                else:
+                    continue
+                violations.append(
+                    Violation(
+                        "histogram-scope", f"{where}.scope",
+                        f"scope references {detail}",
                     )
-                    scope_ok = False
+                )
+                scope_ok = False
             if not scope_ok:
                 continue
             points = histogram.points()
