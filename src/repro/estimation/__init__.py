@@ -21,7 +21,7 @@ from .embeddings import (
     maximal_twigs,
     validate_embedding,
 )
-from .estimator import EstimateReport, TwigEstimator
+from .estimator import EstimateReport, SketchFacts, TwigEstimator
 from .path_estimator import PathEstimator
 from .treeparse import ExtendedUse, HistogramUse, NodePlan, tree_parse
 
@@ -36,6 +36,7 @@ __all__ = [
     "HistogramUse",
     "NodePlan",
     "PathEstimator",
+    "SketchFacts",
     "TwigEstimator",
     "enumerate_embeddings",
     "maximal_twigs",

@@ -62,7 +62,7 @@ class EmbeddingBudget:
         return False
 
 
-@dataclass
+@dataclass(slots=True)
 class EmbeddingNode:
     """One node of a twig embedding.
 
@@ -80,6 +80,10 @@ class EmbeddingNode:
     value_pred: Optional[ValuePredicate] = None
     branches: list[list["EmbeddingNode"]] = field(default_factory=list)
     children: list["EmbeddingNode"] = field(default_factory=list)
+    #: :meth:`signature`, once computed (not part of equality)
+    _signature: Optional[tuple] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def iter_subtree(self) -> Iterator["EmbeddingNode"]:
         """Depth-first pre-order over the embedding (not into branches)."""
@@ -88,15 +92,17 @@ class EmbeddingNode:
             yield from child.iter_subtree()
 
     def signature(self) -> tuple:
-        """Hashable structural identity (used to deduplicate embeddings).
+        """Hashable structural identity of the subtree.
 
-        Cached on first call: embedding nodes are only mutated while
-        enumeration assembles them, and nothing asks for a signature
-        until a root is complete — afterwards every consumer (dedup,
-        batch-memo keys) sees the same frozen structure, and the cache
-        turns the ancestor-recomputes-descendants recursion linear.
+        Deduplicates roots when a ``//`` walk can repeat one, and matches
+        a derived estimator's embeddings to its base's records.  Cached
+        on first call: embedding nodes are only mutated while enumeration
+        assembles them, and nothing asks for a signature until a root is
+        complete, so every consumer sees the same frozen structure and
+        the cache turns the ancestor-recomputes-descendants recursion
+        linear.
         """
-        sig = self.__dict__.get("_signature")
+        sig = self._signature
         if sig is None:
             sig = (
                 self.node_id,
@@ -107,7 +113,7 @@ class EmbeddingNode:
                 ),
                 tuple(child.signature() for child in self.children),
             )
-            self.__dict__["_signature"] = sig
+            self._signature = sig
         return sig
 
 
@@ -194,38 +200,60 @@ def _chain_expansions(
     yield from recurse(context, path.steps)
 
 
+def _embed_step(
+    synopsis: GraphSynopsis, node_id: int, step: Step, max_depth: int
+) -> Optional[EmbeddingNode]:
+    """``step`` matched at ``node_id``, with its branch predicates
+    embedded; None when a branch predicate cannot embed there."""
+    embedded = EmbeddingNode(node_id, step.value_pred)
+    for branch in step.branches:
+        alternatives = _embed_branch(synopsis, node_id, branch, max_depth)
+        if not alternatives:
+            return None
+        embedded.branches.append(alternatives)
+    return embedded
+
+
+def _embed_chain(
+    synopsis: GraphSynopsis, chain: list[tuple[int, Step]], max_depth: int
+) -> Optional[tuple[EmbeddingNode, EmbeddingNode]]:
+    """A chain expansion as linked embedding nodes: (head, tail), or None
+    when a branch predicate along it cannot embed."""
+    head = tail = None
+    for node_id, step in chain:
+        embedded = _embed_step(synopsis, node_id, step, max_depth)
+        if embedded is None:
+            return None
+        if head is None:
+            head = embedded
+        else:
+            tail.children.append(embedded)
+        tail = embedded
+    return head, tail
+
+
 def _embed_branch(
     synopsis: GraphSynopsis,
     context: int,
     branch: Path,
     max_depth: int,
-    budget: EmbeddingBudget,
 ) -> list[EmbeddingNode]:
     """All alternative existential chains for a branch predicate."""
-    alternatives: list[EmbeddingNode] = []
+    steps = branch.steps
+    if len(steps) == 1 and steps[0].axis != DESCENDANT:
+        # one child step: its targets are the chains
+        step = steps[0]
+        alternatives = []
+        for target in synopsis.child_ids_with_tag(context, step.tag):
+            embedded = _embed_step(synopsis, target, step, max_depth)
+            if embedded is not None:
+                alternatives.append(embedded)
+        return alternatives
+    alternatives = []
     for chain in _chain_expansions(synopsis, context, branch, max_depth):
-        head: Optional[EmbeddingNode] = None
-        tail: Optional[EmbeddingNode] = None
-        valid = True
-        for node_id, step in chain:
-            embedded = EmbeddingNode(node_id, step.value_pred)
-            for nested in step.branches:
-                nested_alternatives = _embed_branch(
-                    synopsis, node_id, nested, max_depth, budget
-                )
-                if not nested_alternatives:
-                    valid = False
-                    break
-                embedded.branches.append(nested_alternatives)
-            if not valid:
-                break
-            if head is None:
-                head = embedded
-            else:
-                tail.children.append(embedded)
-            tail = embedded
-        if valid and head is not None:
-            alternatives.append(head)
+        built = _embed_chain(synopsis, chain, max_depth)
+        if built is not None:
+            alternatives.append(built[0])
     return alternatives
 
 
@@ -241,63 +269,105 @@ def enumerate_embeddings(
     embedding invalid (its estimate would be zero).  Enumeration stops at
     the budget's limit; check ``budget.truncated`` afterwards when you
     supplied one.
+
+    A twig node whose path is one child step (or the root's absolute
+    first step) takes its synopsis targets straight from the graph's
+    indexes; other paths go through :func:`_chain_expansions`.  A chain
+    is extended in place unless its children combine in more than one
+    way, and roots are deduplicated only when a ``//`` walk can build one
+    root twice (:func:`_roots_may_repeat`).
     """
     budget = budget or EmbeddingBudget()
 
     def embed_twig(node: TwigNode, context: Optional[int]) -> list[EmbeddingNode]:
         results: list[EmbeddingNode] = []
+        steps = node.path.steps
+        step = steps[0]
+        if len(steps) == 1 and (context is None or step.axis != DESCENDANT):
+            if context is None:
+                targets = [
+                    n.node_id for n in synopsis.nodes_with_tag(step.tag)
+                ]
+            else:
+                targets = synopsis.child_ids_with_tag(context, step.tag)
+            for target in targets:
+                if budget.full(len(results)):
+                    return results
+                head = _embed_step(synopsis, target, step, max_depth)
+                if head is not None and not attach(node, head, head, results):
+                    return results
+            return results
         for chain in _chain_expansions(synopsis, context, node.path, max_depth):
             if budget.full(len(results)):
                 return results
-            head: Optional[EmbeddingNode] = None
-            tail: Optional[EmbeddingNode] = None
-            valid = True
-            for node_id, step in chain:
-                embedded = EmbeddingNode(node_id, step.value_pred)
-                for branch in step.branches:
-                    alternatives = _embed_branch(
-                        synopsis, node_id, branch, max_depth, budget
-                    )
-                    if not alternatives:
-                        valid = False
-                        break
-                    embedded.branches.append(alternatives)
-                if not valid:
-                    break
-                if head is None:
-                    head = embedded
-                else:
-                    tail.children.append(embedded)
-                tail = embedded
-            if not valid or head is None:
-                continue
-            # Attach the twig node's children below the chain's last node.
-            child_sets: list[list[EmbeddingNode]] = []
-            ok = True
-            for child in node.children:
-                embedded_children = embed_twig(child, tail.node_id)
-                if not embedded_children:
-                    ok = False
-                    break
-                child_sets.append(embedded_children)
-            if not ok:
-                continue
-            for combination in _product(child_sets):
-                if budget.full(len(results)):
-                    return results
-                clone = _clone_chain(head)
-                clone_tail = clone
-                while clone_tail.children:
-                    clone_tail = clone_tail.children[0]
-                clone_tail.children.extend(combination)
-                results.append(clone)
+            built = _embed_chain(synopsis, chain, max_depth)
+            if built is not None and not attach(node, *built, results):
+                return results
         return results
 
+    def attach(
+        node: TwigNode,
+        head: EmbeddingNode,
+        tail: EmbeddingNode,
+        results: list[EmbeddingNode],
+    ) -> bool:
+        """Append one root per combination of the twig node's children
+        embedded below ``tail``; False once the budget stops enumeration.
+
+        The caller checked the budget for the first root.
+        """
+        if not node.children:
+            results.append(head)
+            return True
+        child_sets: list[list[EmbeddingNode]] = []
+        single = True
+        for child in node.children:
+            embedded_children = embed_twig(child, tail.node_id)
+            if not embedded_children:
+                return True
+            child_sets.append(embedded_children)
+            single = single and len(embedded_children) == 1
+        if single:
+            # one combination: the freshly built chain is the root
+            tail.children.extend([only for (only,) in child_sets])
+            results.append(head)
+            return True
+        for combination in _product(child_sets):
+            if budget.full(len(results)):
+                return False
+            clone = _clone_chain(head)
+            clone_tail = clone
+            while clone_tail.children:
+                clone_tail = clone_tail.children[0]
+            clone_tail.children.extend(combination)
+            results.append(clone)
+        return True
+
     roots = embed_twig(query.root, None)
+    if not _roots_may_repeat(query.root):
+        return [Embedding(root) for root in roots]
     unique: dict[tuple, Embedding] = {}
     for root in roots:
         unique.setdefault(root.signature(), Embedding(root))
     return list(unique.values())
+
+
+def _roots_may_repeat(root: TwigNode) -> bool:
+    """True when two chain expansions of the twig may build one root.
+
+    Child steps reach distinct targets, children combine distinctly, and
+    the root's first step matches each synopsis node once whatever its
+    axis; only a ``//`` walk elsewhere (walks of different lengths can
+    run over the same synopsis nodes) can repeat a root.
+    """
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        steps = node.path.steps[1:] if node is root else node.path.steps
+        if any(step.axis == DESCENDANT for step in steps):
+            return True
+        stack.extend(node.children)
+    return False
 
 
 def _product(sets: list[list[EmbeddingNode]]) -> Iterator[list[EmbeddingNode]]:
@@ -364,11 +434,17 @@ def _branch_path(synopsis: GraphSynopsis, chain: EmbeddingNode) -> Path:
 
 
 def validate_embedding(embedding: Embedding, synopsis: GraphSynopsis) -> None:
-    """Check that every embedding edge exists in the synopsis (tests)."""
-    for node in embedding.nodes():
-        for child in node.children:
+    """Check that every embedding edge exists in the synopsis (tests):
+    edges to children and to branch chain heads, along every branch
+    chain and inside nested branches."""
+    stack = [embedding.root]
+    while stack:
+        node = stack.pop()
+        heads = [head for chains in node.branches for head in chains]
+        for child in node.children + heads:
             if synopsis.edge(node.node_id, child.node_id) is None:
                 raise EstimationError(
                     f"embedding uses missing edge "
                     f"{node.node_id}->{child.node_id}"
                 )
+            stack.append(child)

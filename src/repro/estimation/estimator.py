@@ -150,6 +150,26 @@ def _read_set(root: EmbeddingNode) -> tuple[frozenset, frozenset]:
     return frozenset(nodes), frozenset(edges)
 
 
+class SketchFacts:
+    """Caches over one sketch's static facts, filled as estimates read them.
+
+    Node labels, average child counts and positive-count probabilities per
+    edge, and marginals keyed by ``(id(histogram), kept dims)`` holding
+    ``(histogram, marginal points, dim -> position)``: holding the
+    histogram keeps its id unique, and refinements replace histograms,
+    never change them.  Every value depends on the sketch alone, so
+    estimators over one unchanged sketch may share a holder (the serving
+    tier keeps one per registered sketch); concurrent fills of one key
+    store equal values.
+    """
+
+    def __init__(self) -> None:
+        self.labels: dict[int, str] = {}
+        self.averages: dict[tuple[int, int], float] = {}
+        self.positives: dict[tuple[int, int], float] = {}
+        self.marginals: dict[tuple, tuple] = {}
+
+
 class TwigEstimator:
     """Estimates twig-query selectivities over one :class:`TwigXSketch`.
 
@@ -164,6 +184,8 @@ class TwigEstimator:
             call returns, so one estimator is not shared between threads.
         explain: optional :class:`~repro.obs.explain.ExplainRecorder`
             capturing the expansion trail and histogram lookups.
+        facts: the :class:`SketchFacts` of ``sketch`` to read and fill;
+            by default the estimator keeps its own.
     """
 
     def __init__(
@@ -175,6 +197,7 @@ class TwigEstimator:
         *,
         metrics: Optional[MetricsRegistry] = None,
         explain: Optional[ExplainRecorder] = None,
+        facts: Optional[SketchFacts] = None,
     ):
         self.sketch = sketch
         self.max_depth = max_depth
@@ -189,16 +212,11 @@ class TwigEstimator:
         #: for a derived estimator: its recording base and the changes
         self._base: Optional[TwigEstimator] = None
         self._changes: Optional[SketchChanges] = None
-        # per-instance caches over static synopsis facts (the sketch is
-        # immutable for the estimator's lifetime): node labels, average
-        # child counts, and positive-count probabilities per edge
-        self._label_cache: dict[int, str] = {}
-        self._average_cache: dict[tuple[int, int], float] = {}
-        self._positive_cache: dict[tuple[int, int], float] = {}
-        #: (id(histogram), kept dims) -> (histogram, marginal points,
-        #: dim -> position); holding the histogram keeps its id unique,
-        #: and refinements replace histograms, never change them
-        self._marginals: dict[tuple, tuple] = {}
+        facts = facts if facts is not None else SketchFacts()
+        self._label_cache = facts.labels
+        self._average_cache = facts.averages
+        self._positive_cache = facts.positives
+        self._marginals = facts.marginals
         self._lookups = (
             None
             if metrics is None

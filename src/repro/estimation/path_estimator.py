@@ -25,7 +25,6 @@ from ..obs.metrics import MetricsRegistry
 from ..query.ast import Path, TwigNode, TwigQuery
 from ..synopsis.summary import TwigXSketch
 from .embeddings import DEFAULT_MAX_DESCENDANT_DEPTH, _chain_expansions, _embed_branch
-from .embeddings import EmbeddingBudget
 from .estimator import TwigEstimator, _safe_ratio
 
 
@@ -115,7 +114,7 @@ class PathEstimator:
                 )
             for branch in step.branches:
                 alternatives = _embed_branch(
-                    graph, node_id, branch, self.max_depth, EmbeddingBudget()
+                    graph, node_id, branch, self.max_depth
                 )
                 if not alternatives:
                     reached = 0.0

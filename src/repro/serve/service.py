@@ -39,7 +39,12 @@ registered sketch keeps the last :data:`ANSWER_CACHE_SIZE` accepted
 ``twig`` answers, keyed by query text.  Entries are only ever stored
 after the answer passed the finiteness gate, requests carrying an
 ``explain=`` recorder bypass the cache (their trail must show the full
-estimation), and re-registering a name starts an empty cache.
+estimation), and re-registering a name starts an empty cache.  A miss
+builds a fresh :class:`~repro.estimation.estimator.TwigEstimator` over
+the entry's :class:`~repro.estimation.estimator.SketchFacts`, so the
+sketch's static facts (average child counts, positive-count
+probabilities, marginals) are computed once per registration, not once
+per request.
 
 The service never raises for estimation failures; only caller mistakes
 (unknown sketch name, invalid registration) raise
@@ -62,7 +67,7 @@ from ..errors import (
     ServiceError,
     SynopsisIntegrityError,
 )
-from ..estimation import PathEstimator, TwigEstimator
+from ..estimation import PathEstimator, SketchFacts, TwigEstimator
 from ..obs import explain as _explain
 from ..obs.explain import ExplainRecorder
 from ..obs.metrics import MetricsRegistry, default_registry
@@ -126,8 +131,9 @@ class EstimateResponse:
 @dataclass
 class _Entry:
     """One registered sketch with its per-tier circuit breakers, its
-    answer cache (query text -> accepted twig estimate, LRU order), and
-    the breaker states last written to the gauges.
+    answer cache (query text -> accepted twig estimate, LRU order), the
+    sketch's static facts every twig estimate on it shares, and the
+    breaker states last written to the gauges.
 
     ``lock`` guards the cache, ``exported`` and ``retired``; an entry is
     retired once unregistered or replaced, and then exports nothing."""
@@ -137,6 +143,7 @@ class _Entry:
     baseline: Optional[CSTEstimator]
     breakers: dict[str, CircuitBreaker] = field(default_factory=dict)
     answers: OrderedDict = field(default_factory=OrderedDict)
+    facts: SketchFacts = field(default_factory=SketchFacts)
     lock: threading.Lock = field(default_factory=threading.Lock)
     exported: dict[str, str] = field(default_factory=dict)
     retired: bool = False
@@ -629,6 +636,7 @@ class EstimatorService:
                     max_embeddings=self.max_embeddings,
                     metrics=self.metrics,
                     explain=explain,
+                    facts=entry.facts,
                 ).estimate(query),
                 tier,
             )

@@ -1,9 +1,11 @@
 """Tests for the robust estimation service (repro.serve)."""
 
+import gc
 import json
 import math
 import sys
 import threading
+import weakref
 
 import pytest
 
@@ -12,6 +14,7 @@ from repro.build import xbuild
 from repro.datasets import generate_imdb
 from repro.errors import ServiceError, SynopsisError, SynopsisIntegrityError
 from repro.estimation import TwigEstimator
+from repro.histogram import ops
 from repro.obs import ExplainRecorder, MetricsRegistry
 from repro.obs.metrics import Gauge
 from repro.query import parse_for_clause, parse_path, twig
@@ -31,6 +34,7 @@ from repro.serve import service as service_module
 from repro.serve.service import _primary_chain
 from repro.synopsis import (
     TwigXSketch,
+    XSketchConfig,
     load_sketch,
     save_sketch,
     sketch_to_dict,
@@ -620,6 +624,162 @@ class TestAnswerCache:
         assert response.estimate == expected.estimate
         assert warm.events == cold.events
         assert len(warm.events) > 2
+
+
+class TestSharedFacts:
+    """Every twig estimate on one registered sketch reads and fills the
+    entry's SketchFacts, and answers exactly as a fresh estimator."""
+
+    @pytest.fixture(scope="class")
+    def queries(self, tree):
+        spec = WorkloadSpec(seed=11, value_predicates=True)
+        load = WorkloadGenerator(tree, spec).positive_workload(16)
+        return list({e.query.text(): e.query for e in load.queries}.values())
+
+    @pytest.fixture(scope="class")
+    def sketches(self, tree, sketch):
+        return {
+            "built": sketch,
+            "coarsest": TwigXSketch.coarsest(tree),
+            "full": TwigXSketch.coarsest(tree, XSketchConfig.full()),
+        }
+
+    @staticmethod
+    def fresh(sketch, queries, metrics=None):
+        return [
+            TwigEstimator(sketch, metrics=metrics).estimate(query)
+            for query in queries
+        ]
+
+    def test_interleaved_sketches_answer_as_fresh_estimators(
+        self, sketches, queries, monkeypatch
+    ):
+        expected = {
+            name: self.fresh(sketch, queries)
+            for name, sketch in sketches.items()
+        }
+        service = EstimatorService()
+        for name, sketch in sketches.items():
+            service.register(name, sketch)
+        marginalized = []
+        original = ops.marginalize
+        monkeypatch.setattr(
+            ops,
+            "marginalize",
+            lambda *args: marginalized.append(1) or original(*args),
+        )
+        answers = {name: [] for name in sketches}
+        for query in queries:
+            for name in sketches:
+                response = service.estimate(name, query)
+                assert response.source == TIER_TWIG
+                answers[name].append(response.estimate)
+        assert answers == expected
+        facts = [service._entry(name).facts for name in sketches]
+        assert len({id(f) for f in facts}) == 3
+        assert all(f.averages for f in facts)
+        # a (histogram, kept dims) is marginalized at most once per
+        # sketch, where per-query estimators repeat the work
+        shared = len(marginalized)
+        marginalized.clear()
+        for name, sketch in sketches.items():
+            self.fresh(sketch, queries)
+        assert shared <= sum(len(f.marginals) for f in facts)
+        assert shared < len(marginalized)
+
+    def test_replaced_sketch_never_reads_the_old_facts(
+        self, tree, sketches, queries
+    ):
+        service = EstimatorService()
+        service.register("s", sketches["built"])
+        for query in queries:
+            service.estimate("s", query)
+        old = service._entry("s").facts
+        assert old.averages
+        service.register("s", sketches["full"], replace=True)
+        assert service._entry("s").facts is not old
+
+        class Poisoned(dict):
+            def get(self, *args):
+                raise AssertionError("read the replaced sketch's facts")
+
+        for name in ("labels", "averages", "positives", "marginals"):
+            setattr(old, name, Poisoned())
+        responses = [service.estimate("s", query) for query in queries]
+        assert all(r.source == TIER_TWIG for r in responses)
+        assert [r.estimate for r in responses] == self.fresh(
+            sketches["full"], queries
+        )
+
+    def test_unregister_drops_the_facts(self, sketches, queries):
+        service = EstimatorService()
+        service.register("s", sketches["built"])
+        for query in queries:
+            service.estimate("s", query)
+        facts = weakref.ref(service._entry("s").facts)
+        assert facts() is not None
+        service.unregister("s")
+        gc.collect()
+        assert facts() is None
+
+    def test_threads_answer_as_fresh_estimators(self, sketches, queries):
+        """Four threads (more than the reference host's cores) fill one
+        holder at a short switch interval; every answer is a fresh
+        estimator's."""
+        sketch = sketches["built"]
+        expected = dict(zip((q.text() for q in queries),
+                            self.fresh(sketch, queries)))
+        service = EstimatorService()
+        service.register("s", sketch)
+        answers = {}
+        errors = []
+
+        def worker(share):
+            try:
+                for query in share:
+                    answers[query.text()] = service.estimate(
+                        "s", query
+                    ).estimate
+            except Exception as exc:  # pragma: no cover - failure detail
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=worker, args=(queries[i::4],))
+            for i in range(4)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert answers == expected
+
+    def test_lookup_counts_match_per_request_estimators(
+        self, sketches, queries
+    ):
+        sketch = sketches["built"]
+        served = MetricsRegistry()
+        service = EstimatorService(metrics=served)
+        service.register("s", sketch)
+        for query in queries:
+            service.estimate("s", query)
+        alone = MetricsRegistry()
+        self.fresh(sketch, queries, metrics=alone)
+
+        def lookups(registry):
+            counter = registry.get("estimator_lookups_total")
+            return sorted(
+                (labels["kind"], value) for labels, value in counter.series()
+            )
+
+        assert lookups(served) == lookups(alone)
+        assert len(lookups(alone)) >= 3
 
 
 class TestPrimaryChain:
