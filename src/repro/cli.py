@@ -23,10 +23,8 @@ Commands:
 * ``serve-eval`` — run a workload through the graceful-degradation
   :class:`~repro.serve.EstimatorService` and report per-tier counts,
   latency, per-request warnings, and final breaker states;
-  ``--batch`` serves the workload through ``submit_batch`` and
-  ``--workers N`` routes requests through the queued
-  :class:`~repro.serve.ServePool`; ``--metrics-json PATH``
-  additionally exports a machine-readable ``repro.obs/serve-eval-v1``
+  ``--batch`` serves the workload through ``submit_batch``;
+  ``--metrics-json PATH`` additionally exports a machine-readable ``repro.obs/serve-eval-v1``
   envelope (``-`` = stdout);
 * ``trace-report FILE`` — aggregate a ``--trace`` JSONL file into
   per-span-kind timings (count/total/self/mean/max) and the critical
@@ -76,7 +74,7 @@ from .obs import (
     write_export,
 )
 from .query import count_bindings, parse_for_clause, parse_path, twig
-from .serve import EstimatorService, ServePool
+from .serve import EstimatorService
 from .synopsis import (
     TwigXSketch,
     error_violations,
@@ -304,20 +302,7 @@ def cmd_serve_eval(args) -> int:
     spec = WorkloadSpec(seed=args.seed)
     load = WorkloadGenerator(tree, spec).positive_workload(args.queries)
     queries = [entry.query for entry in load.queries]
-    if args.workers > 1:
-        # route through the queued worker-pool front-end
-        with ServePool(service, workers=args.workers) as pool:
-            if args.batch:
-                responses = pool.submit_batch(
-                    "default", queries, deadline=args.deadline
-                ).result()
-            else:
-                futures = [
-                    pool.submit("default", q, deadline=args.deadline)
-                    for q in queries
-                ]
-                responses = [future.result() for future in futures]
-    elif args.batch:
+    if args.batch:
         responses = service.submit_batch(
             "default", queries, deadline=args.deadline
         )
@@ -551,9 +536,6 @@ def build_parser() -> argparse.ArgumentParser:
                                  "building one")
     serve_eval.add_argument("--deadline", type=float, default=None,
                             help="per-request wall-clock budget in seconds")
-    serve_eval.add_argument("--workers", type=int, default=1,
-                            help="serve through a queued worker pool of "
-                                 "N threads (see repro.serve.ServePool)")
     serve_eval.add_argument("--batch", action="store_true",
                             help="serve the workload in one submit_batch "
                                  "call (answers equal per-query ones)")

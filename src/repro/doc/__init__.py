@@ -6,11 +6,9 @@ Public surface:
   model;
 * :func:`parse_string`, :func:`parse_file` — XML → tree;
 * :func:`serialize`, :func:`write_file`, :func:`text_size_bytes` — tree → XML;
-* :class:`DocumentIndex` — per-tag / per-path lookups;
 * :func:`document_stats`, :class:`DocumentStats` — Table 1 characteristics.
 """
 
-from .index import DocumentIndex
 from .node import ATTRIBUTE_PREFIX, DocumentNode, Value
 from .parser import TEXT_TAG, coerce_value, parse_file, parse_string
 from .serializer import serialize, text_size_bytes, write_file
@@ -20,7 +18,6 @@ from .tree import DocumentTree, build_tree, subtree_size
 __all__ = [
     "ATTRIBUTE_PREFIX",
     "TEXT_TAG",
-    "DocumentIndex",
     "DocumentNode",
     "DocumentStats",
     "DocumentTree",

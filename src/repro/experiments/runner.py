@@ -20,9 +20,7 @@ from typing import Optional, Sequence
 from ..build.xbuild import XBuild
 from ..datasets import generate_imdb, generate_sprot, generate_xmark
 from ..doc.tree import DocumentTree
-from ..errors import ResourceLimitError
 from ..estimation.estimator import TwigEstimator
-from ..resilience.retry import RetryPolicy, retry
 from ..synopsis.summary import TwigXSketch, XSketchConfig
 from ..workload.generator import Workload, WorkloadGenerator, WorkloadSpec
 from ..workload.metrics import average_relative_error
@@ -193,8 +191,6 @@ def run_suite(
     config: ExperimentConfig = DEFAULT_CONFIG,
     *,
     deadline: Optional[float] = None,
-    retry_policy: Optional[RetryPolicy] = None,
-    retry_seed: int = 17,
 ) -> SuiteResult:
     """Build every (dataset, workload, sweep) artifact with fault isolation.
 
@@ -210,27 +206,18 @@ def run_suite(
         deadline: per-sweep wall-clock budget in seconds; an overrun
             truncates that sweep (recorded in ``result.truncated``)
             rather than failing it.
-        retry_policy: when given, each stage is retried per the policy
-            (transient failures cost a retry, not the entry).
-        retry_seed: seed for the retry backoff jitter.
     """
     result = SuiteResult()
 
     def guarded(dataset_name: str, stage: str, thunk):
         """Run one stage isolated; returns (value, ok)."""
-        runner = thunk
-        if retry_policy is not None:
-            runner = retry(retry_policy, seed=retry_seed)(thunk)
         try:
-            return runner(), True
-        except ResourceLimitError as error:
-            # deadlines on the sweep path are handled by XBuild itself
-            # (truncated result); reaching here means a stage without a
-            # recovery path overran — record it like any other failure
-            result.errors.append(
-                SuiteError(dataset_name, stage, type(error).__name__, str(error))
-            )
+            return thunk(), True
         except Exception as error:  # noqa: BLE001 - isolation boundary
+            # deadlines on the sweep path are handled by XBuild itself
+            # (truncated result); a ResourceLimitError reaching here means
+            # a stage without a recovery path overran — recorded like any
+            # other failure
             result.errors.append(
                 SuiteError(dataset_name, stage, type(error).__name__, str(error))
             )

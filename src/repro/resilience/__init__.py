@@ -1,4 +1,4 @@
-"""Resilience layer: budgets, retry, fault injection, checkpoint/resume.
+"""Resilience layer: budgets, fault injection, checkpoint/resume.
 
 The long-running paths of this repository — XBUILD's greedy construction
 loop, document ingestion, the experiment harness — were written for the
@@ -6,8 +6,6 @@ happy path.  This package gives them a shared failure-handling substrate:
 
 * :mod:`~repro.resilience.guards` — :class:`Budget`: wall-clock deadline,
   step, recursion-depth, and size limits behind cheap check calls;
-* :mod:`~repro.resilience.retry` — deterministic seeded
-  retry-with-backoff (:class:`RetryPolicy`, :func:`retry`);
 * :mod:`~repro.resilience.checkpoint` — :class:`BuildCheckpoint` and the
   replay-based resume protocol for XBUILD;
 * :mod:`~repro.resilience.faults` — seeded :class:`FaultPlan` injection
@@ -44,12 +42,9 @@ from .faults import (
     fault_check,
 )
 from .guards import Budget
-from .retry import RetryPolicy, retry
 
 __all__ = [
     "Budget",
-    "RetryPolicy",
-    "retry",
     "Fault",
     "FaultPlan",
     "fault_check",

@@ -1,7 +1,7 @@
 """Seeded fault injection for testing recovery paths.
 
 Every recovery path in the resilience layer — checkpoint resume, lenient
-parsing, suite isolation, retry — must be *provable*, which requires
+parsing, suite isolation — must be *provable*, which requires
 failing the guarded code on demand at a precise point.  This module
 instruments the library's failure-prone sites with ``fault_check(site)``
 calls (no-ops in production: one global ``is None`` test) and lets tests

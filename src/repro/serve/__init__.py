@@ -5,16 +5,16 @@
   graceful-degradation cascade (twig → path → cst → uniform prior);
 * :class:`EstimateResponse` — the response envelope: estimate, source
   tier, latency, and the warnings accumulated while degrading;
-* :class:`CircuitBreaker` — the consecutive-failure trip switch;
-* :class:`ServePool` — a bounded-queue worker-pool front-end with
-  load shedding and an asyncio adapter (:mod:`repro.serve.pool`).
+* :class:`CircuitBreaker` — the consecutive-failure trip switch.
+
+Callers that want concurrency call the service from their own threads:
+the registry, caches and breakers are lock-protected.
 
 See README.md "Robustness" and DESIGN.md S23 for the invariants and the
 cascade contract.
 """
 
 from .circuit import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
-from .pool import ServePool
 from .service import (
     DEFAULT_UNIFORM_PRIOR,
     FALLBACK_TIERS,
@@ -35,7 +35,6 @@ __all__ = [
     "FALLBACK_TIERS",
     "HALF_OPEN",
     "OPEN",
-    "ServePool",
     "TIER_CST",
     "TIER_PATH",
     "TIER_TWIG",

@@ -19,7 +19,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..doc.index import DocumentIndex
 from ..doc.node import DocumentNode
 from ..doc.tree import DocumentTree
 from ..errors import WorkloadError
@@ -90,7 +89,12 @@ class WorkloadGenerator:
         self.tree = tree
         self.spec = spec or WorkloadSpec()
         self.rng = random.Random(self.spec.seed)
-        self.index = DocumentIndex(tree)
+        # (parent tag, child tag) pairs realized by some document edge
+        self._tag_pairs = {
+            (node.tag, child.tag)
+            for node in tree.iter_nodes()
+            for child in node.children
+        }
         self._internal = [
             node for node in tree.iter_nodes() if len(node.children) >= 2
         ]
@@ -134,8 +138,9 @@ class WorkloadGenerator:
         """Generate ``count`` queries with true selectivity zero.
 
         Each query takes a positive skeleton and retargets one leaf step at
-        a tag that never appears under its parent tag (verified through the
-        document's tag-pair index), so the zero count needs no evaluation.
+        a tag that never appears under its parent tag (verified against the
+        document's parent/child tag pairs), so the zero count needs no
+        evaluation.
         """
         workload = Workload(name)
         all_tags = list(self.tree.tags)
@@ -293,7 +298,7 @@ class WorkloadGenerator:
             impossible = [
                 tag
                 for tag in all_tags
-                if not self.index.has_pair(parent_tag, tag)
+                if (parent_tag, tag) not in self._tag_pairs
             ]
             if not impossible:
                 continue

@@ -204,7 +204,7 @@ class TestObservability:
 
 class TestParallelFlags:
     def test_build_with_workers(self, tmp_path, capsys):
-        """``build`` scores serially; ``--workers`` is a serve-eval flag."""
+        """``build`` scores serially and has no ``--workers`` flag."""
         out_path = tmp_path / "build.json"
         code = main([
             "build", "--dataset", "paperfig", "--budget", "2",
@@ -228,15 +228,18 @@ class TestParallelFlags:
         )
         assert hits > 0
 
-    def test_serve_eval_batch_with_pool(self, capsys):
+    def test_serve_eval_batch(self, capsys):
+        """``serve-eval`` serves in the calling thread; it has no
+        ``--workers`` flag."""
         code = main([
             "serve-eval", "--dataset", "paperfig",
-            "--budget", "2", "--queries", "4",
-            "--batch", "--workers", "2",
+            "--budget", "2", "--queries", "4", "--batch",
         ])
         assert code == 0
         out = capsys.readouterr().out
         assert "breakers:" in out and "twig=closed" in out
+        with pytest.raises(SystemExit):
+            main(["serve-eval", "--dataset", "paperfig", "--workers", "2"])
 
 
 class TestTraceReport:

@@ -10,7 +10,7 @@ from repro.datasets import (
     generate_xmark,
     movie_document,
 )
-from repro.doc import DocumentIndex, document_stats
+from repro.doc import document_stats
 from repro.query import count_bindings, parse_for_clause
 
 
@@ -101,9 +101,9 @@ class TestImdbCorrelations:
         assert mean_top > 2 * mean_nested
 
     def test_structural_markers(self, imdb):
-        index = DocumentIndex(imdb)
-        assert index.has_pair("movie", "narrator")
-        assert index.has_pair("movie", "stunts")
+        movies = imdb.extent("movie")
+        assert any(m.child_count("narrator") for m in movies)
+        assert any(m.child_count("stunts") for m in movies)
 
     def test_intro_query_selectivity_gap(self, imdb):
         action = parse_for_clause(
@@ -138,10 +138,8 @@ class TestXmarkRegularity:
             for p in xmark.extent("parlist")
         )
         assert nested_parlist
-        from repro.doc import DocumentIndex
-
-        index = DocumentIndex(xmark)
-        assert len(index.label_paths) > 300  # many distinct label paths
+        label_paths = {node.label_path() for node in xmark.iter_nodes()}
+        assert len(label_paths) > 300  # many distinct label paths
 
     def test_four_populations_present(self, xmark):
         for tag in ["item", "person", "open_auction", "closed_auction"]:

@@ -1,4 +1,4 @@
-"""Tests for repro.resilience: budgets, retry, fault injection, and the
+"""Tests for repro.resilience: budgets, fault injection, and the
 XBUILD checkpoint/resume protocol (resume must be bit-identical)."""
 
 import gc
@@ -39,12 +39,10 @@ from repro.resilience import (
     BuildCheckpoint,
     Fault,
     FaultPlan,
-    RetryPolicy,
     fault_check,
     load_checkpoint,
     refinement_from_dict,
     refinement_to_dict,
-    retry,
     save_checkpoint,
 )
 from repro.resilience.checkpoint import config_signature, tree_fingerprint
@@ -134,94 +132,6 @@ class TestBudget:
     def test_context_manager_returns_self(self):
         with Budget(max_steps=1) as budget:
             assert isinstance(budget, Budget)
-
-
-# ----------------------------------------------------------------------
-# retry
-# ----------------------------------------------------------------------
-class TestRetry:
-    def test_retries_then_succeeds(self):
-        calls = []
-        sleeps = []
-
-        @retry(RetryPolicy(attempts=3), sleep=sleeps.append)
-        def flaky():
-            calls.append(1)
-            if len(calls) < 3:
-                raise BuildError("transient")
-            return "ok"
-
-        assert flaky() == "ok"
-        assert len(calls) == 3
-        assert len(sleeps) == 2
-
-    def test_deterministic_delays(self):
-        def delays_of(run):
-            sleeps = []
-            attempts = []
-
-            @retry(RetryPolicy(attempts=4), seed=7, sleep=sleeps.append)
-            def always_fails():
-                attempts.append(run)
-                raise BuildError("nope")
-
-            with pytest.raises(BuildError):
-                always_fails()
-            return sleeps
-
-        assert delays_of(1) == delays_of(2)
-
-    def test_give_up_on_deadline(self):
-        calls = []
-
-        @retry(RetryPolicy(attempts=5), sleep=lambda s: None)
-        def doomed():
-            calls.append(1)
-            raise DeadlineExceeded("out of time")
-
-        with pytest.raises(DeadlineExceeded):
-            doomed()
-        assert len(calls) == 1
-
-    def test_non_retryable_propagates_immediately(self):
-        calls = []
-
-        @retry(RetryPolicy(attempts=5), sleep=lambda s: None)
-        def broken():
-            calls.append(1)
-            raise ValueError("a bug, not a library failure")
-
-        with pytest.raises(ValueError):
-            broken()
-        assert len(calls) == 1
-
-    def test_exhausted_attempts_reraise(self):
-        @retry(RetryPolicy(attempts=2, base_delay=0.0), sleep=lambda s: None)
-        def always_fails():
-            raise BuildError("persistent")
-
-        with pytest.raises(BuildError, match="persistent"):
-            always_fails()
-
-    def test_policy_validation(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(attempts=0)
-
-    def test_on_retry_observer(self):
-        seen = []
-
-        @retry(
-            RetryPolicy(attempts=2),
-            sleep=lambda s: None,
-            on_retry=lambda i, err, delay: seen.append((i, str(err))),
-        )
-        def flaky():
-            if not seen:
-                raise BuildError("first")
-            return "ok"
-
-        assert flaky() == "ok"
-        assert seen == [(1, "first")]
 
 
 # ----------------------------------------------------------------------
@@ -599,26 +509,6 @@ class TestRunSuite:
         # the healthy dataset still produced everything
         assert "tiny" in result.sweeps
         assert ("tiny", "P") in result.workloads
-
-    def test_retry_recovers_transient_failure(self, monkeypatch):
-        attempts = []
-
-        def flaky(scale, seed=0):
-            attempts.append(1)
-            if len(attempts) == 1:
-                raise BuildError("transient")
-            return generate_imdb(scale, seed=seed)
-
-        monkeypatch.setitem(GENERATORS, "flaky", flaky)
-        result = run_suite(
-            ("flaky",),
-            kinds=("P",),
-            config=TINY,
-            retry_policy=RetryPolicy(attempts=2, base_delay=0.0, jitter=0.0),
-        )
-        assert len(attempts) == 2
-        assert result.errors == []
-        assert "flaky" in result.sweeps
 
     def test_deadline_truncates_sweep_not_suite(self, monkeypatch):
         monkeypatch.setitem(GENERATORS, "slowpoke", generate_imdb)

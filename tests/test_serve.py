@@ -24,7 +24,6 @@ from repro.serve import (
     OPEN,
     CircuitBreaker,
     EstimatorService,
-    ServePool,
     TIER_CST,
     TIER_PATH,
     TIER_TWIG,
@@ -360,6 +359,17 @@ class TestCircuitBreaker:
             CircuitBreaker(5, cooldown=0)
 
 
+def _in_threads(count, target):
+    """Run ``target(index)`` on ``count`` threads and wait for them."""
+    threads = [
+        threading.Thread(target=target, args=(index,))
+        for index in range(count)
+    ]
+    for thread in threads:
+        thread.start()
+    return threads
+
+
 def _breaker_gauges(registry):
     """(sketch, tier) -> {state: value} from the registry's gauges."""
     gauges = {}
@@ -465,8 +475,8 @@ class TestBreakerGauges:
         assert len(sets) == 9
 
     def test_pool_threads_leave_the_latest_states(self, sketch):
-        """Under concurrent responses with states changing, the gauges
-        end at the states after the last response."""
+        """Under responses from several threads with states changing, the
+        gauges end at the states after the last response."""
         clock = FakeClock()
         service = EstimatorService(
             failure_threshold=2, cooldown=2.0, clock=clock,
@@ -474,18 +484,25 @@ class TestBreakerGauges:
         )
         service.register("bad", _poisoned(sketch), validate=False)
         query = parse_for_clause("for m in movie, a in m/actor")
+        responses = []
+
+        def serve(_index):
+            for _ in range(10):
+                responses.append(service.estimate("bad", query))
+
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            with ServePool(service, workers=4) as pool:
-                futures = [pool.submit("bad", query) for _ in range(40)]
-                for _ in range(40):
-                    clock.advance(1.0)  # circuits turn half-open, reopen
-                    service.estimate("bad", query)
-                for future in futures:
-                    assert future.result(30).source == TIER_UNIFORM
+            threads = _in_threads(4, serve)
+            for _ in range(40):
+                clock.advance(1.0)  # circuits turn half-open, reopen
+                service.estimate("bad", query)
+            for thread in threads:
+                thread.join(30)
         finally:
             sys.setswitchinterval(interval)
+        assert len(responses) == 40
+        assert all(r.source == TIER_UNIFORM for r in responses)
         entry = service._entry("bad")
         expected = {tier: b.state for tier, b in entry.breakers.items()}
         gauges = _breaker_gauges(service.metrics)
@@ -560,13 +577,20 @@ class TestAnswerCache:
         )
         repeated = answers([service.estimate("imdb", q) for q in queries])
         batched = answers(service.submit_batch("imdb", queries + queries))
-        with ServePool(service, workers=8) as pool:
-            futures = [pool.submit("imdb", q) for q in queries * 4]
-            pooled = answers([future.result(30) for future in futures])
+        work = queries * 4
+        served = [None] * len(work)
+
+        def serve(offset):
+            for index in range(offset, len(work), 8):
+                served[index] = service.estimate("imdb", work[index])
+
+        for thread in _in_threads(8, serve):
+            thread.join(30)
+        threaded = answers(served)
         assert cold == expected
         assert repeated == expected
         assert batched == expected + expected
-        assert pooled == expected * 4
+        assert threaded == expected * 4
 
     def test_replaced_sketch_starts_an_empty_cache(self, tree, sketch,
                                                    queries):
