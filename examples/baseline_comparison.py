@@ -56,8 +56,7 @@ def main() -> None:
         / max(1, row[0].true_count),
     )
     for entry, cst_estimate, xsketch_estimate in scored[:3]:
-        flat = " | ".join(line.strip() for line in entry.query.text().splitlines())
-        print(f"  {flat}")
+        print(f"  {entry.query.text()}")
         print(
             f"    true {entry.true_count:>8,}   "
             f"CST {cst_estimate:>10,.0f}   XSKETCH {xsketch_estimate:>10,.0f}"

@@ -396,8 +396,9 @@ class ValueSplit(Refinement):
         if not part or len(part) == node.count:
             raise BuildError(
                 f"value-split of #{self.node_id} on "
-                f"{self.child_tag or 'value'}{self.predicate.text()} is not "
-                f"a proper partition ({len(part)} of {node.count} elements)"
+                f"{self.child_tag or 'value'}{_trail_text(self.predicate)} "
+                f"is not a proper partition ({len(part)} of {node.count} "
+                f"elements)"
             )
         refined = sketch.copy()
         first, _ = refined.split_node(self.node_id, part)
@@ -428,7 +429,16 @@ class ValueSplit(Refinement):
 
     def describe(self) -> str:
         where = self.child_tag or "value"
-        return f"value-split @{self.node_id} {where}{self.predicate.text()}"
+        predicate = _trail_text(self.predicate)
+        return f"value-split @{self.node_id} {where}{predicate}"
+
+
+def _trail_text(predicate: ValuePredicate) -> str:
+    """The predicate as build trails write it, bounds unquoted (recorded
+    trails and checkpoints keep this form; query text quotes strings)."""
+    if predicate.op == "range":
+        return f"{{{predicate.value}..{predicate.high}}}"
+    return f"{{{predicate.op}{predicate.value}}}"
 
 
 #: Everything XBUILD may propose, in the paper's presentation order.

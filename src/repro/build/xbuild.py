@@ -15,9 +15,11 @@ Determinism: all randomness flows from the ``seed`` argument, so a given
 (document, budget, seed) triple always builds the same synopsis.
 
 Candidates are scored serially, in pool order, in one process.  A
-cross-round truth cache keyed by query text
-(``build_oracle_cache_total{outcome=hit|miss}``) is the build's only truth
-cache: the oracle is asked once per distinct sampled query.
+cross-round truth cache keyed by ``TwigQuery.key``
+(``build_oracle_cache_total{outcome=hit|miss}``) is the build's only
+truth cache: the oracle is asked once per structurally distinct sampled
+query, and two queries that differ only in a bound's type (``1``
+against ``"1"``) get a truth each.
 
 Resilience (:mod:`repro.resilience`): a build can carry a wall-clock
 ``deadline`` (or a full :class:`~repro.resilience.guards.Budget`), write a
@@ -208,8 +210,8 @@ class XBuild:
         self.sample_queries = sample_queries
         self.max_candidates = max_candidates
         self.oracle = oracle if oracle is not None else ExactOracle(tree)
-        #: cross-round truth cache: query text -> exact count
-        self._truth_cache: dict[str, float] = {}
+        #: cross-round truth cache: query key -> exact count
+        self._truth_cache: dict[tuple, float] = {}
         #: value-split proposals and value-expand sources per node id,
         #: reused across rounds
         self._value_memo: dict[int, ValueProposals] = {}
@@ -430,13 +432,12 @@ class XBuild:
         """
         truths = []
         for query in queries:
-            text = query.text()
-            cached = self._truth_cache.get(text)
+            cached = self._truth_cache.get(query.key)
             if cached is None:
                 self._oracle_cache.inc(outcome="miss")
                 self._oracle_calls.inc()
                 cached = self.oracle.true_count(query)
-                self._truth_cache[text] = cached
+                self._truth_cache[query.key] = cached
             else:
                 self._oracle_cache.inc(outcome="hit")
             truths.append(cached)

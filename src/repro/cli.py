@@ -115,10 +115,6 @@ def _open_tracer(path):
     return SpanTracer(sink), sink
 
 
-def _flat_query(query) -> str:
-    return " | ".join(line.strip() for line in query.text().splitlines())
-
-
 def _breakers_from_registry(registry, sketch: str) -> dict:
     """Final breaker states, read back from ``serve_breaker_state`` gauges."""
     states: dict = {}
@@ -237,10 +233,7 @@ def cmd_workload(args) -> int:
     print(f"avg fanout: {load.average_fanout():.2f}")
     if args.show:
         for entry in load.queries[: args.show]:
-            flat = " | ".join(
-                line.strip() for line in entry.query.text().splitlines()
-            )
-            print(f"  [{entry.true_count:>8,}] {flat}")
+            print(f"  [{entry.true_count:>8,}] {entry.query.text()}")
     return 0
 
 
@@ -322,7 +315,7 @@ def cmd_serve_eval(args) -> int:
         warnings += len(response.warnings)
         latency += response.latency
         requests.append({
-            "query": _flat_query(entry.query),
+            "query": entry.query.text(),
             "estimate": response.estimate,
             "tier": response.source,
             "latency": response.latency,

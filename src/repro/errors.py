@@ -80,10 +80,10 @@ class WorkloadError(ReproError):
 
 
 class ResourceLimitError(ReproError):
-    """A guarded operation exceeded a resource budget (steps, depth, size).
+    """A guarded operation exceeded a resource budget.
 
-    Raised by :class:`repro.resilience.guards.Budget`; catching it also
-    catches :class:`DeadlineExceeded`, its wall-clock specialization.
+    Catching it also catches :class:`DeadlineExceeded`, which
+    :class:`repro.resilience.guards.Budget` raises.
     """
 
 

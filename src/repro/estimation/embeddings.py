@@ -415,10 +415,10 @@ def maximal_twigs(
             twig_node.add_child(to_twig(child, counter))
         return twig_node
 
-    unique: dict[str, TwigQuery] = {}
+    unique: dict[tuple, TwigQuery] = {}
     for embedding in embeddings:
         candidate = TwigQuery(to_twig(embedding.root, [0]))
-        unique.setdefault(candidate.text(), candidate)
+        unique.setdefault(candidate.key, candidate)
     return list(unique.values())
 
 

@@ -207,8 +207,8 @@ class TwigEstimator:
         self.branch_conditioning = branch_conditioning
         self._explain = explain
         self._metrics = metrics
-        #: query text -> record of its report, once keep_records was called
-        self._records: Optional[dict[str, _Record]] = None
+        #: query key -> record of its report, once keep_records was called
+        self._records: Optional[dict[tuple, _Record]] = None
         #: for a derived estimator: its recording base and the changes
         self._base: Optional[TwigEstimator] = None
         self._changes: Optional[SketchChanges] = None
@@ -289,7 +289,7 @@ class TwigEstimator:
 
     def _report(self, query: TwigQuery) -> EstimateReport:
         if self._records is not None:
-            record = self._records.get(query.text())
+            record = self._records.get(query.key)
             if record is not None:
                 # this estimator already answered the query
                 self._count(len(record.embeddings))
@@ -298,7 +298,7 @@ class TwigEstimator:
                     record.truncated,
                 )
         if self._base is not None:
-            record = self._base._records.get(query.text())
+            record = self._base._records.get(query.key)
             if record is not None:
                 return self._report_derived(query, record)
         budget = EmbeddingBudget(self.max_embeddings)
@@ -308,14 +308,14 @@ class TwigEstimator:
         if self._explain is not None:
             self._explain.record(
                 _explain.KIND_QUERY,
-                query.text().replace("\n", " "),
+                query.text(),
                 f"{len(embeddings)} embeddings"
                 + (", truncated" if budget.truncated else ""),
             )
         values = [self._embedding_value(e) for e in embeddings]
         total = sum(values)
         if self._records is not None:
-            self._records[query.text()] = _Record(
+            self._records[query.key] = _Record(
                 embeddings, budget.truncated, values
             )
         self._count(len(embeddings))
@@ -416,13 +416,6 @@ class TwigEstimator:
     ) -> list[EstimateReport]:
         """One :meth:`report` per query, in query order."""
         return [self.report(query) for query in queries]
-
-    def estimate_embedding(self, embedding: Embedding) -> float:
-        """The selectivity of one embedding: ``|n_0| ·`` root expansion."""
-        try:
-            return self._embedding_value(embedding)
-        finally:
-            self._flush_lookups()
 
     def _embedding_value(self, embedding: Embedding) -> float:
         plans = tree_parse(embedding, self.sketch, self.branch_conditioning)
@@ -708,17 +701,10 @@ class TwigEstimator:
                 return 0.0
         return factor
 
-    def value_selectivity(self, node_id: int, predicate) -> float:
-        """Fraction of the node's elements whose value satisfies ``predicate``.
-
-        Elements without values (no value histogram stored) cannot match.
-        """
-        try:
-            return self._value_selectivity(node_id, predicate)
-        finally:
-            self._flush_lookups()
-
     def _value_selectivity(self, node_id: int, predicate) -> float:
+        """Fraction of the node's elements whose value satisfies
+        ``predicate``; elements without values (no value histogram stored)
+        cannot match."""
         summary = self.sketch.value_summary(node_id)
         selectivity = (
             0.0 if summary is None

@@ -8,11 +8,17 @@ tag test with an optional value predicate and any number of *branching
 predicates* (existential sub-paths).
 
 ``axis`` distinguishes child steps (``/``) from descendant steps (``//``).
+
+A :class:`TwigQuery` is built once, from a finished tree of nodes, and its
+:attr:`~TwigQuery.key` is its identity: two queries with equal keys have
+the same selectivity.  Text is for people; :meth:`TwigQuery.text` renders
+a ``for`` clause that :func:`~repro.query.forclause.parse_for_clause`
+reads back to a query with an equal key.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from ..errors import QueryError
@@ -39,10 +45,6 @@ class Step:
     axis: str = CHILD
     value_pred: Optional[ValuePredicate] = None
     branches: tuple["Path", ...] = ()
-    #: the rendering, memoised by :meth:`text` (the step is frozen)
-    _text: Optional[str] = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
         if self.axis not in (CHILD, DESCENDANT):
@@ -52,20 +54,21 @@ class Step:
 
     def text(self) -> str:
         """Render the step in the library's query syntax."""
-        text = self._text
-        if text is None:
-            parts = [self.tag]
-            if self.value_pred is not None:
-                parts.append(self.value_pred.text())
-            for branch in self.branches:
-                parts.append(f"[{branch.text()}]")
-            text = "".join(parts)
-            self.__dict__["_text"] = text  # past the frozen __setattr__
-        return text
+        parts = [self.tag]
+        if self.value_pred is not None:
+            parts.append(self.value_pred.text())
+        for branch in self.branches:
+            parts.append(f"[{branch.text()}]")
+        return "".join(parts)
 
-    def without_predicates(self) -> "Step":
-        """The bare structural step (used when matching against a synopsis)."""
-        return Step(self.tag, self.axis)
+    def key(self) -> tuple:
+        """The step's structure: tag, axis, predicate and branch keys."""
+        return (
+            self.tag,
+            self.axis,
+            None if self.value_pred is None else self.value_pred.key(),
+            tuple(branch.key() for branch in self.branches),
+        )
 
 
 @dataclass(frozen=True)
@@ -73,10 +76,6 @@ class Path:
     """A chain of steps, e.g. ``movie[/type{=Action}]/actor``."""
 
     steps: tuple[Step, ...]
-    #: the rendering, memoised by :meth:`text` (the path is frozen)
-    _text: Optional[str] = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
         if not self.steps:
@@ -97,18 +96,18 @@ class Path:
 
     def text(self) -> str:
         """Render the path in the library's query syntax."""
-        text = self._text
-        if text is None:
-            pieces: list[str] = []
-            for index, step in enumerate(self.steps):
-                if step.axis == DESCENDANT:
-                    pieces.append("//")
-                elif index > 0:
-                    pieces.append("/")
-                pieces.append(step.text())
-            text = "".join(pieces)
-            self.__dict__["_text"] = text  # past the frozen __setattr__
-        return text
+        pieces: list[str] = []
+        for index, step in enumerate(self.steps):
+            if step.axis == DESCENDANT:
+                pieces.append("//")
+            elif index > 0:
+                pieces.append("/")
+            pieces.append(step.text())
+        return "".join(pieces)
+
+    def key(self) -> tuple:
+        """The path's structure: its step keys, in order."""
+        return tuple(step.key() for step in self.steps)
 
     def tags(self) -> tuple[str, ...]:
         """The sequence of tags along the path."""
@@ -150,28 +149,13 @@ class TwigNode:
         for child in self.children:
             yield from child.iter_subtree()
 
-    def text(self) -> str:
-        """Render as ``var in path`` plus child clauses, one per line.
-
-        Each child clause is indented two spaces per level; a line break
-        inside a clause (a string value) starts an indented line of its
-        own, as ``str.splitlines`` splits it.
-        """
-        lines = [f"{self.var} in {self.path.text()}"]
-        for child in self.children:
-            child._indented_lines("  ", lines)
-        return "\n".join(lines)
-
-    def _indented_lines(self, indent: str, lines: list[str]) -> None:
-        """Append this subtree's lines, each prefixed by ``indent``."""
-        clause = f"{self.var} in {self.path.text()}"
-        if self.children:
-            # a trailing line break before the first child line leaves an
-            # empty line, which splitting the clause alone would drop
-            clause += "\n"
-        lines += [indent + line for line in clause.splitlines()]
-        for child in self.children:
-            child._indented_lines(indent + "  ", lines)
+    def key(self) -> tuple:
+        """The subtree's structure: path key and child keys, in order
+        (variable names are left out)."""
+        return (
+            self.path.key(),
+            tuple(child.key() for child in self.children),
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<TwigNode {self.var}:{self.path.text()}>"
@@ -185,10 +169,17 @@ class TwigQuery:
     paper's selectivity — is the number of binding tuples, computed exactly
     by :func:`repro.query.evaluator.count_bindings` and estimated by
     :class:`repro.estimation.estimator.TwigEstimator`.
+
+    A query is built from a finished node tree and not changed afterwards:
+    :attr:`key`, computed here, is its identity.  It holds every tag, axis,
+    typed value predicate and branch, with children and branches in their
+    order (the order fixes an estimate's float sum), and leaves out the
+    variable names.  Every cache of queries keys by it.
     """
 
     def __init__(self, root: TwigNode):
         self.root = root
+        self.key = root.key()
 
     # ------------------------------------------------------------------
     def nodes(self) -> list[TwigNode]:
@@ -233,8 +224,22 @@ class TwigQuery:
         return any(path_has(node.path) for node in self.nodes())
 
     def text(self) -> str:
-        """Multi-line rendering: the root clause plus indented children."""
-        return self.root.text()
+        """The query as one ``for`` clause, for people to read.
+
+        For example ``t0 in movie, t1 in t0/actor{="Lee"}``.
+        :func:`~repro.query.forclause.parse_for_clause` reads it back to a
+        query with an equal :attr:`key`, given distinct ``\\w+`` variable
+        names, tags the parser can read and no string value that holds
+        both kinds of quote.
+        """
+        clauses = []
+        for node in self.nodes():
+            path = node.path.text()
+            if node.parent is not None:
+                axis = "" if path.startswith("//") else "/"
+                path = f"{node.parent.var}{axis}{path}"
+            clauses.append(f"{node.var} in {path}")
+        return ", ".join(clauses)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<TwigQuery {self.size} nodes>"

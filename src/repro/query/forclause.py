@@ -23,10 +23,13 @@ from .parser import parse_path
 _CLAUSE_RE = re.compile(
     r"^\s*(?P<var>\$?\w+)\s+in\s+(?P<expr>.+?)\s*$", re.DOTALL
 )
+#: the ``return`` keyword that ends the clauses
+_RETURN_RE = re.compile(r"(?<=[\s,])return\b")
 
 
 def _split_clauses(text: str) -> list[tuple[int, str]]:
-    """Split on top-level commas (commas inside [] / {} / quotes are kept).
+    """Split on top-level commas (commas inside [] / {} / quotes are kept),
+    up to a top-level ``return`` (one inside a string value is kept).
 
     Returns ``(offset, clause)`` pairs, where ``offset`` is the position of
     the stripped clause within ``text`` — kept so parse errors can report
@@ -50,7 +53,11 @@ def _split_clauses(text: str) -> list[tuple[int, str]]:
         elif char == "," and depth == 0:
             spans.append((start, text[start:index]))
             start = index + 1
-    spans.append((start, text[start:]))
+        elif depth == 0 and _RETURN_RE.match(text, index):
+            break
+    else:
+        index = len(text)
+    spans.append((start, text[start:index]))
     return [
         (offset + len(clause) - len(clause.lstrip()), clause.strip())
         for offset, clause in spans
@@ -70,9 +77,6 @@ def parse_for_clause(text: str) -> TwigQuery:
     if body.lower().startswith("for "):
         body = body[4:]
         lead += 4
-    return_pos = re.search(r"\breturn\b", body)
-    if return_pos:
-        body = body[: return_pos.start()]
 
     nodes: dict[str, TwigNode] = {}
     root: TwigNode | None = None

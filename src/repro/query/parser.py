@@ -67,7 +67,8 @@ class _Cursor:
         return self.text[start : self.pos]
 
     def read_literal(self, stop_chars: str):
-        """Read a (possibly quoted) literal up to one of ``stop_chars``."""
+        """Read a (possibly quoted) literal up to one of ``stop_chars`` or
+        a range's ``..`` (a single ``.`` belongs to a float)."""
         self.skip_ws()
         if self.eof():
             raise self.error("expected a literal value")
@@ -83,7 +84,11 @@ class _Cursor:
             self.advance()
             return raw
         start = self.pos
-        while not self.eof() and self.text[self.pos] not in stop_chars:
+        while (
+            not self.eof()
+            and self.text[self.pos] not in stop_chars
+            and not self.text.startswith("..", self.pos)
+        ):
             self.pos += 1
         raw = self.text[start : self.pos].strip()
         if not raw:
@@ -103,7 +108,7 @@ def _read_comparison_op(cursor: _Cursor) -> str | None:
 def _parse_value_pred(cursor: _Cursor) -> ValuePredicate:
     """Parse the body of ``{...}`` (the opening brace is consumed)."""
     op = _read_comparison_op(cursor)
-    value = cursor.read_literal(stop_chars="}.")
+    value = cursor.read_literal(stop_chars="}")
     cursor.skip_ws()
     if cursor.peek(2) == "..":
         if op is not None:

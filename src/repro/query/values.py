@@ -80,12 +80,20 @@ class ValuePredicate:
         return self.value <= value <= self.high
 
     # ------------------------------------------------------------------
+    def key(self) -> tuple:
+        """The predicate's identity: the operator and each bound with its
+        type, so ``1``, ``1.0`` and ``"1"`` are three predicates."""
+        return (
+            self.op, type(self.value), self.value, type(self.high), self.high
+        )
+
     def text(self) -> str:
-        """Render in the library's query syntax, e.g. ``{>2000}``."""
+        """Render in the library's query syntax, e.g. ``{>2000}`` or
+        ``{="Action"}``; strings are quoted, so the parser reads each
+        bound back with its type."""
         if self.op == "range":
-            return f"{{{self.value}..{self.high}}}"
-        rendered = self.value if not isinstance(self.value, str) else self.value
-        return f"{{{self.op}{rendered}}}"
+            return f"{{{_literal(self.value)}..{_literal(self.high)}}}"
+        return f"{{{self.op}{_literal(self.value)}}}"
 
     @staticmethod
     def between(low: Comparable, high: Comparable) -> "ValuePredicate":
@@ -96,3 +104,12 @@ class ValuePredicate:
     def equals(value: Comparable) -> "ValuePredicate":
         """Convenience constructor for equality."""
         return ValuePredicate("=", value)
+
+
+def _literal(value: Comparable) -> str:
+    """A bound as the parser reads it: numbers bare, strings in ``"…"``,
+    or in ``'…'`` when the string holds a ``"``."""
+    if isinstance(value, str):
+        quote = "'" if '"' in value else '"'
+        return f"{quote}{value}{quote}"
+    return repr(value)

@@ -4,8 +4,8 @@ The long-running paths of this repository — XBUILD's greedy construction
 loop, document ingestion, the experiment harness — were written for the
 happy path.  This package gives them a shared failure-handling substrate:
 
-* :mod:`~repro.resilience.guards` — :class:`Budget`: wall-clock deadline,
-  step, recursion-depth, and size limits behind cheap check calls;
+* :mod:`~repro.resilience.guards` — :class:`Budget`: a wall-clock
+  deadline behind cheap check calls;
 * :mod:`~repro.resilience.checkpoint` — :class:`BuildCheckpoint` and the
   replay-based resume protocol for XBUILD;
 * :mod:`~repro.resilience.faults` — seeded :class:`FaultPlan` injection

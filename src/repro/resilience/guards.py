@@ -1,75 +1,48 @@
-"""Resource budgets for the long-running paths.
+"""Wall-clock budgets for the long-running paths.
 
-A :class:`Budget` bundles the limits a long-running operation must respect
-— a wall-clock deadline, a step count, a recursion depth, an input size —
-behind cheap ``check_*``/``charge_*`` calls sprinkled through the hot
-loop.  Violations raise :class:`~repro.errors.DeadlineExceeded` or
-:class:`~repro.errors.ResourceLimitError`, both :class:`ReproError`
-subclasses, so callers distinguish "ran out of budget" from "broke".
+A :class:`Budget` is a deadline that a long-running operation checks with
+cheap :meth:`~Budget.expired`/:meth:`~Budget.check_deadline` calls in its
+loop.  Running past it raises :class:`~repro.errors.DeadlineExceeded`, a
+:class:`~repro.errors.ResourceLimitError` and so a :class:`ReproError`,
+so callers tell "ran out of time" from "broke".
 
 Budgets are injectable: pass ``clock=`` a fake monotonic clock in tests to
-exercise deadline paths without sleeping.  A budget with every limit left
-``None`` is a no-op — every check passes — so guarded code needs no
+exercise deadline paths without sleeping.  A budget without a deadline is
+a no-op — every check passes — so guarded code needs no
 ``if budget is not None`` branches.
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
 from typing import Callable, Optional
 
 from ..errors import DeadlineExceeded, ResourceLimitError
 
 
 class Budget:
-    """Wall-clock / step / recursion / size limits for one operation.
+    """A wall-clock deadline for one operation.
 
     Args:
         deadline: wall-clock budget in seconds, measured from construction
             (``None`` = unlimited).
-        max_steps: how many :meth:`step` calls may pass.
-        max_depth: how deep :meth:`recursion` frames may nest.
-        max_bytes: how many bytes :meth:`charge_bytes` may accumulate.
         clock: monotonic time source (override in tests).
-
-    The instance is usable as a context manager purely for scoping
-    readability (``with Budget(deadline=5) as budget: ...``); entering and
-    exiting does not reset any counter.
     """
 
     def __init__(
         self,
         *,
         deadline: Optional[float] = None,
-        max_steps: Optional[int] = None,
-        max_depth: Optional[int] = None,
-        max_bytes: Optional[int] = None,
         clock: Callable[[], float] = time.monotonic,
     ):
-        for label, limit in (
-            ("deadline", deadline),
-            ("max_steps", max_steps),
-            ("max_depth", max_depth),
-            ("max_bytes", max_bytes),
-        ):
-            if limit is not None and limit <= 0:
-                raise ResourceLimitError(
-                    f"budget {label} must be positive, got {limit!r}"
-                )
+        if deadline is not None and deadline <= 0:
+            raise ResourceLimitError(
+                f"budget deadline must be positive, got {deadline!r}"
+            )
         self._clock = clock
         self._started = clock()
         self.deadline = deadline
-        self.max_steps = max_steps
-        self.max_depth = max_depth
-        self.max_bytes = max_bytes
-        self.steps = 0
-        self.bytes_charged = 0
-        self._depth = 0
 
-    # ------------------------------------------------------------------
-    # wall clock
-    # ------------------------------------------------------------------
     def elapsed(self) -> float:
         """Seconds since the budget was created."""
         return self._clock() - self._started
@@ -93,53 +66,8 @@ class Budget:
                 f"(elapsed {self.elapsed():.2f}s)"
             )
 
-    # ------------------------------------------------------------------
-    # countable resources
-    # ------------------------------------------------------------------
-    def step(self, what: str = "loop") -> int:
-        """Count one step; raise when the step limit is exhausted.
-
-        Returns the new step count, so callers can log progress.
-        """
-        self.steps += 1
-        if self.max_steps is not None and self.steps > self.max_steps:
-            raise ResourceLimitError(
-                f"{what} exceeded its step limit of {self.max_steps}"
-            )
-        return self.steps
-
-    def charge_bytes(self, count: int, what: str = "input") -> int:
-        """Accumulate ``count`` bytes; raise past the size limit."""
-        self.bytes_charged += count
-        if self.max_bytes is not None and self.bytes_charged > self.max_bytes:
-            raise ResourceLimitError(
-                f"{what} exceeded its size limit of {self.max_bytes} bytes "
-                f"({self.bytes_charged} charged)"
-            )
-        return self.bytes_charged
-
-    @contextmanager
-    def recursion(self, what: str = "recursion"):
-        """Guard one nesting level; raise past the depth limit."""
-        self._depth += 1
-        try:
-            if self.max_depth is not None and self._depth > self.max_depth:
-                raise ResourceLimitError(
-                    f"{what} exceeded its depth limit of {self.max_depth}"
-                )
-            yield self._depth
-        finally:
-            self._depth -= 1
-
-    # ------------------------------------------------------------------
-    def __enter__(self) -> "Budget":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        return None
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<Budget deadline={self.deadline} steps={self.steps}"
-            f"/{self.max_steps} elapsed={self.elapsed():.2f}s>"
+            f"<Budget deadline={self.deadline} "
+            f"elapsed={self.elapsed():.2f}s>"
         )

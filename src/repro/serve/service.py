@@ -36,7 +36,9 @@ failure, never returned to the caller.
 
 Repeated queries are served from a bounded per-sketch answer cache: each
 registered sketch keeps the last :data:`ANSWER_CACHE_SIZE` accepted
-``twig`` answers, keyed by query text.  Entries are only ever stored
+``twig`` answers, keyed by ``TwigQuery.key``: a hit renders no text, and
+two queries that differ only in a bound's type (``1`` against ``"1"``)
+never share an answer.  Entries are only ever stored
 after the answer passed the finiteness gate, requests carrying an
 ``explain=`` recorder bypass the cache (their trail must show the full
 estimation), and re-registering a name starts an empty cache.  A miss
@@ -90,7 +92,7 @@ FALLBACK_TIERS = (TIER_TWIG, TIER_PATH, TIER_CST)
 DEFAULT_UNIFORM_PRIOR = 1.0
 
 #: accepted twig answers kept per registered sketch (least recently used
-#: evicted first); an entry is a query text and a float
+#: evicted first); an entry is a query key and a float
 ANSWER_CACHE_SIZE = 4096
 
 
@@ -131,7 +133,7 @@ class EstimateResponse:
 @dataclass
 class _Entry:
     """One registered sketch with its per-tier circuit breakers, its
-    answer cache (query text -> accepted twig estimate, LRU order), the
+    answer cache (query key -> accepted twig estimate, LRU order), the
     sketch's static facts every twig estimate on it shares, and the
     breaker states last written to the gauges.
 
@@ -148,21 +150,21 @@ class _Entry:
     exported: dict[str, str] = field(default_factory=dict)
     retired: bool = False
 
-    def cached(self, text: str) -> Optional[float]:
-        """The cached answer for ``text`` (now the most recently used),
-        or None."""
+    def cached(self, key: tuple) -> Optional[float]:
+        """The cached answer for query ``key`` (now the most recently
+        used), or None."""
         with self.lock:
-            value = self.answers.get(text)
+            value = self.answers.get(key)
             if value is not None:
-                self.answers.move_to_end(text)
+                self.answers.move_to_end(key)
             return value
 
-    def remember(self, text: str, value: float) -> None:
+    def remember(self, key: tuple, value: float) -> None:
         """Cache (or refresh) an accepted answer, evicting the least
         recently used beyond :data:`ANSWER_CACHE_SIZE`."""
         with self.lock:
-            self.answers[text] = value
-            self.answers.move_to_end(text)
+            self.answers[key] = value
+            self.answers.move_to_end(key)
             while len(self.answers) > ANSWER_CACHE_SIZE:
                 self.answers.popitem(last=False)
 
@@ -538,7 +540,7 @@ class EstimatorService:
         budget = Budget(deadline=deadline, clock=self._clock)
         warnings: list[str] = []
         # the answer-cache key; explained requests bypass the cache
-        text = query.text() if explain is None else None
+        key = query.key if explain is None else None
         for tier in FALLBACK_TIERS:
             if budget.expired():
                 warnings.append(
@@ -563,7 +565,7 @@ class EstimatorService:
             try:
                 with self.tracer.span("serve.tier", sketch=name, tier=tier):
                     value = self._run_tier(
-                        entry, tier, query, warnings, explain, text
+                        entry, tier, query, warnings, explain, key
                     )
                     value = self._accept(value, tier)
             except _TierUnavailable as skip:
@@ -621,13 +623,13 @@ class EstimatorService:
         query: TwigQuery,
         warnings: list[str],
         explain: Optional[ExplainRecorder] = None,
-        text: Optional[str] = None,
+        key: Optional[tuple] = None,
     ) -> float:
         if tier == TIER_TWIG:
-            if text is None:
+            if key is None:
                 cached = None
             else:
-                cached = entry.cached(text)
+                cached = entry.cached(key)
             if cached is not None:
                 return cached
             value = self._accept(
@@ -640,8 +642,8 @@ class EstimatorService:
                 ).estimate(query),
                 tier,
             )
-            if text is not None:
-                entry.remember(text, value)
+            if key is not None:
+                entry.remember(key, value)
             return value
         if tier == TIER_PATH:
             chain, collapsed = _primary_chain(query)

@@ -336,13 +336,6 @@ class TwigXSketch:
         """The value histogram stored for ``node_id``, if any."""
         return self.value_stats.get(node_id)
 
-    def covered_edges(self, node_id: int) -> set[EdgeRef]:
-        """Union of the scopes of the node's histograms."""
-        refs: set[EdgeRef] = set()
-        for histogram in self.histograms_at(node_id):
-            refs.update(histogram.scope)
-        return refs
-
     def edge_child_count(self, source: int, target: int) -> float:
         """Estimate of ``|n_source → n_target|``.
 

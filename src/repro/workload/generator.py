@@ -125,9 +125,10 @@ class WorkloadGenerator:
                     f"could not generate {count} positive queries "
                     f"(got {len(workload.queries)})"
                 )
-            query = self._generate_query()
-            if query is None:
+            draft = self._draft_query()
+            if draft is None:
                 continue
+            query = TwigQuery(draft)
             true_count = count_bindings(query, self.tree)
             if true_count <= 0:
                 continue  # defensive; witnesses should prevent this
@@ -149,18 +150,17 @@ class WorkloadGenerator:
             attempts += 1
             if attempts > 100 * count:
                 raise WorkloadError(f"could not generate {count} negative queries")
-            query = self._generate_query()
-            if query is None:
-                continue
-            mutated = self._break_query(query, all_tags)
-            if mutated is not None:
-                workload.queries.append(WorkloadQuery(mutated, 0))
+            draft = self._draft_query()
+            if draft is not None and self._break_leaf(draft, all_tags):
+                workload.queries.append(WorkloadQuery(TwigQuery(draft), 0))
         return workload
 
     # ------------------------------------------------------------------
     # positive query construction
     # ------------------------------------------------------------------
-    def _generate_query(self) -> Optional[TwigQuery]:
+    def _draft_query(self) -> Optional[TwigNode]:
+        """The root of a finished query tree, or None when the growth
+        stalled below ``min_nodes``; the caller builds the query."""
         spec = self.spec
         target = self.rng.randint(spec.min_nodes, spec.max_nodes)
         witness_root = self.rng.choice(self._internal)
@@ -223,10 +223,9 @@ class WorkloadGenerator:
 
         if size < self.spec.min_nodes:
             return None
-        query = TwigQuery(root)
         if spec.value_predicates and self.rng.random() < 0.5:
-            self._add_value_predicates(query, witnesses)
-        return query
+            self._add_value_predicates(root, witnesses)
+        return root
 
     def _add_branch(self, twig_node: TwigNode, witness_child: DocumentNode) -> bool:
         """Turn a child expansion into a branching predicate on the node."""
@@ -245,7 +244,7 @@ class WorkloadGenerator:
         return True
 
     def _add_value_predicates(
-        self, query: TwigQuery, witnesses: dict[int, DocumentNode]
+        self, root: TwigNode, witnesses: dict[int, DocumentNode]
     ) -> None:
         """Attach 1–2 value predicates on nodes whose witness has a value.
 
@@ -255,7 +254,7 @@ class WorkloadGenerator:
         """
         candidates = [
             node
-            for node in query.nodes()
+            for node in root.iter_subtree()
             if witnesses.get(id(node)) is not None
             and witnesses[id(node)].value is not None
             and node.path.last.value_pred is None
@@ -286,10 +285,10 @@ class WorkloadGenerator:
     # ------------------------------------------------------------------
     # negative query construction
     # ------------------------------------------------------------------
-    def _break_query(
-        self, query: TwigQuery, all_tags: list[str]
-    ) -> Optional[TwigQuery]:
-        leaves = [node for node in query.nodes() if not node.children]
+    def _break_leaf(self, root: TwigNode, all_tags: list[str]) -> bool:
+        """Retarget one leaf of the draft at a tag its parent's tag never
+        has as a child; False when no leaf can be broken."""
+        leaves = [node for node in root.iter_subtree() if not node.children]
         self.rng.shuffle(leaves)
         for leaf in leaves:
             if leaf.parent is None:
@@ -306,5 +305,5 @@ class WorkloadGenerator:
             last = leaf.path.last
             if len(leaf.path) == 1 and last.axis == "child":
                 leaf.path = Path((Step(bad_tag),))
-                return query
-        return None
+                return True
+        return False

@@ -16,7 +16,7 @@ from repro.build.sampling import RegionSampler
 from repro.datasets import generate_imdb, generate_xmark
 from repro.estimation import TwigEstimator
 from repro.obs import MetricsRegistry
-from repro.query import count_bindings
+from repro.query import Path, Step, ValuePredicate, count_bindings, twig
 from repro.synopsis import TwigXSketch, XSketchConfig
 from repro.synopsis.validate import error_violations, validate_sketch
 from repro.workload import (
@@ -24,6 +24,12 @@ from repro.workload import (
     WorkloadSpec,
     average_relative_error,
 )
+
+
+def year_query(bound):
+    return twig(Path((
+        Step("movie"), Step("year", value_pred=ValuePredicate("=", bound)),
+    )))
 
 
 @pytest.fixture(scope="module")
@@ -109,7 +115,7 @@ class TestOracles:
                 self.asked = Counter()
 
             def true_count(self, query):
-                self.asked[query.text()] += 1
+                self.asked[query.key] += 1
                 return super().true_count(query)
 
         oracle = CountingOracle(imdb)
@@ -127,6 +133,29 @@ class TestOracles:
         cache = registry.get("build_oracle_cache_total")
         assert cache.value(outcome="miss") == sum(oracle.asked.values())
         assert max(oracle.asked.values()) == 1
+
+    def test_a_bound_type_gets_its_own_truth(self, imdb, coarse):
+        """``movie/year{=1990}`` with an int and with a string bound are
+        two queries: each gets its own truth, asked of the oracle once."""
+
+        class CountingOracle(ExactOracle):
+            def __init__(self, tree):
+                super().__init__(tree)
+                self.asked = []
+
+            def true_count(self, query):
+                self.asked.append(query)
+                return super().true_count(query)
+
+        oracle = CountingOracle(imdb)
+        build = XBuild(imdb, coarse.size_bytes() + 1500, seed=9,
+                       oracle=oracle, metrics=MetricsRegistry())
+        pair = [year_query(1990), year_query("1990")]
+        truths = build._truths(pair + pair)
+        expected = [count_bindings(query, imdb) for query in pair]
+        assert expected[0] > 0 and expected[1] == 0
+        assert truths == expected + expected
+        assert oracle.asked == pair
 
     def test_oracle_cache_hits_recorded(self, counted_build):
         _, registry = counted_build

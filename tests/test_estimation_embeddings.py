@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.datasets import generate_imdb
 from repro.datasets.paperfig import figure1_document
 from repro.estimation import (
     EmbeddingBudget,
@@ -9,7 +10,14 @@ from repro.estimation import (
     maximal_twigs,
     validate_embedding,
 )
-from repro.query import parse_for_clause, parse_path, twig
+from repro.query import (
+    Path,
+    Step,
+    ValuePredicate,
+    parse_for_clause,
+    parse_path,
+    twig,
+)
 from repro.synopsis import label_split_synopsis
 
 
@@ -116,6 +124,24 @@ class TestMaximalTwigs:
         texts = {m.text() for m in maximal}
         assert any("book" in text for text in texts)
         assert any("paper" in text for text in texts)
+
+    def test_a_bound_type_makes_a_different_maximal_twig(self):
+        """``movie/year{=1990}`` with an int and with a string bound
+        expand to two maximal twigs, each text parsing back to its own."""
+        synopsis = label_split_synopsis(generate_imdb(2000, seed=2))
+        maximal = []
+        for bound in (1990, "1990"):
+            query = twig(Path((
+                Step("movie"),
+                Step("year", value_pred=ValuePredicate("=", bound)),
+            )))
+            (expanded,) = maximal_twigs(query, synopsis)
+            maximal.append(expanded)
+        assert maximal[0].text() != maximal[1].text()
+        assert maximal[0].key != maximal[1].key
+        for expanded in maximal:
+            assert parse_for_clause(expanded.text()).key == expanded.key
+        assert maximal[1].nodes()[-1].path.last.value_pred.value == "1990"
 
     def test_predicates_preserved(self, synopsis):
         query = twig(parse_path("paper[year{>2000}]"))

@@ -8,9 +8,19 @@ T = A{B, N, P{K, Y}}; the paper computes s(T) = 10/3.
 import pytest
 
 from repro.build import XBuild
+from repro.build.refinements import ValueRefine
+from repro.datasets import generate_imdb
 from repro.datasets.paperfig import figure1_document, figure4_documents
 from repro.estimation import TwigEstimator, enumerate_embeddings, tree_parse
-from repro.query import count_bindings, parse_for_clause, parse_path, twig
+from repro.query import (
+    Path,
+    Step,
+    ValuePredicate,
+    count_bindings,
+    parse_for_clause,
+    parse_path,
+    twig,
+)
 from repro.synopsis import EdgeRef, TwigXSketch, XSketchConfig
 from repro.workload import WorkloadGenerator, WorkloadSpec
 
@@ -235,3 +245,41 @@ class TestBatchEstimation:
         estimator = TwigEstimator(sketch)
         singles = [estimator.report(q) for q in queries]
         assert TwigEstimator(sketch).report_many(queries) == singles
+
+
+class TestRecords:
+    """``movie/year{=1990}`` with an int and with a string bound are two
+    queries; a kept record of one never answers the other, directly or
+    through a derived estimator."""
+
+    @pytest.fixture(scope="class")
+    def sketch(self):
+        return TwigXSketch.coarsest(generate_imdb(2000, seed=2))
+
+    @staticmethod
+    def year_query(bound):
+        return twig(Path((
+            Step("movie"), Step("year", value_pred=ValuePredicate("=", bound)),
+        )))
+
+    def test_records_keep_the_bound_type(self, sketch):
+        pair = [self.year_query(1990), self.year_query("1990")]
+        fresh = [TwigEstimator(sketch).report(query) for query in pair]
+        assert fresh[0].selectivity > 0 == fresh[1].selectivity
+        kept = TwigEstimator(sketch).keep_records()
+        assert [kept.report(query) for query in pair] == fresh
+        assert [kept.report(query) for query in pair] == fresh
+
+    def test_derived_records_keep_the_bound_type(self, sketch):
+        int_query, str_query = self.year_query(1990), self.year_query("1990")
+        base = TwigEstimator(sketch).keep_records()
+        base.report(int_query)
+        # a refinement that keeps the graph: the derived estimator reuses
+        # the base's embeddings of a query it finds a record for
+        refined = ValueRefine(nid(sketch, "year")).apply(sketch)
+        assert refined.graph is sketch.graph
+        derived = base.derive(refined)
+        for query in (str_query, int_query):
+            assert derived.report(query) == TwigEstimator(refined).report(
+                query
+            )

@@ -1,11 +1,17 @@
-"""Tests for path / for-clause parsing (repro.query.parser, forclause)."""
+"""Tests for path / for-clause parsing (repro.query.parser, forclause),
+the structural query key, and query text that parses back to it."""
+
+import functools
+import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.datasets import generate_imdb
+from repro.build import RegionSampler
+from repro.datasets import generate_imdb, generate_sprot, generate_xmark
 from repro.errors import ParseError, QueryError
+from repro.estimation.embeddings import maximal_twigs
 from repro.query import (
     CHILD,
     DESCENDANT,
@@ -15,7 +21,9 @@ from repro.query import (
     parse_for_clause,
     parse_path,
 )
-from repro.query.ast import TwigNode, TwigQuery
+from repro.query.ast import TwigNode, TwigQuery, twig
+from repro.query.parser import _NAME_BODY, _NAME_START
+from repro.synopsis import TwigXSketch
 from repro.workload import WorkloadGenerator, WorkloadSpec
 
 
@@ -217,71 +225,104 @@ class TestTwigQueryModel:
     def test_text_rendering_parses_back(self):
         query = parse_for_clause("for a in author, p in a/paper, n in a/name")
         text = query.text()
-        assert "a in author" in text
-        assert "p in paper" in text
+        assert text == "a in author, p in a/paper, n in a/name"
+        assert parse_for_clause(text).key == query.key
 
 
 # ----------------------------------------------------------------------
-# Query text: the memoised renderer against the plain recursive one
+# Query identity: the key, and text that parses back to it
 # ----------------------------------------------------------------------
-def reference_step_text(step: Step) -> str:
-    parts = [step.tag]
-    if step.value_pred is not None:
-        parts.append(step.value_pred.text())
-    for branch in step.branches:
-        parts.append(f"[{reference_path_text(branch)}]")
-    return "".join(parts)
+def assert_parses_back(query: TwigQuery) -> None:
+    """The query's text parses to a query with an equal key, the same
+    variables and the same text."""
+    text = query.text()
+    parsed = parse_for_clause(text)
+    assert parsed.key == query.key, text
+    assert [n.var for n in parsed.nodes()] == [n.var for n in query.nodes()]
+    assert parsed.text() == text
 
 
-def reference_path_text(path: Path) -> str:
-    pieces = []
-    for index, step in enumerate(path.steps):
-        if step.axis == DESCENDANT:
-            pieces.append("//")
-        elif index > 0:
-            pieces.append("/")
-        pieces.append(reference_step_text(step))
-    return "".join(pieces)
+GENERATORS = {
+    "imdb": generate_imdb,
+    "xmark": generate_xmark,
+    "sprot": generate_sprot,
+}
+datasets = st.sampled_from(sorted(GENERATORS))
+seeds = st.integers(0, 2**16)
 
 
-def reference_node_text(node: TwigNode) -> str:
-    """Re-renders and re-splits every subtree at each level."""
-    lines = [f"{node.var} in {reference_path_text(node.path)}"]
-    for child in node.children:
-        for line in reference_node_text(child).splitlines():
-            lines.append(f"  {line}")
-    return "\n".join(lines)
+@functools.lru_cache(maxsize=None)
+def document(name):
+    return GENERATORS[name](1500, seed=3)
 
 
-#: short strings mixing line boundaries that ``str.splitlines`` splits on
-_awkward = st.lists(
-    st.sampled_from(
-        ["a", "b", " ", "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c",
-         "\x85", "\u2028"]
-    ),
-    max_size=5,
-).map("".join)
+@functools.lru_cache(maxsize=None)
+def coarsest(name):
+    return TwigXSketch.coarsest(document(name))
+
+
+def workload(name, kind, seed, count=8):
+    spec = WorkloadSpec(
+        seed=seed, value_predicates=kind != "P", branch_probability=0.4,
+        descendant_probability=0.2,
+    )
+    generator = WorkloadGenerator(document(name), spec)
+    if kind == "negative":
+        return generator.negative_workload(count).queries
+    return generator.positive_workload(count).queries
+
+
+#: tags the parser reads: a name-start character, then name characters
+_names = st.builds(
+    str.__add__,
+    st.sampled_from(sorted(_NAME_START)),
+    st.text(alphabet=sorted(_NAME_BODY), max_size=4),
+)
+#: short strings with line breaks, spaces, separators and at most one
+#: kind of quote
+_strings = st.sampled_from(['"', "'"]).flatmap(
+    lambda quote: st.lists(
+        st.sampled_from(
+            ["a", "1", ".", " ", "\n", "\r\n", "\u2028", ",", "]", "}",
+             "{", "..", "return", quote]
+        ),
+        max_size=5,
+    ).map("".join)
+)
+_numbers = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.floats(allow_nan=False, width=32),
+)
+
+
+@st.composite
+def _bounds(draw):
+    if draw(st.booleans()):
+        return draw(_strings), draw(_strings)
+    return draw(_numbers), draw(_numbers)
 
 
 @st.composite
 def _awkward_twigs(draw):
-    def step():
-        predicate = draw(st.one_of(
-            st.none(),
-            _awkward.map(lambda value: ValuePredicate("=", value)),
-            st.integers(0, 9).map(lambda low: ValuePredicate.between(low, 9)),
-        ))
+    def step(depth):
+        low, high = draw(_bounds())
+        op = draw(st.sampled_from(["=", "!=", "<", "<=", ">", ">="]))
+        predicate = draw(st.sampled_from([
+            None, ValuePredicate(op, low), ValuePredicate.between(low, high),
+        ]))
         branches = tuple(
-            Path((Step("b" + draw(_awkward)),))
-            for _ in range(draw(st.integers(0, 2)))
+            Path(tuple(step(depth + 1)
+                       for _ in range(draw(st.integers(1, 2)))))
+            for _ in range(draw(st.integers(0, 2 - depth)))
         )
         axis = draw(st.sampled_from([CHILD, DESCENDANT]))
-        return Step("t" + draw(_awkward), axis, predicate, branches)
+        return Step(draw(_names), axis, predicate, branches)
 
     nodes = []
-    for _ in range(draw(st.integers(1, 6))):
-        steps = tuple(step() for _ in range(draw(st.integers(1, 2))))
-        node = TwigNode(draw(_awkward) or "v", Path(steps))
+    for index in range(draw(st.integers(1, 6))):
+        steps = tuple(step(0) for _ in range(draw(st.integers(1, 2))))
+        var = draw(st.sampled_from(["t", "v_", "x"])) + str(index)
+        node = TwigNode(var, Path(steps))
         if nodes:
             draw(st.sampled_from(nodes)).add_child(node)
         nodes.append(node)
@@ -290,61 +331,92 @@ def _awkward_twigs(draw):
 
 class TestQueryText:
     @given(_awkward_twigs())
-    def test_matches_the_reference_renderer(self, query):
-        expected = reference_node_text(query.root)
-        assert query.text() == expected
-        assert query.text() == expected  # memoised paths render the same
-        for node in query.nodes():
-            assert node.path.text() == reference_path_text(node.path)
+    def test_awkward_twigs_parse_back(self, query):
+        assert_parses_back(query)
+
+    @pytest.mark.parametrize("kind", ["P", "P+V", "negative"])
+    @given(name=datasets, seed=seeds)
+    def test_generated_workloads(self, kind, name, seed):
+        for entry in workload(name, kind, seed):
+            assert_parses_back(entry.query)
+
+    @given(name=datasets, seed=seeds, values=st.sampled_from([0.0, 1.0]))
+    def test_region_sampler_queries(self, name, seed, values):
+        rng = random.Random(seed)
+        sketch = coarsest(name)
+        regions = rng.sample(sorted(sketch.graph.nodes), 3)
+        sampler = RegionSampler(document(name), rng, value_probability=values)
+        for query in sampler.sample_for_regions(sketch, regions, queries=8):
+            assert_parses_back(query)
+
+    @given(name=datasets, seed=seeds)
+    def test_maximal_twigs(self, name, seed):
+        for entry in workload(name, "P+V", seed, count=2):
+            for maximal in maximal_twigs(entry.query, coarsest(name).graph):
+                assert_parses_back(maximal)
 
     def test_line_break_in_a_string_value(self):
-        query = parse_for_clause("for m in movie, a in m/actor")
-        query.root.children[0].add_child(TwigNode("n", Path((
-            Step("name", value_pred=ValuePredicate("=", "Ann\nLee\n")),
-        ))))
-        query.root.children[0].children[0].add_child(
-            TwigNode("x", Path.of("first"))
+        query = twig(Path.of("movie"), Path((
+            Step("name", value_pred=ValuePredicate("=", "Ann\nLee, 'jr'\n")),
+        )))
+        assert query.text() == (
+            "t0 in movie, t1 in t0/name{=\"Ann\nLee, 'jr'\n\"}"
         )
-        text = query.text()
-        assert text == reference_node_text(query.root)
-        assert text == (
-            "m in movie\n  a in actor\n    n in name{=Ann\n    Lee\n"
-            "    }\n      x in first"
+        assert_parses_back(query)
+
+    def test_quotes_follow_the_value(self):
+        assert ValuePredicate("=", 'say "hi"').text() == """{='say "hi"'}"""
+        assert ValuePredicate("!=", "it's").text() == """{!="it's"}"""
+        assert ValuePredicate.between("a", "b").text() == '{"a".."b"}'
+
+    def test_return_inside_a_string_is_a_value(self):
+        query = parse_for_clause(
+            'for m in movie, t in m/title{="the return of"} return t'
+        )
+        assert query.root.children[0].path.last.value_pred == (
+            ValuePredicate("=", "the return of")
         )
 
-    @pytest.mark.parametrize("values", [False, True], ids=["P", "P+V"])
-    def test_generated_workloads(self, values):
-        tree = generate_imdb(1500, seed=2)
-        spec = WorkloadSpec(
-            seed=11, value_predicates=values, branch_probability=0.6,
-            descendant_probability=0.3,
-        )
+
+class TestQueryKey:
+    """Bounds keep their type: ``1990``, ``1990.0`` and ``"1990"`` are
+    three queries, and each one's text parses back to it."""
+
+    BOUNDS = [1990, 1990.0, "1990"]
+
+    def test_a_bound_type_makes_a_different_key(self):
         queries = [
-            entry.query
-            for entry in WorkloadGenerator(tree, spec)
-            .positive_workload(40).queries
+            twig(Path((Step("movie"), Step("year", value_pred=
+                                            ValuePredicate("=", bound)))))
+            for bound in self.BOUNDS
         ]
-        steps = [step for q in queries for n in q.nodes()
-                 for step in n.path.steps]
-        assert any(step.branches for step in steps)
-        assert any(step.axis == DESCENDANT for step in steps)
-        assert any(q.root.children and q.root.children[0].children
-                   for q in queries)
-        assert values == any(q.has_value_predicates() for q in queries)
+        assert len({q.key for q in queries}) == 3
+        assert [q.text() for q in queries] == [
+            "t0 in movie/year{=1990}",
+            "t0 in movie/year{=1990.0}",
+            't0 in movie/year{="1990"}',
+        ]
         for query in queries:
-            assert query.text() == reference_node_text(query.root)
+            assert_parses_back(query)
 
-    def test_memo_follows_a_patched_path(self):
-        """WorkloadGenerator patches a node by assigning a new Path; the
-        node renders the new path, the old Path keeps its own text."""
-        query = parse_for_clause("for m in movie, a in m/actor")
-        node = query.root.children[0]
-        old = node.path
-        before = query.text()
-        last = old.last
-        patched = Step(last.tag, last.axis, ValuePredicate("=", "Lee"),
-                       last.branches + (Path.of("name"),))
-        node.path = Path(old.steps[:-1] + (patched,))
-        assert query.text() == reference_node_text(query.root)
-        assert query.text() == "m in movie\n  a in actor{=Lee}[name]"
-        assert old.text() == "actor" and before == "m in movie\n  a in actor"
+    def test_variable_names_are_not_part_of_the_key(self):
+        first = parse_for_clause("for a in author, p in a/paper")
+        second = parse_for_clause("for x in author, y in x/paper")
+        assert first.key == second.key
+        assert first.text() != second.text()
+
+    def test_child_order_is_part_of_the_key(self):
+        first = parse_for_clause("for a in author, p in a/paper, n in a/name")
+        second = parse_for_clause("for a in author, n in a/name, p in a/paper")
+        assert first.key != second.key
+
+    def test_float_bounds_parse(self):
+        assert parse_path("year{>=2.5}").last.value_pred == ValuePredicate(
+            ">=", 2.5
+        )
+        assert parse_path("year{1.5..2.5}").last.value_pred == (
+            ValuePredicate.between(1.5, 2.5)
+        )
+        assert parse_path("year{-1e-05..3}").last.value_pred == (
+            ValuePredicate.between(-1e-05, 3)
+        )

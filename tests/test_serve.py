@@ -17,7 +17,14 @@ from repro.estimation import TwigEstimator
 from repro.histogram import ops
 from repro.obs import ExplainRecorder, MetricsRegistry
 from repro.obs.metrics import Gauge
-from repro.query import parse_for_clause, parse_path, twig
+from repro.query import (
+    Path,
+    Step,
+    ValuePredicate,
+    parse_for_clause,
+    parse_path,
+    twig,
+)
 from repro.serve import (
     CLOSED,
     HALF_OPEN,
@@ -592,6 +599,34 @@ class TestAnswerCache:
         assert batched == expected + expected
         assert threaded == expected * 4
 
+    def test_a_bound_type_is_a_different_query(self, tree):
+        """``movie/year{=1990}`` with an int and with a string bound are
+        two queries: a cached answer for one never answers the other,
+        through ``estimate`` or ``submit_batch``."""
+        sketch = TwigXSketch.coarsest(tree)
+        pair = [
+            twig(Path((
+                Step("movie"),
+                Step("year", value_pred=ValuePredicate("=", bound)),
+            )))
+            for bound in (1990, "1990")
+        ]
+        service = EstimatorService()
+        expected = self.fresh(sketch, service, pair)
+        assert expected[0] > 0 == expected[1]
+        service.register("imdb", sketch)
+        for _ in range(2):
+            assert [
+                service.estimate("imdb", query).estimate for query in pair
+            ] == expected
+        batch = EstimatorService()
+        batch.register("imdb", sketch)
+        for _ in range(2):
+            assert [
+                response.estimate
+                for response in batch.submit_batch("imdb", pair[::-1] + pair)
+            ] == expected[::-1] + expected
+
     def test_replaced_sketch_starts_an_empty_cache(self, tree, sketch,
                                                    queries):
         other = TwigXSketch.coarsest(tree)
@@ -623,12 +658,12 @@ class TestAnswerCache:
         service = EstimatorService()
         service.register("imdb", sketch)
         cache = service._entry("imdb").answers
-        distinct = list({q.text(): q for q in queries}.values())
+        distinct = list({q.key: q for q in queries}.values())
         first, second, third, fourth = distinct[:4]
         for query in (first, second, third, first, fourth):
             service.estimate("imdb", query)
         # the hit on ``first`` made ``second`` the least recently used
-        assert list(cache) == [q.text() for q in (third, first, fourth)]
+        assert list(cache) == [q.key for q in (third, first, fourth)]
         for query in queries + queries[:5]:
             service.estimate("imdb", query)
             assert len(cache) <= 3
