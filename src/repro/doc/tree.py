@@ -232,27 +232,28 @@ def build_tree(spec, name: str = "") -> DocumentTree:
     Returns:
         A frozen :class:`DocumentTree`.
     """
+    return DocumentTree(_make_node(spec), name=name)
 
-    def make(node_spec) -> DocumentNode:
-        if isinstance(node_spec, str):
-            return DocumentNode(node_spec)
-        if not isinstance(node_spec, tuple):
-            raise DocumentError(f"bad tree spec entry: {node_spec!r}")
-        if len(node_spec) == 3:
-            tag, value, children = node_spec
-        elif len(node_spec) == 2:
-            tag, second = node_spec
-            if isinstance(second, list):
-                value, children = None, second
-            else:
-                value, children = second, []
-        elif len(node_spec) == 1:
-            tag, value, children = node_spec[0], None, []
+
+def _make_node(node_spec) -> DocumentNode:
+    """One :func:`build_tree` spec entry as a fresh subtree."""
+    if isinstance(node_spec, str):
+        return DocumentNode(node_spec)
+    if not isinstance(node_spec, tuple):
+        raise DocumentError(f"bad tree spec entry: {node_spec!r}")
+    if len(node_spec) == 3:
+        tag, value, children = node_spec
+    elif len(node_spec) == 2:
+        tag, second = node_spec
+        if isinstance(second, list):
+            value, children = None, second
         else:
-            raise DocumentError(f"bad tree spec entry: {node_spec!r}")
-        node = DocumentNode(tag, value)
-        for child_spec in children:
-            node.add_child(make(child_spec))
-        return node
-
-    return DocumentTree(make(spec), name=name)
+            value, children = second, []
+    elif len(node_spec) == 1:
+        tag, value, children = node_spec[0], None, []
+    else:
+        raise DocumentError(f"bad tree spec entry: {node_spec!r}")
+    node = DocumentNode(tag, value)
+    for child_spec in children:
+        node.add_child(_make_node(child_spec))
+    return node

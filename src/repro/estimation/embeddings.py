@@ -143,61 +143,71 @@ def _chain_expansions(
     synopsis node with its tag (extent semantics, mirroring the exact
     evaluator).
     """
+    return _chains(synopsis, context, path.steps, max_depth)
 
-    def continuations(
-        current: Optional[int], step: Step
-    ) -> Iterator[list[tuple[int, Step]]]:
-        if current is None:
-            for node in synopsis.nodes_with_tag(step.tag):
-                yield [(node.node_id, step)]
-            return
-        if step.axis != DESCENDANT:
-            for target in synopsis.child_ids_with_tag(current, step.tag):
-                yield [(target, step)]
-            return
-        # Descendant axis: DFS over synopsis *walks* of length >= 1.  Walks
-        # may revisit nodes (recursive tags like section/section produce
-        # legitimate repeated synopsis nodes); termination comes from the
-        # depth cap plus a global exploration guard.
-        explored = 0
-        yielded = 0
-        # breadth-first so shorter (higher-selectivity) chains come first
-        # when the yield cap truncates the enumeration
-        queue: list[list[int]] = [
-            [edge.target] for edge in synopsis.children_of(current)
-        ]
-        position = 0
-        while position < len(queue):
-            chain = queue[position]
-            position += 1
-            tail = chain[-1]
-            if synopsis.node(tail).tag == step.tag:
-                yielded += 1
-                if yielded > MAX_DESCENDANT_CHAINS:
+
+def _chains(
+    synopsis: GraphSynopsis,
+    current: Optional[int],
+    steps: Sequence[Step],
+    max_depth: int,
+) -> Iterator[list[tuple[int, Step]]]:
+    """The chains of ``steps`` from ``current``: each continuation of the
+    first step, extended by every chain of the rest from its end."""
+    head, rest = steps[0], steps[1:]
+    for prefix in _continuations(synopsis, current, head, max_depth):
+        if not rest:
+            yield prefix
+            continue
+        for suffix in _chains(synopsis, prefix[-1][0], rest, max_depth):
+            yield prefix + suffix
+
+
+def _continuations(
+    synopsis: GraphSynopsis,
+    current: Optional[int],
+    step: Step,
+    max_depth: int,
+) -> Iterator[list[tuple[int, Step]]]:
+    """The chains of one step from ``current``."""
+    if current is None:
+        for node in synopsis.nodes_with_tag(step.tag):
+            yield [(node.node_id, step)]
+        return
+    if step.axis != DESCENDANT:
+        for target in synopsis.child_ids_with_tag(current, step.tag):
+            yield [(target, step)]
+        return
+    # Descendant axis: DFS over synopsis *walks* of length >= 1.  Walks
+    # may revisit nodes (recursive tags like section/section produce
+    # legitimate repeated synopsis nodes); termination comes from the
+    # depth cap plus a global exploration guard.
+    explored = 0
+    yielded = 0
+    # breadth-first so shorter (higher-selectivity) chains come first
+    # when the yield cap truncates the enumeration
+    queue: list[list[int]] = [
+        [edge.target] for edge in synopsis.children_of(current)
+    ]
+    position = 0
+    while position < len(queue):
+        chain = queue[position]
+        position += 1
+        tail = chain[-1]
+        if synopsis.node(tail).tag == step.tag:
+            yielded += 1
+            if yielded > MAX_DESCENDANT_CHAINS:
+                return
+            yield [
+                (node_id, Step(synopsis.node(node_id).tag))
+                for node_id in chain[:-1]
+            ] + [(tail, step)]
+        if len(chain) < max_depth:
+            for edge in synopsis.children_of(tail):
+                explored += 1
+                if explored > MAX_DESCENDANT_EXPLORATION:
                     return
-                yield [
-                    (node_id, Step(synopsis.node(node_id).tag))
-                    for node_id in chain[:-1]
-                ] + [(tail, step)]
-            if len(chain) < max_depth:
-                for edge in synopsis.children_of(tail):
-                    explored += 1
-                    if explored > MAX_DESCENDANT_EXPLORATION:
-                        return
-                    queue.append(chain + [edge.target])
-
-    def recurse(
-        current: Optional[int], steps: Sequence[Step]
-    ) -> Iterator[list[tuple[int, Step]]]:
-        head, rest = steps[0], steps[1:]
-        for prefix in continuations(current, head):
-            if not rest:
-                yield prefix
-                continue
-            for suffix in recurse(prefix[-1][0], rest):
-                yield prefix + suffix
-
-    yield from recurse(context, path.steps)
+                queue.append(chain + [edge.target])
 
 
 def _embed_step(
@@ -278,78 +288,100 @@ def enumerate_embeddings(
     root twice (:func:`_roots_may_repeat`).
     """
     budget = budget or EmbeddingBudget()
-
-    def embed_twig(node: TwigNode, context: Optional[int]) -> list[EmbeddingNode]:
-        results: list[EmbeddingNode] = []
-        steps = node.path.steps
-        step = steps[0]
-        if len(steps) == 1 and (context is None or step.axis != DESCENDANT):
-            if context is None:
-                targets = [
-                    n.node_id for n in synopsis.nodes_with_tag(step.tag)
-                ]
-            else:
-                targets = synopsis.child_ids_with_tag(context, step.tag)
-            for target in targets:
-                if budget.full(len(results)):
-                    return results
-                head = _embed_step(synopsis, target, step, max_depth)
-                if head is not None and not attach(node, head, head, results):
-                    return results
-            return results
-        for chain in _chain_expansions(synopsis, context, node.path, max_depth):
-            if budget.full(len(results)):
-                return results
-            built = _embed_chain(synopsis, chain, max_depth)
-            if built is not None and not attach(node, *built, results):
-                return results
-        return results
-
-    def attach(
-        node: TwigNode,
-        head: EmbeddingNode,
-        tail: EmbeddingNode,
-        results: list[EmbeddingNode],
-    ) -> bool:
-        """Append one root per combination of the twig node's children
-        embedded below ``tail``; False once the budget stops enumeration.
-
-        The caller checked the budget for the first root.
-        """
-        if not node.children:
-            results.append(head)
-            return True
-        child_sets: list[list[EmbeddingNode]] = []
-        single = True
-        for child in node.children:
-            embedded_children = embed_twig(child, tail.node_id)
-            if not embedded_children:
-                return True
-            child_sets.append(embedded_children)
-            single = single and len(embedded_children) == 1
-        if single:
-            # one combination: the freshly built chain is the root
-            tail.children.extend([only for (only,) in child_sets])
-            results.append(head)
-            return True
-        for combination in _product(child_sets):
-            if budget.full(len(results)):
-                return False
-            clone = _clone_chain(head)
-            clone_tail = clone
-            while clone_tail.children:
-                clone_tail = clone_tail.children[0]
-            clone_tail.children.extend(combination)
-            results.append(clone)
-        return True
-
-    roots = embed_twig(query.root, None)
+    roots = _embed_twig(query.root, None, synopsis, max_depth, budget)
     if not _roots_may_repeat(query.root):
         return [Embedding(root) for root in roots]
     unique: dict[tuple, Embedding] = {}
     for root in roots:
         unique.setdefault(root.signature(), Embedding(root))
     return list(unique.values())
+
+
+def _embed_twig(
+    node: TwigNode,
+    context: Optional[int],
+    synopsis: GraphSynopsis,
+    max_depth: int,
+    budget: EmbeddingBudget,
+) -> list[EmbeddingNode]:
+    """The roots of ``node``'s subtree embedded below ``context``.
+
+    :func:`_embed_twig` and :func:`_attach` recurse into each other at
+    module level, taking their shared state as arguments: nested closures
+    would refer to each other and leave a reference cycle per query.
+    """
+    results: list[EmbeddingNode] = []
+    steps = node.path.steps
+    step = steps[0]
+    if len(steps) == 1 and (context is None or step.axis != DESCENDANT):
+        if context is None:
+            targets = [
+                n.node_id for n in synopsis.nodes_with_tag(step.tag)
+            ]
+        else:
+            targets = synopsis.child_ids_with_tag(context, step.tag)
+        for target in targets:
+            if budget.full(len(results)):
+                return results
+            head = _embed_step(synopsis, target, step, max_depth)
+            if head is not None and not _attach(
+                node, head, head, results, synopsis, max_depth, budget
+            ):
+                return results
+        return results
+    for chain in _chain_expansions(synopsis, context, node.path, max_depth):
+        if budget.full(len(results)):
+            return results
+        built = _embed_chain(synopsis, chain, max_depth)
+        if built is not None and not _attach(
+            node, *built, results, synopsis, max_depth, budget
+        ):
+            return results
+    return results
+
+
+def _attach(
+    node: TwigNode,
+    head: EmbeddingNode,
+    tail: EmbeddingNode,
+    results: list[EmbeddingNode],
+    synopsis: GraphSynopsis,
+    max_depth: int,
+    budget: EmbeddingBudget,
+) -> bool:
+    """Append one root per combination of the twig node's children
+    embedded below ``tail``; False once the budget stops enumeration.
+
+    The caller checked the budget for the first root.
+    """
+    if not node.children:
+        results.append(head)
+        return True
+    child_sets: list[list[EmbeddingNode]] = []
+    single = True
+    for child in node.children:
+        embedded_children = _embed_twig(
+            child, tail.node_id, synopsis, max_depth, budget
+        )
+        if not embedded_children:
+            return True
+        child_sets.append(embedded_children)
+        single = single and len(embedded_children) == 1
+    if single:
+        # one combination: the freshly built chain is the root
+        tail.children.extend([only for (only,) in child_sets])
+        results.append(head)
+        return True
+    for combination in _product(child_sets):
+        if budget.full(len(results)):
+            return False
+        clone = _clone_chain(head)
+        clone_tail = clone
+        while clone_tail.children:
+            clone_tail = clone_tail.children[0]
+        clone_tail.children.extend(combination)
+        results.append(clone)
+    return True
 
 
 def _roots_may_repeat(root: TwigNode) -> bool:
@@ -399,27 +431,31 @@ def maximal_twigs(
     one maximal twig.
     """
     embeddings = enumerate_embeddings(query, synopsis, max_depth)
-
-    def to_twig(node: EmbeddingNode, counter: list[int]) -> TwigNode:
-        step = Step(
-            synopsis.node(node.node_id).tag,
-            value_pred=node.value_pred,
-            branches=tuple(
-                _branch_path(synopsis, alternatives[0])
-                for alternatives in node.branches
-            ),
-        )
-        twig_node = TwigNode(f"t{counter[0]}", Path((step,)))
-        counter[0] += 1
-        for child in node.children:
-            twig_node.add_child(to_twig(child, counter))
-        return twig_node
-
     unique: dict[tuple, TwigQuery] = {}
     for embedding in embeddings:
-        candidate = TwigQuery(to_twig(embedding.root, [0]))
+        candidate = TwigQuery(_to_twig(synopsis, embedding.root, [0]))
         unique.setdefault(candidate.key, candidate)
     return list(unique.values())
+
+
+def _to_twig(
+    synopsis: GraphSynopsis, node: EmbeddingNode, counter: list[int]
+) -> TwigNode:
+    """The single-step twig of an embedding subtree, variables numbered
+    depth-first from ``counter``."""
+    step = Step(
+        synopsis.node(node.node_id).tag,
+        value_pred=node.value_pred,
+        branches=tuple(
+            _branch_path(synopsis, alternatives[0])
+            for alternatives in node.branches
+        ),
+    )
+    twig_node = TwigNode(f"t{counter[0]}", Path((step,)))
+    counter[0] += 1
+    for child in node.children:
+        twig_node.add_child(_to_twig(synopsis, child, counter))
+    return twig_node
 
 
 def _branch_path(synopsis: GraphSynopsis, chain: EmbeddingNode) -> Path:

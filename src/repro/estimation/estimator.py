@@ -101,7 +101,7 @@ class _Record:
         self.truncated = truncated
         self.values = values
         self._reads: Optional[list[tuple[frozenset, frozenset]]] = None
-        self._indexed: Optional[dict[tuple, tuple]] = None
+        self._indexed: Optional[dict[tuple, float]] = None
 
     def reads(self) -> list[tuple[frozenset, frozenset]]:
         """Each embedding's read set: (node ids, edge keys)."""
@@ -109,20 +109,14 @@ class _Record:
             self._reads = [_read_set(e.root) for e in self.embeddings]
         return self._reads
 
-    def by_signature(self) -> dict[tuple, tuple]:
-        """Root signature -> (value, read set), per embedding."""
+    def by_signature(self) -> dict[tuple, float]:
+        """Root signature -> value, per embedding."""
         if self._indexed is None:
             self._indexed = {
-                embedding.root.signature(): entry
-                for embedding, entry in zip(
-                    self.embeddings, zip(self.values, self.reads())
-                )
+                embedding.root.signature(): value
+                for embedding, value in zip(self.embeddings, self.values)
             }
         return self._indexed
-
-
-#: the (value, read set) of an embedding a base never saw
-_UNSEEN = (None, (frozenset(), frozenset()))
 
 
 def _read_set(root: EmbeddingNode) -> tuple[frozenset, frozenset]:
@@ -148,6 +142,28 @@ def _read_set(root: EmbeddingNode) -> tuple[frozenset, frozenset]:
                 edges.add((node.node_id, head.node_id))
                 stack.append(head)
     return frozenset(nodes), frozenset(edges)
+
+
+def _touches(root: EmbeddingNode, changes: SketchChanges) -> bool:
+    """True when the embedding's read set (:func:`_read_set`) meets
+    ``changes``; stops at the first changed node or edge."""
+    nodes, edges = changes
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        node_id = node.node_id
+        if node_id in nodes:
+            return True
+        for child in node.children:
+            if (node_id, child.node_id) in edges:
+                return True
+            stack.append(child)
+        for alternatives in node.branches:
+            for head in alternatives:
+                if (node_id, head.node_id) in edges:
+                    return True
+                stack.append(head)
+    return False
 
 
 class SketchFacts:
@@ -330,34 +346,43 @@ class TwigEstimator:
     ) -> EstimateReport:
         """:meth:`report` from the base's record of ``query``.
 
-        With the base's graph the embeddings are the base's; otherwise
-        they are enumerated again and matched to the base's by signature.
-        An embedding whose read set misses the changes keeps its value.
+        With the base's graph the embeddings are the base's, and one whose
+        read set misses the changes keeps its value.  Otherwise they are
+        enumerated again; an embedding that touches a change is valued
+        afresh, and an untouched one takes the value of the base's
+        embedding with its signature, when there is one.
         """
         changes = self._changes
+        values = []
         if self.sketch.graph is self._base.sketch.graph:
             embeddings, truncated = record.embeddings, record.truncated
-            earlier = zip(record.values, record.reads())
+            for embedding, value, (nodes, edges) in zip(
+                embeddings, record.values, record.reads()
+            ):
+                if not (
+                    nodes.isdisjoint(changes.nodes)
+                    and edges.isdisjoint(changes.edges)
+                ):
+                    value = self._embedding_value(embedding)
+                values.append(value)
         else:
             budget = EmbeddingBudget(self.max_embeddings)
             embeddings = enumerate_embeddings(
                 query, self.sketch.graph, self.max_depth, budget
             )
             truncated = budget.truncated
-            indexed = record.by_signature()
-            earlier = (
-                indexed.get(embedding.root.signature(), _UNSEEN)
-                for embedding in embeddings
-            )
-        values = []
-        for embedding, (value, (nodes, edges)) in zip(embeddings, earlier):
-            if (
-                value is None
-                or not nodes.isdisjoint(changes.nodes)
-                or not edges.isdisjoint(changes.edges)
-            ):
-                value = self._embedding_value(embedding)
-            values.append(value)
+            # an untouched embedding with a signature the base knows has
+            # the same nodes and edges, so the base's value stands
+            indexed = None
+            for embedding in embeddings:
+                value = None
+                if not _touches(embedding.root, changes):
+                    if indexed is None:
+                        indexed = record.by_signature()
+                    value = indexed.get(embedding.root.signature())
+                if value is None:
+                    value = self._embedding_value(embedding)
+                values.append(value)
         self._count(len(embeddings))
         return EstimateReport(sum(values), len(embeddings), truncated)
 

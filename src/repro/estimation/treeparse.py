@@ -143,100 +143,116 @@ def tree_parse(
     set is collected on the way back up.
     """
     plans: dict[int, NodePlan] = {}
-    covered: set[EdgeRef] = set()
-    histograms_at = sketch.histograms_at
-    extended_stats = sketch.extended_stats
-
-    def visit(node: EmbeddingNode) -> frozenset[EdgeRef]:
-        children = node.children
-        if not children and not node.branches:
-            plans[id(node)] = LEAF_PLAN
-            return LEAF_PLAN.needed
-        node_id = node.node_id
-        plan = NodePlan(node)
-        plans[id(node)] = plan
-        # keyed by the plain (source, target) pair, which equals the
-        # EdgeRef of a histogram dimension
-        child_edges: dict[tuple[int, int], list[EmbeddingNode]] = {}
-        for child in children:
-            key = (node_id, child.node_id)
-            group = child_edges.get(key)
-            if group is None:
-                child_edges[key] = [child]
-            else:
-                group.append(child)
-        # single-alternative branch predicates, keyed by their first
-        # edge: candidates for conditioning inside a histogram
-        branch_edges: dict[tuple[int, int], tuple[int, EmbeddingNode]] = {}
-        if branch_conditioning:
-            for index, alternatives in enumerate(node.branches):
-                if len(alternatives) == 1:
-                    head = alternatives[0]
-                    branch_edges.setdefault(
-                        (node_id, head.node_id), (index, head)
-                    )
-
-        assigned: set[EdgeRef] = set()
-        if node_id in extended_stats:
-            _plan_extended_uses(sketch, node, plan, child_edges, assigned)
-        absorbed_branches = plan.absorbed_branches
-        needed: set[EdgeRef] = set()
-        for histogram in histograms_at(node_id):
-            scope = histogram.scope
-            if child_edges.keys().isdisjoint(scope) and (
-                not branch_edges or branch_edges.keys().isdisjoint(scope)
-            ):
-                # expands no child and absorbs no branch: no use
-                continue
-            expansion = conditions = branch_conditions = None
-            kept = []
-            for dim, ref in enumerate(scope):
-                if ref.source != node_id:
-                    if ref in covered:
-                        if conditions is None:
-                            conditions = {}
-                        conditions[dim] = ref
-                        kept.append(dim)
-                elif ref in child_edges and ref not in assigned:
-                    if expansion is None:
-                        expansion = {}
-                    expansion[dim] = child_edges[ref]
-                    assigned.add(ref)
-                    kept.append(dim)
-                elif (
-                    ref in branch_edges
-                    and branch_edges[ref][0] not in absorbed_branches
-                ):
-                    branch_index, head = branch_edges[ref]
-                    if branch_conditions is None:
-                        branch_conditions = {}
-                    branch_conditions[dim] = head
-                    absorbed_branches.add(branch_index)
-                    kept.append(dim)
-            if expansion is not None or branch_conditions is not None:
-                plan.uses.append(HistogramUse(
-                    histogram,
-                    expansion or {},
-                    conditions or {},
-                    branch_conditions or {},
-                    tuple(kept),
-                ))
-                if conditions is not None:
-                    needed.update(conditions.values())
-        for key, group in child_edges.items():
-            if key not in assigned:
-                plan.uncovered.extend(group)
-        plan.covered_refs = assigned
-        covered.update(assigned)
-        for child in children:
-            child_needed = visit(child)
-            if child_needed:
-                needed.update(child_needed)
-        plan.needed = frozenset(needed)
-        return plan.needed
-
-    visit(embedding.root)
+    _visit(
+        embedding.root, plans, set(), sketch, sketch.extended_stats,
+        branch_conditioning,
+    )
     return plans
+
+
+def _visit(
+    node: EmbeddingNode,
+    plans: dict[int, NodePlan],
+    covered: set[EdgeRef],
+    sketch: TwigXSketch,
+    extended_stats: dict,
+    branch_conditioning: bool,
+) -> frozenset[EdgeRef]:
+    """Plan ``node``'s subtree into ``plans``; returns its ``needed`` set.
+
+    ``covered`` holds the refs expanded on the way down, in visit order.
+    A module-level function, so no closure refers to itself and a finished
+    parse leaves no reference cycle behind.
+    """
+    children = node.children
+    if not children and not node.branches:
+        plans[id(node)] = LEAF_PLAN
+        return LEAF_PLAN.needed
+    node_id = node.node_id
+    plan = NodePlan(node)
+    plans[id(node)] = plan
+    # keyed by the plain (source, target) pair, which equals the
+    # EdgeRef of a histogram dimension
+    child_edges: dict[tuple[int, int], list[EmbeddingNode]] = {}
+    for child in children:
+        key = (node_id, child.node_id)
+        group = child_edges.get(key)
+        if group is None:
+            child_edges[key] = [child]
+        else:
+            group.append(child)
+    # single-alternative branch predicates, keyed by their first
+    # edge: candidates for conditioning inside a histogram
+    branch_edges: dict[tuple[int, int], tuple[int, EmbeddingNode]] = {}
+    if branch_conditioning:
+        for index, alternatives in enumerate(node.branches):
+            if len(alternatives) == 1:
+                head = alternatives[0]
+                branch_edges.setdefault(
+                    (node_id, head.node_id), (index, head)
+                )
+
+    assigned: set[EdgeRef] = set()
+    if node_id in extended_stats:
+        _plan_extended_uses(sketch, node, plan, child_edges, assigned)
+    absorbed_branches = plan.absorbed_branches
+    needed: set[EdgeRef] = set()
+    for histogram in sketch.histograms_at(node_id):
+        scope = histogram.scope
+        if child_edges.keys().isdisjoint(scope) and (
+            not branch_edges or branch_edges.keys().isdisjoint(scope)
+        ):
+            # expands no child and absorbs no branch: no use
+            continue
+        expansion = conditions = branch_conditions = None
+        kept = []
+        for dim, ref in enumerate(scope):
+            if ref.source != node_id:
+                if ref in covered:
+                    if conditions is None:
+                        conditions = {}
+                    conditions[dim] = ref
+                    kept.append(dim)
+            elif ref in child_edges and ref not in assigned:
+                if expansion is None:
+                    expansion = {}
+                expansion[dim] = child_edges[ref]
+                assigned.add(ref)
+                kept.append(dim)
+            elif (
+                ref in branch_edges
+                and branch_edges[ref][0] not in absorbed_branches
+            ):
+                branch_index, head = branch_edges[ref]
+                if branch_conditions is None:
+                    branch_conditions = {}
+                branch_conditions[dim] = head
+                absorbed_branches.add(branch_index)
+                kept.append(dim)
+        if expansion is not None or branch_conditions is not None:
+            plan.uses.append(HistogramUse(
+                histogram,
+                expansion or {},
+                conditions or {},
+                branch_conditions or {},
+                tuple(kept),
+            ))
+            if conditions is not None:
+                needed.update(conditions.values())
+    for key, group in child_edges.items():
+        if key not in assigned:
+            plan.uncovered.extend(group)
+    plan.covered_refs = assigned
+    covered.update(assigned)
+    for child in children:
+        child_needed = _visit(
+            child, plans, covered, sketch, extended_stats,
+            branch_conditioning,
+        )
+        if child_needed:
+            needed.update(child_needed)
+    plan.needed = frozenset(needed)
+    return plan.needed
 
 
 def _plan_extended_uses(

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Sequence
+from typing import Optional, Sequence
 
 from ..errors import SynopsisError
 from . import ops
@@ -54,14 +54,6 @@ def _quantize(points: list[Point], ratio: float = 1.25) -> list[Point]:
     ]
 
 
-def _ward_cost(a: Point, b: Point) -> float:
-    (vector_a, mass_a), (vector_b, mass_b) = a, b
-    if mass_a + mass_b <= 0:
-        return 0.0
-    distance_sq = sum((x - y) ** 2 for x, y in zip(vector_a, vector_b))
-    return (mass_a * mass_b) / (mass_a + mass_b) * distance_sq
-
-
 def _merge(a: Point, b: Point) -> Point:
     (vector_a, mass_a), (vector_b, mass_b) = a, b
     total = mass_a + mass_b
@@ -72,25 +64,46 @@ def _merge(a: Point, b: Point) -> Point:
 
 
 def _agglomerate(points: list[Point], budget: int) -> list[Point]:
-    """Merge nearest (Ward) cluster pairs until at most ``budget`` remain."""
+    """Merge nearest (Ward) cluster pairs until ``budget`` remain.
+
+    A pair's cost is ``m_a·m_b / (m_a + m_b) · ‖a − b‖²``, the increase
+    of mass-weighted within-bucket variance.  Heap entries are unique
+    ``(cost, left, right)`` tuples, so they pop in one total order however
+    the heap was built.  Every live pair has an entry, so with more than
+    ``budget`` clusters the heap never runs dry: the result has exactly
+    ``min(budget, len(points))`` points.
+    """
     clusters: dict[int, Point] = dict(enumerate(points))
     next_id = len(points)
     heap: list[tuple[float, int, int]] = []
-    ids = list(clusters)
-    for position, left in enumerate(ids):
-        for right in ids[position + 1 :]:
-            heapq.heappush(
-                heap, (_ward_cost(clusters[left], clusters[right]), left, right)
-            )
+    for left, (vector_a, mass_a) in enumerate(points):
+        for right in range(left + 1, len(points)):
+            vector_b, mass_b = points[right]
+            total = mass_a + mass_b
+            heap.append((
+                0.0 if total <= 0 else mass_a * mass_b / total * sum([
+                    (x - y) ** 2 for x, y in zip(vector_a, vector_b)
+                ]),
+                left,
+                right,
+            ))
+    heapq.heapify(heap)
+    pop, push = heapq.heappop, heapq.heappush
     while len(clusters) > budget and heap:
-        _, left, right = heapq.heappop(heap)
+        _, left, right = pop(heap)
         if left not in clusters or right not in clusters:
             continue  # stale entry
         merged = _merge(clusters.pop(left), clusters.pop(right))
-        for other_id, other in clusters.items():
-            heapq.heappush(
-                heap, (_ward_cost(merged, other), next_id, other_id)
-            )
+        vector_a, mass_a = merged
+        for other_id, (vector_b, mass_b) in clusters.items():
+            total = mass_a + mass_b
+            push(heap, (
+                0.0 if total <= 0 else mass_a * mass_b / total * sum([
+                    (x - y) ** 2 for x, y in zip(vector_a, vector_b)
+                ]),
+                next_id,
+                other_id,
+            ))
         clusters[next_id] = merged
         next_id += 1
     return list(clusters.values())
@@ -104,7 +117,10 @@ class CentroidHistogram:
         buckets: maximum number of buckets to keep (≥ 1).
 
     The histogram keeps masses summing to 1 and per-dimension means equal to
-    the source's (up to float rounding).
+    the source's (up to float rounding).  Construction quantizes large
+    inputs; the Ward merge runs on the first read of the buckets, so a
+    histogram that is built and replaced unread (most XBUILD candidates)
+    never pays for it.  :meth:`bucket_count` needs no merge.
     """
 
     def __init__(self, source: SparseDistribution, buckets: int):
@@ -115,32 +131,48 @@ class CentroidHistogram:
         points = source.points()
         if len(points) > MAX_EXACT_POINTS:
             points = _quantize(points)
-        if len(points) > buckets:
-            points = _agglomerate(points, buckets)
-        self._points: list[Point] = sorted(points)
+        self._count = min(buckets, len(points))
+        #: the points to merge, until the first read merges them
+        self._source: Optional[list[Point]] = points
+        self._points: Optional[list[Point]] = None
+
+    def _buckets(self) -> list[Point]:
+        """The merged buckets, computed on first call.
+
+        ``_source`` is read before ``_points`` and cleared after it is
+        set, so a concurrent first read finds one or the other.
+        """
+        source = self._source
+        points = self._points
+        if points is None:
+            if len(source) > self.budget:
+                source = _agglomerate(source, self.budget)
+            points = self._points = sorted(source)
+            self._source = None
+        return points
 
     # ------------------------------------------------------------------
     # the common engine interface
     # ------------------------------------------------------------------
     def points(self) -> list[Point]:
         """Bucket representatives: (centroid vector, mass)."""
-        return list(self._points)
+        return list(self._buckets())
 
     def bucket_count(self) -> int:
-        """Number of buckets actually stored (≤ budget)."""
-        return len(self._points)
+        """Number of buckets stored (≤ budget), without merging."""
+        return self._count
 
     # ------------------------------------------------------------------
     def expected_product(self, dims: Sequence[int]) -> float:
         """``Σ mass · Π centroid_d`` over buckets — the ΣF estimate."""
-        return ops.expected_product(self._points, dims)
+        return ops.expected_product(self._buckets(), dims)
 
     def mean(self, dim: int) -> float:
         """Mass-weighted mean of one dimension (preserved exactly)."""
-        return ops.mean(self._points, dim)
+        return ops.mean(self._buckets(), dim)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<CentroidHistogram dims={self.dimensions} "
-            f"buckets={len(self._points)}/{self.budget}>"
+            f"buckets={self._count}/{self.budget}>"
         )

@@ -125,23 +125,54 @@ class TwigNode:
     The paper writes ``t_i : P_i``; here ``var`` is the variable name and
     ``path`` is ``P_i``.  Children are the twig nodes whose paths are
     evaluated from this node's binding.
+
+    A node is edited only while its tree is a draft.  Building a
+    :class:`TwigQuery` over the tree freezes every node: ``children``
+    becomes a tuple, and assigning an attribute or adding a child raises
+    :class:`QueryError`, so a query's :attr:`~TwigQuery.key` always
+    describes its tree.  Nodes hold no parent link (a parent/child pair
+    would be a reference cycle); walks that need parents carry them.
     """
 
-    __slots__ = ("var", "path", "children", "parent")
+    __slots__ = ("var", "path", "children", "_attached", "_frozen")
 
     def __init__(self, var: str, path: Path):
+        object.__setattr__(self, "_frozen", False)
         self.var = var
         self.path = path
         self.children: list[TwigNode] = []
-        self.parent: Optional[TwigNode] = None
+        self._attached = False
+
+    def __setattr__(self, name: str, value) -> None:
+        self._check_draft()
+        object.__setattr__(self, name, value)
+
+    def _check_draft(self) -> None:
+        if self._frozen:
+            raise QueryError(
+                f"twig node {self.var!r} belongs to a built query; "
+                "build a new tree instead"
+            )
 
     def add_child(self, child: "TwigNode") -> "TwigNode":
         """Attach ``child`` and return it (for chaining)."""
-        if child.parent is not None:
+        self._check_draft()
+        child._check_draft()
+        if child._attached:
             raise QueryError(f"twig node {child.var!r} already has a parent")
-        child.parent = self
+        child._attached = True
         self.children.append(child)
         return child
+
+    def _freeze(self) -> None:
+        object.__setattr__(self, "children", tuple(self.children))
+        object.__setattr__(self, "_frozen", True)
+
+    def __setstate__(self, state) -> None:
+        # pickle and copy restore slots by assignment, which a frozen
+        # node refuses; ``state`` is ``(None, {slot: value})``
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
 
     def iter_subtree(self) -> Iterator["TwigNode"]:
         """Depth-first pre-order iteration, matching the paper's convention."""
@@ -170,14 +201,16 @@ class TwigQuery:
     by :func:`repro.query.evaluator.count_bindings` and estimated by
     :class:`repro.estimation.estimator.TwigEstimator`.
 
-    A query is built from a finished node tree and not changed afterwards:
-    :attr:`key`, computed here, is its identity.  It holds every tag, axis,
-    typed value predicate and branch, with children and branches in their
-    order (the order fixes an estimate's float sum), and leaves out the
-    variable names.  Every cache of queries keys by it.
+    A query is built from a finished node tree, which it freezes (see
+    :class:`TwigNode`): :attr:`key`, computed here, is its identity.  It
+    holds every tag, axis, typed value predicate and branch, with children
+    and branches in their order (the order fixes an estimate's float sum),
+    and leaves out the variable names.  Every cache of queries keys by it.
     """
 
     def __init__(self, root: TwigNode):
+        for node in root.iter_subtree():
+            node._freeze()
         self.root = root
         self.key = root.key()
 
@@ -196,15 +229,7 @@ class TwigQuery:
         predicates — the paper's "total number of twig nodes per query"
         counts every node of the pattern tree, which is what the 4–8
         workload bound constrains."""
-
-        def path_steps(path: Path) -> int:
-            total = 0
-            for step in path.steps:
-                total += 1
-                total += sum(path_steps(branch) for branch in step.branches)
-            return total
-
-        return sum(path_steps(node.path) for node in self.nodes())
+        return sum(_path_steps(node.path) for node in self.nodes())
 
     def internal_fanouts(self) -> list[int]:
         """Child counts of internal twig nodes (Table 2's "Avg. Fanout")."""
@@ -212,16 +237,7 @@ class TwigQuery:
 
     def has_value_predicates(self) -> bool:
         """True when any step anywhere (including branches) tests a value."""
-
-        def path_has(path: Path) -> bool:
-            for step in path.steps:
-                if step.value_pred is not None:
-                    return True
-                if any(path_has(branch) for branch in step.branches):
-                    return True
-            return False
-
-        return any(path_has(node.path) for node in self.nodes())
+        return any(_path_has_value(node.path) for node in self.nodes())
 
     def text(self) -> str:
         """The query as one ``for`` clause, for people to read.
@@ -233,16 +249,39 @@ class TwigQuery:
         both kinds of quote.
         """
         clauses = []
-        for node in self.nodes():
+        # depth-first pre-order, each node with its parent's variable
+        stack: list[tuple[TwigNode, Optional[str]]] = [(self.root, None)]
+        while stack:
+            node, parent_var = stack.pop()
             path = node.path.text()
-            if node.parent is not None:
+            if parent_var is not None:
                 axis = "" if path.startswith("//") else "/"
-                path = f"{node.parent.var}{axis}{path}"
+                path = f"{parent_var}{axis}{path}"
             clauses.append(f"{node.var} in {path}")
+            stack.extend((child, node.var) for child in reversed(node.children))
         return ", ".join(clauses)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<TwigQuery {self.size} nodes>"
+
+
+def _path_steps(path: Path) -> int:
+    """Steps of ``path``, counting its branch predicates' steps too."""
+    total = 0
+    for step in path.steps:
+        total += 1
+        total += sum(_path_steps(branch) for branch in step.branches)
+    return total
+
+
+def _path_has_value(path: Path) -> bool:
+    """True when a step of ``path`` or of its branches tests a value."""
+    for step in path.steps:
+        if step.value_pred is not None:
+            return True
+        if any(_path_has_value(branch) for branch in step.branches):
+            return True
+    return False
 
 
 def twig(root_path: Path, *child_specs) -> TwigQuery:
@@ -252,23 +291,18 @@ def twig(root_path: Path, *child_specs) -> TwigQuery:
     or nested ``(Path, [child_specs...])`` tuples.  Variables are named
     ``t0, t1, ...`` in depth-first order, matching the paper's notation.
     """
-    counter = [0]
-
-    def next_var() -> str:
-        name = f"t{counter[0]}"
-        counter[0] += 1
-        return name
-
-    def attach(parent: TwigNode, spec) -> None:
-        if isinstance(spec, Path):
-            parent.add_child(TwigNode(next_var(), spec))
-            return
-        path, subspecs = spec
-        node = parent.add_child(TwigNode(next_var(), path))
-        for subspec in subspecs:
-            attach(node, subspec)
-
-    root = TwigNode(next_var(), root_path)
+    counter = [1]
+    root = TwigNode("t0", root_path)
     for spec in child_specs:
-        attach(root, spec)
+        _attach_spec(root, spec, counter)
     return TwigQuery(root)
+
+
+def _attach_spec(parent: TwigNode, spec, counter: list[int]) -> None:
+    """Add :func:`twig`'s ``spec`` below ``parent``, naming variables
+    from ``counter``."""
+    path, subspecs = (spec, ()) if isinstance(spec, Path) else spec
+    node = parent.add_child(TwigNode(f"t{counter[0]}", path))
+    counter[0] += 1
+    for subspec in subspecs:
+        _attach_spec(node, subspec, counter)

@@ -44,7 +44,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from math import prod
 from operator import attrgetter
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from ..doc.node import DocumentNode
 from ..doc.tree import DocumentTree
@@ -275,29 +275,33 @@ def enumerate_bindings(
     stops after ``limit`` tuples when given.  Tuples are produced in
     document order of the root binding, then recursively of each child.
     """
-    def subtree_bindings(
-        node: TwigNode, context: DocumentNode, path: Optional[Path] = None
-    ) -> Iterator[dict[str, DocumentNode]]:
-        for element in eval_path(path if path is not None else node.path, context):
-            for child_binding in children_product(node.children, element):
-                yield {node.var: element, **child_binding}
-
-    def children_product(
-        children: list[TwigNode], element: DocumentNode
-    ) -> Iterator[dict[str, DocumentNode]]:
-        if not children:
-            yield {}
-            return
-        head, rest = children[0], children[1:]
-        for head_binding in subtree_bindings(head, element):
-            for rest_binding in children_product(rest, element):
-                yield {**head_binding, **rest_binding}
-
     results: list[dict[str, DocumentNode]] = []
-    for binding in subtree_bindings(
+    for binding in _subtree_bindings(
         query.root, virtual_root(tree), absolute_path(query.root.path)
     ):
         results.append(binding)
         if limit is not None and len(results) >= limit:
             break
     return results
+
+
+def _subtree_bindings(
+    node: TwigNode, context: DocumentNode, path: Optional[Path] = None
+) -> Iterator[dict[str, DocumentNode]]:
+    """The binding tuples of ``node``'s subtree below ``context``."""
+    for element in eval_path(path if path is not None else node.path, context):
+        for child_binding in _children_bindings(node.children, element):
+            yield {node.var: element, **child_binding}
+
+
+def _children_bindings(
+    children: Sequence[TwigNode], element: DocumentNode
+) -> Iterator[dict[str, DocumentNode]]:
+    """Every combination of the children's binding tuples below ``element``."""
+    if not children:
+        yield {}
+        return
+    head, rest = children[0], children[1:]
+    for head_binding in _subtree_bindings(head, element):
+        for rest_binding in _children_bindings(rest, element):
+            yield {**head_binding, **rest_binding}

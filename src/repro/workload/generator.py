@@ -288,12 +288,19 @@ class WorkloadGenerator:
     def _break_leaf(self, root: TwigNode, all_tags: list[str]) -> bool:
         """Retarget one leaf of the draft at a tag its parent's tag never
         has as a child; False when no leaf can be broken."""
-        leaves = [node for node in root.iter_subtree() if not node.children]
+        # depth-first pre-order, each leaf with its parent (None at the root)
+        leaves: list[tuple[TwigNode, Optional[TwigNode]]] = []
+        stack: list[tuple[TwigNode, Optional[TwigNode]]] = [(root, None)]
+        while stack:
+            node, parent = stack.pop()
+            if not node.children:
+                leaves.append((node, parent))
+            stack.extend((child, node) for child in reversed(node.children))
         self.rng.shuffle(leaves)
-        for leaf in leaves:
-            if leaf.parent is None:
+        for leaf, parent in leaves:
+            if parent is None:
                 continue
-            parent_tag = leaf.parent.path.last.tag
+            parent_tag = parent.path.last.tag
             impossible = [
                 tag
                 for tag in all_tags

@@ -8,8 +8,12 @@ names only bound names (``bad-export``) and lists each public name it
 from-imports from its own modules (``unexported-name``).  An AST pass
 keeps ``import-cycle`` (module-level imports, so a cycle that imports
 cleanly counts too), ``mutable-default``, ``stray-print`` (outside the
-CLI, ``__main__``, ``conftest``, tests and scripts) and ``float-count``
-(a float passed to a histogram call whose numbers are cardinalities).
+CLI, ``__main__``, ``conftest``, tests and scripts), ``float-count``
+(a float passed to a histogram call whose numbers are cardinalities)
+and, in the ``repro`` package, ``recursive-closure``: a nested function
+that calls itself or a sibling nested function holds its own closure
+cell, so every call of the enclosing function leaves a reference cycle
+that only the cyclic collector frees (``tests/test_cycle_free.py``).
 
 ``tests/fixtures/broken_pkg`` breaks each rule once; walking a root skips
 ``fixtures`` directories.  ``python tests/test_contracts.py ROOT`` prints
@@ -165,6 +169,42 @@ def imported(root):
     return {tuple(entry) for entry in json.loads(result.stdout)}
 
 
+def nested_functions(function):
+    """The functions defined in ``function``'s own body (not in a nested
+    function's or class's)."""
+    found, stack = [], list(function.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found.append(node)
+        elif not isinstance(node, (ast.Lambda, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def recursive_closures(tree):
+    """``(line, message)`` of each nested function that refers to itself
+    or to a sibling nested function."""
+    found = []
+    for function in ast.walk(tree):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        nested = nested_functions(function)
+        names = {inner.name for inner in nested}
+        for inner in nested:
+            called = sorted({
+                node.id for node in ast.walk(inner)
+                if isinstance(node, ast.Name) and node.id in names
+                and isinstance(node.ctx, ast.Load)
+            })
+            if called:
+                found.append((inner.lineno, (
+                    f"nested {inner.name}() in {function.name}() refers to "
+                    + ", ".join(f"{name}()" for name in called)
+                    + ": a reference cycle per call")))
+    return found
+
+
 def ast_findings(root):
     """The lint rules, and the first module-level import cycle."""
     modules = {name: path for path, name, _ in sources(root)}
@@ -176,6 +216,9 @@ def ast_findings(root):
                      or name.partition(".")[0] == "tests"
                      or basename.startswith("test_")
                      or basename in PRINT_EXEMPT)
+        if name.partition(".")[0] == "repro":
+            for line, message in recursive_closures(tree):
+                found.add(finding("recursive-closure", path, line, message))
         for node in ast.walk(tree):
             if isinstance(node, FUNCTIONS):
                 for default in node.args.defaults + node.args.kw_defaults:
@@ -258,6 +301,34 @@ def test_fixture_messages_name_the_offender():
     assert "'phantom'" in by_rule["bad-export"]
     assert "'accumulate'" in by_rule["unexported-name"]
     assert "broken_pkg.a <-> broken_pkg.b" in by_rule["import-cycle"]
+
+
+def test_recursive_closures_are_found():
+    source = """
+def walk(root):
+    def visit(node):
+        for child in node.children:
+            visit(child)
+    def even(n):
+        return n == 0 or odd(n - 1)
+    def odd(n):
+        return n != 0 and even(n - 1)
+    def leaf(node):
+        return [len(c.children) for c in node.children]
+    visit(root)
+
+def lazy(items):
+    def key(item):
+        return sorted(item, key=lambda part: key(part))
+    class Local:
+        def method(self):
+            return self.method
+    return key
+"""
+    lines = sorted(line for line, _ in recursive_closures(ast.parse(source)))
+    assert lines == [3, 6, 8, 15]
+    assert "visit() in walk() refers to visit()" in dict(
+        recursive_closures(ast.parse(source)))[3]
 
 
 def test_fixture_directory_is_skipped_under_the_tests_root():

@@ -538,11 +538,11 @@ def valued_parent_sketch():
     sketch = ValueExpand(m, None, (EdgeRef(m, a),)).apply(sketch)
     queries = []
     for predicate in (ValuePredicate("=", 2), ValuePredicate(">", 1)):
-        query = TwigQuery(TwigNode("t0", Path((
+        root = TwigNode("t0", Path((
             Step("m", DESCENDANT, predicate, (Path((Step("b"),)),)),
-        ))))
-        query.root.add_child(TwigNode("t1", Path((Step("a"),))))
-        queries.append(query)
+        )))
+        root.add_child(TwigNode("t1", Path((Step("a"),))))
+        queries.append(TwigQuery(root))
     return sketch, queries
 
 
@@ -591,10 +591,11 @@ def test_backward_conditioning_reads_the_parent_expansion():
             paper, (EdgeRef(paper, keyword), owned), 8
         )
     ]
-    query = TwigQuery(TwigNode("t0", Path((Step("author"),))))
-    query.root.add_child(TwigNode("t1", Path((Step("paper"),))))
-    query.root.children[0].add_child(TwigNode("t2", Path((Step("keyword"),))))
-    query.root.add_child(TwigNode("t3", Path((Step("paper"),))))
+    root = TwigNode("t0", Path((Step("author"),)))
+    root.add_child(TwigNode("t1", Path((Step("paper"),))))
+    root.children[0].add_child(TwigNode("t2", Path((Step("keyword"),))))
+    root.add_child(TwigNode("t3", Path((Step("paper"),))))
+    query = TwigQuery(root)
     seen = Counter()
     compare_sketch(sketch, [query], seen)
     assert seen["conditions"] == 2
@@ -668,8 +669,9 @@ def test_recursive_document_with_descendant_steps():
     )
     sketch = TwigXSketch.coarsest(tree, CONFIGS["full"])
     sketch = enrich(sketch, random.Random(1), 4)
-    query = TwigQuery(TwigNode("t0", Path((Step("a", DESCENDANT),))))
-    query.root.add_child(TwigNode("t1", Path((Step("a"), Step("b")))))
+    root = TwigNode("t0", Path((Step("a", DESCENDANT),)))
+    root.add_child(TwigNode("t1", Path((Step("a"), Step("b")))))
+    query = TwigQuery(root)
     seen = Counter()
     compare_sketch(sketch, [query], seen)
     assert seen["queries"] == 2
@@ -703,10 +705,11 @@ def star_sketch():
 def test_unread_histograms_and_leaves_build_nothing(monkeypatch):
     sketch, m = star_sketch()
     assert len(sketch.histograms_at(m)) == 4
-    query = TwigQuery(TwigNode("t0", Path((Step("m", DESCENDANT, None, (
+    root = TwigNode("t0", Path((Step("m", DESCENDANT, None, (
         Path((Step("b"),)),
-    )),))))
-    query.root.add_child(TwigNode("t1", Path((Step("a"),))))
+    )),)))
+    root.add_child(TwigNode("t1", Path((Step("a"),))))
+    query = TwigQuery(root)
     (embedding,) = enumerate_embeddings(query, sketch.graph)
     uses = counting(monkeypatch, treeparse_module, "HistogramUse")
     plans_built = counting(monkeypatch, treeparse_module, "NodePlan")
@@ -732,8 +735,9 @@ def test_marginals_are_computed_once_per_histogram_and_kept_set(monkeypatch):
     sketch.edge_stats[m] = [
         sketch.make_edge_histogram(m, (EdgeRef(m, a), EdgeRef(m, b)), 8)
     ]
-    query = TwigQuery(TwigNode("t0", Path((Step("r"), Step("m", DESCENDANT)))))
-    query.root.add_child(TwigNode("t1", Path((Step("a"),))))
+    root = TwigNode("t0", Path((Step("r"), Step("m", DESCENDANT))))
+    root.add_child(TwigNode("t1", Path((Step("a"),))))
+    query = TwigQuery(root)
     marginalized = counting(monkeypatch, ops, "marginalize")
     estimator = TwigEstimator(sketch)
     first = estimator.estimate(query)

@@ -1,7 +1,9 @@
 """Tests for path / for-clause parsing (repro.query.parser, forclause),
 the structural query key, and query text that parses back to it."""
 
+import copy
 import functools
+import pickle
 import random
 
 import pytest
@@ -420,3 +422,61 @@ class TestQueryKey:
         assert parse_path("year{-1e-05..3}").last.value_pred == (
             ValuePredicate.between(-1e-05, 3)
         )
+
+
+class TestFrozenTree:
+    """A built query's tree refuses changes, so its key stays its
+    identity."""
+
+    def built(self):
+        root = TwigNode("a", Path((Step("author"),)))
+        root.add_child(TwigNode("p", Path((Step("paper"),))))
+        return TwigQuery(root)
+
+    def test_adding_a_child_after_construction_raises(self):
+        query = self.built()
+        key, text = query.key, query.text()
+        with pytest.raises(QueryError):
+            query.root.add_child(TwigNode("n", Path((Step("name"),))))
+        with pytest.raises(QueryError):
+            query.root.children[0].add_child(TwigNode("k", Path.of("keyword")))
+        with pytest.raises(AttributeError):
+            query.root.children.append(TwigNode("n", Path.of("name")))
+        assert (query.key, query.text()) == (key, text)
+
+    def test_editing_a_node_after_construction_raises(self):
+        query = self.built()
+        leaf = query.root.children[0]
+        with pytest.raises(QueryError):
+            leaf.path = Path.of("name")
+        with pytest.raises(QueryError):
+            leaf.var = "q"
+        assert query.text() == "a in author, p in a/paper"
+
+    def test_a_built_node_cannot_join_another_tree(self):
+        query = self.built()
+        draft = TwigNode("r", Path.of("root"))
+        with pytest.raises(QueryError):
+            draft.add_child(query.root)
+        with pytest.raises(QueryError):
+            draft.add_child(query.root.children[0])
+        assert draft.children == []
+
+    def test_a_built_query_pickles_and_copies_frozen(self):
+        query = self.built()
+        for clone in (pickle.loads(pickle.dumps(query)), copy.deepcopy(query)):
+            assert (clone.key, clone.text()) == (query.key, query.text())
+            with pytest.raises(QueryError):
+                clone.root.add_child(TwigNode("n", Path.of("name")))
+        draft = TwigNode("a", Path.of("author"))
+        copied = pickle.loads(pickle.dumps(draft))
+        copied.add_child(TwigNode("p", Path.of("paper")))
+        assert TwigQuery(copied).text() == "a in author, p in a/paper"
+
+    def test_a_draft_stays_editable_until_built(self):
+        root = TwigNode("a", Path.of("author"))
+        child = root.add_child(TwigNode("p", Path.of("paper")))
+        child.path = Path.of("book")
+        with pytest.raises(QueryError):
+            TwigNode("x", Path.of("x")).add_child(child)  # one parent only
+        assert TwigQuery(root).text() == "a in author, p in a/book"
