@@ -82,15 +82,6 @@ class PathTrie:
     # ------------------------------------------------------------------
     # lookup
     # ------------------------------------------------------------------
-    def lookup(self, sequence: Sequence[str]) -> Optional[TrieNode]:
-        """The trie node for ``sequence``, or None when absent/pruned."""
-        node = self.root
-        for tag in sequence:
-            node = node.children.get(tag)
-            if node is None:
-                return None
-        return node
-
     def count(self, sequence: Sequence[str]) -> Optional[float]:
         """Occurrence count of the sequence, or None when pruned away.
 

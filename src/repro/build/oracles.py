@@ -4,7 +4,7 @@ XBUILD scores a candidate refinement by how much it reduces estimation
 error on queries sampled around the refinement's region, against an
 *oracle* for the true counts: :class:`ExactOracle` evaluates queries on
 the document.  It does not cache: XBUILD keeps the one truth cache, keyed
-by query text, and asks its oracle only on a miss.
+by ``TwigQuery.key``, and asks its oracle only on a miss.
 
 :func:`build_reference_sketch` builds a large, high-fidelity summary
 (exact per-node joint distributions over a backward bisimulation,

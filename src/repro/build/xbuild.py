@@ -22,12 +22,11 @@ query, and two queries that differ only in a bound's type (``1``
 against ``"1"``) get a truth each.
 
 Resilience (:mod:`repro.resilience`): a build can carry a wall-clock
-``deadline`` (or a full :class:`~repro.resilience.guards.Budget`), write a
-:class:`~repro.resilience.checkpoint.BuildCheckpoint` every
-``checkpoint_every`` applied refinements, and ``resume_from`` such a
-checkpoint — the resumed build replays the refinement trail over the
+``deadline``, write a :class:`~repro.resilience.checkpoint.BuildCheckpoint`
+every ``checkpoint_every`` applied refinements, and ``resume_from`` such
+a checkpoint — the resumed build replays the refinement trail over the
 coarsest synopsis and restores the RNG state, so it is bit-identical to
-the uninterrupted build.  When a budget runs out the loop returns the
+the uninterrupted build.  When the deadline passes the loop returns the
 best-so-far sketch with ``truncated=True`` instead of raising.
 
 Observability (:mod:`repro.obs`): the loop records round/refinement/
@@ -75,10 +74,12 @@ from .oracles import ExactOracle
 from .refinements import Refinement
 from .sampling import RegionSampler, ValueProposals, generate_candidates
 
-#: default rounds without a size-increasing candidate before giving up
+#: rounds without a size-increasing candidate before the build
+#: concludes it has converged
 _MAX_STALL_ROUNDS = 5
 
-#: default hard iteration backstop (well above any realistic budget)
+#: hard cap on applied refinements (well above any realistic budget);
+#: hitting it flags the result ``truncated``
 _MAX_STEPS = 2000
 
 
@@ -148,18 +149,11 @@ class XBuild:
         sample_queries: queries sampled per refinement region.
         sample_value_probability: chance of value predicates in sampled
             queries — raise it when tuning for value-predicated workloads.
-        max_candidates: per-round candidate pool cap.
         oracle: truth oracle; defaults to :class:`ExactOracle` on ``tree``.
         on_step: callback invoked with the growing sketch after each
             applied refinement (the experiment sweep snapshots through it).
-        max_stall_rounds: rounds without a size-increasing candidate
-            before the build concludes it has converged.
-        max_steps: hard cap on applied refinements; hitting it flags the
-            result ``truncated``.
-        deadline: wall-clock budget in seconds — shorthand for passing
-            ``guard=Budget(deadline=...)``.
-        guard: a full :class:`~repro.resilience.guards.Budget`; overrides
-            ``deadline`` when given.
+        deadline: wall-clock budget in seconds; when it runs out the
+            build returns its best-so-far sketch, flagged ``truncated``.
         checkpoint_every: write a checkpoint after every N applied
             refinements (``None`` disables checkpointing).
         checkpoint_path: where periodic checkpoints are saved; without a
@@ -183,23 +177,15 @@ class XBuild:
         seed: int = 17,
         sample_queries: int = 8,
         sample_value_probability: float = 0.0,
-        max_candidates: Optional[int] = None,
         oracle=None,
         on_step: Optional[Callable[[TwigXSketch], None]] = None,
-        max_stall_rounds: int = _MAX_STALL_ROUNDS,
-        max_steps: int = _MAX_STEPS,
         deadline: Optional[float] = None,
-        guard: Optional[Budget] = None,
         checkpoint_every: Optional[int] = None,
         checkpoint_path=None,
         resume_from: Union[None, str, BuildCheckpoint] = None,
         metrics: Optional[MetricsRegistry] = None,
         tracer: Optional[SpanTracer] = None,
     ):
-        if max_stall_rounds < 1:
-            raise BuildError("max_stall_rounds must be at least 1")
-        if max_steps < 1:
-            raise BuildError("max_steps must be at least 1")
         if checkpoint_every is not None and checkpoint_every < 1:
             raise BuildError("checkpoint_every must be at least 1")
         self.tree = tree
@@ -208,7 +194,6 @@ class XBuild:
         self.seed = seed
         self.rng = random.Random(seed)
         self.sample_queries = sample_queries
-        self.max_candidates = max_candidates
         self.oracle = oracle if oracle is not None else ExactOracle(tree)
         #: cross-round truth cache: query key -> exact count
         self._truth_cache: dict[tuple, float] = {}
@@ -216,9 +201,7 @@ class XBuild:
         #: reused across rounds
         self._value_memo: dict[int, ValueProposals] = {}
         self.on_step = on_step
-        self.max_stall_rounds = max_stall_rounds
-        self.max_steps = max_steps
-        self._guard = guard if guard is not None else Budget(deadline=deadline)
+        self._guard = Budget(deadline=deadline)
         self.checkpoint_every = checkpoint_every
         self.checkpoint_path = checkpoint_path
         self.resume_from = resume_from
@@ -289,11 +272,11 @@ class XBuild:
             try:
                 while (
                     size < self.budget_bytes
-                    and state.stall < self.max_stall_rounds
+                    and state.stall < _MAX_STALL_ROUNDS
                 ):
-                    if len(state.steps) >= self.max_steps:
+                    if len(state.steps) >= _MAX_STEPS:
                         truncated = True
-                        reason = f"step limit ({self.max_steps}) reached"
+                        reason = f"step limit ({_MAX_STEPS}) reached"
                         break
                     self._guard.check_deadline("XBUILD round")
                     fault_check(SITE_BUILD_ROUND)
@@ -453,7 +436,7 @@ class XBuild:
         broken toward the cheaper refinement.
         """
         candidates = generate_candidates(
-            sketch, self.rng, self.max_candidates, self._value_memo
+            sketch, self.rng, value_memo=self._value_memo
         )
         # every candidate derives its estimator from this round's base, so
         # it re-estimates only the embeddings its refinement touched

@@ -28,10 +28,7 @@ from .figure9 import (
 )
 from .runner import (
     DATASETS,
-    SuiteError,
-    SuiteResult,
     dataset,
-    run_suite,
     sketch_error,
     synopsis_sweep,
     workload,
@@ -42,8 +39,6 @@ __all__ = [
     "DATASETS",
     "DEFAULT_CONFIG",
     "ExperimentConfig",
-    "SuiteError",
-    "SuiteResult",
     "dataset",
     "format_branch_conditioning_ablation",
     "format_edge_count_ablation",
@@ -63,7 +58,6 @@ __all__ = [
     "run_figure9c",
     "run_negative",
     "run_path_ablation",
-    "run_suite",
     "run_table1",
     "run_table2",
     "sketch_error",

@@ -100,11 +100,6 @@ class ValuePredicate:
         """Convenience constructor for a closed range predicate."""
         return ValuePredicate("range", low, high)
 
-    @staticmethod
-    def equals(value: Comparable) -> "ValuePredicate":
-        """Convenience constructor for equality."""
-        return ValuePredicate("=", value)
-
 
 def _literal(value: Comparable) -> str:
     """A bound as the parser reads it: numbers bare, strings in ``"…"``,

@@ -29,6 +29,7 @@ File format: one JSON object, ``{"format": "xbuild-checkpoint",
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass, field
 from typing import Optional
@@ -165,16 +166,7 @@ def tree_fingerprint(tree) -> dict:
 
 def config_signature(config) -> dict:
     """Every :class:`XSketchConfig` field, as a comparable dict."""
-    return {
-        "engine": config.engine,
-        "initial_edge_buckets": config.initial_edge_buckets,
-        "initial_value_buckets": config.initial_value_buckets,
-        "store_edge_counts": config.store_edge_counts,
-        "include_backward": config.include_backward,
-        "max_histogram_dims": config.max_histogram_dims,
-        "extended_value_buckets": config.extended_value_buckets,
-        "extended_count_buckets": config.extended_count_buckets,
-    }
+    return dataclasses.asdict(config)
 
 
 def _rng_state_to_json(state) -> list:

@@ -455,22 +455,8 @@ class EstimatorService:
         Raises:
             ServiceError: unknown sketch name or invalid deadline.
         """
-        entry = self._entry(name)
-        if deadline is not None and deadline <= 0:
-            raise ServiceError(
-                f"deadline must be positive, got {deadline!r}"
-            )
-        with self.tracer.span("serve.request", sketch=name) as request_span:
-            response = self._estimate_cascade(
-                entry, name, query, deadline, explain
-            )
-            request_span.annotate(
-                tier=response.source,
-                estimate=response.estimate,
-                warnings=len(response.warnings),
-            )
-        self._finish(name, entry, response)
-        return response
+        entry = self._request_entry(name, deadline)
+        return self._serve(entry, query, deadline, explain)
 
     def submit_batch(
         self,
@@ -489,36 +475,44 @@ class EstimatorService:
         Raises:
             ServiceError: unknown sketch name or invalid deadline.
         """
+        entry = self._request_entry(name, deadline)
+        queries = list(queries)
+        with self.tracer.span(
+            "serve.batch", sketch=name, queries=len(queries)
+        ):
+            return [
+                self._serve(entry, query, deadline, None)
+                for query in queries
+            ]
+
+    def _request_entry(self, name: str, deadline: Optional[float]) -> _Entry:
+        """The entry a request addresses, after checking its deadline."""
         entry = self._entry(name)
         if deadline is not None and deadline <= 0:
             raise ServiceError(
                 f"deadline must be positive, got {deadline!r}"
             )
-        queries = list(queries)
-        responses = []
-        with self.tracer.span(
-            "serve.batch", sketch=name, queries=len(queries)
-        ):
-            for query in queries:
-                with self.tracer.span(
-                    "serve.request", sketch=name
-                ) as request_span:
-                    response = self._estimate_cascade(
-                        entry, name, query, deadline, None
-                    )
-                    request_span.annotate(
-                        tier=response.source,
-                        estimate=response.estimate,
-                        warnings=len(response.warnings),
-                    )
-                self._finish(name, entry, response)
-                responses.append(response)
-        return responses
+        return entry
 
-    def _finish(
-        self, name: str, entry: _Entry, response: EstimateResponse
-    ) -> None:
-        """Per-response metrics bookkeeping shared by single and batch."""
+    def _serve(
+        self,
+        entry: _Entry,
+        query: TwigQuery,
+        deadline: Optional[float],
+        explain: Optional[ExplainRecorder],
+    ) -> EstimateResponse:
+        """One request, single or batched: its span, the cascade, and the
+        per-response metrics."""
+        name = entry.name
+        with self.tracer.span("serve.request", sketch=name) as request_span:
+            response = self._estimate_cascade(
+                entry, name, query, deadline, explain
+            )
+            request_span.annotate(
+                tier=response.source,
+                estimate=response.estimate,
+                warnings=len(response.warnings),
+            )
         self._requests.inc(sketch=name, tier=response.source)
         self._latency.observe(
             response.latency, sketch=name, tier=response.source
@@ -528,6 +522,7 @@ class EstimatorService:
         if response.warnings:
             self._warnings_counter.inc(len(response.warnings), sketch=name)
         self._export_breakers(entry)
+        return response
 
     def _estimate_cascade(
         self,
@@ -567,7 +562,6 @@ class EstimatorService:
                     value = self._run_tier(
                         entry, tier, query, warnings, explain, key
                     )
-                    value = self._accept(value, tier)
             except _TierUnavailable as skip:
                 # Configuration fact, not a failure: the breaker is not
                 # charged (an unavailable tier can never have opened it).
@@ -625,11 +619,11 @@ class EstimatorService:
         explain: Optional[ExplainRecorder] = None,
         key: Optional[tuple] = None,
     ) -> float:
+        """One tier's answer, gated by :meth:`_accept`; twig answers are
+        cached under ``key`` once they pass the gate, so a cache hit
+        needs no second one."""
         if tier == TIER_TWIG:
-            if key is None:
-                cached = None
-            else:
-                cached = entry.cached(key)
+            cached = None if key is None else entry.cached(key)
             if cached is not None:
                 return cached
             value = self._accept(
@@ -652,16 +646,19 @@ class EstimatorService:
                     "path tier collapsed branching siblings to the "
                     "primary chain"
                 )
-            return PathEstimator(
-                entry.sketch, metrics=self.metrics, explain=explain
-            ).estimate(chain)
+            return self._accept(
+                PathEstimator(
+                    entry.sketch, metrics=self.metrics, explain=explain
+                ).estimate(chain),
+                tier,
+            )
         if tier == TIER_CST:
             if entry.baseline is None:
                 raise _TierUnavailable(
                     "cst tier unavailable: no baseline registered for "
                     f"{entry.name!r}"
                 )
-            return entry.baseline.estimate(query)
+            return self._accept(entry.baseline.estimate(query), tier)
         raise ServiceError(f"unknown tier {tier!r}")  # pragma: no cover
 
     @staticmethod

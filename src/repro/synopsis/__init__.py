@@ -25,6 +25,7 @@ from .validate import (
     Violation,
     error_violations,
     raise_on_violations,
+    validate_graph,
     validate_sketch,
 )
 from .graph import GraphSynopsis, SynopsisEdge, SynopsisNode, label_split_synopsis
@@ -70,5 +71,6 @@ __all__ = [
     "mean_child_count",
     "stable_count_edges",
     "twig_stable_neighborhood",
+    "validate_graph",
     "validate_sketch",
 ]

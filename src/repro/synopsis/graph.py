@@ -533,49 +533,6 @@ class GraphSynopsis(IndexedGraph):
         duplicate._witnesses = dict(self._witnesses)
         return duplicate
 
-    # ------------------------------------------------------------------
-    # validation
-    # ------------------------------------------------------------------
-    def validate(self) -> None:
-        """Check the partition and edge-count invariants (test support)."""
-        covered = 0
-        for node in self.nodes.values():
-            if any(
-                earlier.node_id >= later.node_id
-                for earlier, later in zip(node.extent, node.extent[1:])
-            ):
-                raise SynopsisError(
-                    f"extent of node #{node.node_id} is not in document order"
-                )
-            for element in node.extent:
-                if self.assignment[element.node_id] != node.node_id:
-                    raise SynopsisError(
-                        f"assignment mismatch for element {element.node_id}"
-                    )
-                if element.tag != node.tag:
-                    raise SynopsisError("extent element tag mismatch")
-            covered += node.count
-        if covered != self.tree.element_count:
-            raise SynopsisError(
-                f"partition covers {covered} of {self.tree.element_count} elements"
-            )
-        for source, target in self.edges:
-            if source not in self.nodes or target not in self.nodes:
-                raise SynopsisError(
-                    f"edge {source}->{target} references a missing node"
-                )
-        # Incoming child_counts partition each node's extent (tree data).
-        for node_id, node in self.nodes.items():
-            incoming = sum(e.child_count for e in self.parents_of(node_id))
-            expected = node.count - (
-                1 if self.assignment[self.tree.root.node_id] == node_id else 0
-            )
-            if incoming != expected:
-                raise SynopsisError(
-                    f"incoming counts of node #{node_id} sum to {incoming}, "
-                    f"expected {expected}"
-                )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<GraphSynopsis nodes={self.node_count} edges={self.edge_count}>"
 

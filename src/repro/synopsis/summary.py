@@ -596,34 +596,6 @@ class TwigXSketch:
         return deduped[: self.config.max_histogram_dims]
 
     # ------------------------------------------------------------------
-    def validate(self) -> None:
-        """Structural invariants: graph is valid, stats reference live
-        nodes and existing edges."""
-        self.graph.validate()
-        for node_id, histograms in self.edge_stats.items():
-            if node_id not in self.graph.nodes:
-                raise SynopsisError(f"stats for dead node #{node_id}")
-            for histogram in histograms:
-                for ref in histogram.scope:
-                    if self.graph.edge(ref.source, ref.target) is None:
-                        raise SynopsisError(
-                            f"histogram at #{node_id} references missing edge "
-                            f"{ref.source}->{ref.target}"
-                        )
-        for node_id in self.value_stats:
-            if node_id not in self.graph.nodes:
-                raise SynopsisError(f"value stats for dead node #{node_id}")
-        for node_id, summaries in self.extended_stats.items():
-            if node_id not in self.graph.nodes:
-                raise SynopsisError(f"extended stats for dead node #{node_id}")
-            for summary in summaries:
-                for ref in summary.scope:
-                    if self.graph.edge(ref.source, ref.target) is None:
-                        raise SynopsisError(
-                            f"extended summary at #{node_id} references "
-                            f"missing edge {ref.source}->{ref.target}"
-                        )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<TwigXSketch nodes={self.graph.node_count} "

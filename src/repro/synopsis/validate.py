@@ -2,10 +2,11 @@
 
 A synopsis is built once and then consulted by every optimizer
 invocation, usually after a save/load hop through
-:mod:`repro.synopsis.persist`.  This module checks that a sketch —
-freshly built (:class:`~repro.synopsis.graph.GraphSynopsis`) or loaded
-(:class:`~repro.synopsis.persist.FrozenGraph`) — still satisfies the
-structural invariants the estimators silently rely on:
+:mod:`repro.synopsis.persist`.  This module is the one checker of a
+sketch — freshly built (:class:`~repro.synopsis.graph.GraphSynopsis`) or
+loaded (:class:`~repro.synopsis.persist.FrozenGraph`) — and of a bare
+graph (:func:`validate_graph`).  It checks the structural invariants the
+estimators silently rely on:
 
 * extent counts are finite, non-negative integers;
 * edge endpoints resolve, and edge counts fit their extents
@@ -17,6 +18,10 @@ structural invariants the estimators silently rely on:
 * incoming child counts partition each extent: every element but the
   document root has exactly one parent, so the per-node deficits
   ``|v| − Σ incoming child_count`` are non-negative and sum to 1;
+* on a graph that keeps its extents (a ``GraphSynopsis``): each extent
+  is in document order, holds elements of the node's tag assigned to
+  that node, the extents cover every element, and the node with deficit
+  1 is the one holding the document root;
 * histogram scopes reference live nodes and existing edges, masses are
   finite, non-negative, and total ≈ 1, and (for the mean-preserving
   ``centroid``/``exact`` engines) the mass-weighted mean of every
@@ -35,6 +40,7 @@ from dataclasses import dataclass
 
 from ..errors import SynopsisIntegrityError
 from .distributions import EdgeRef
+from .graph import GraphSynopsis
 from .summary import TwigXSketch
 
 #: relative tolerance for mass/mean consistency of mean-preserving engines
@@ -78,14 +84,26 @@ def _is_count(value) -> bool:
 
 def validate_sketch(sketch: TwigXSketch) -> list[Violation]:
     """Every invariant violation of ``sketch``, empty when healthy."""
-    violations: list[Violation] = []
-    violations.extend(_check_nodes(sketch))
-    edges_ok = _check_edges(sketch, violations)
-    if edges_ok:
-        violations.extend(_check_partition(sketch))
+    violations = validate_graph(sketch.graph)
     violations.extend(_check_edge_histograms(sketch))
     violations.extend(_check_value_histograms(sketch))
     violations.extend(_check_extended_histograms(sketch))
+    return violations
+
+
+def validate_graph(graph) -> list[Violation]:
+    """Every invariant violation of a graph synopsis, empty when healthy.
+
+    ``graph`` is a :class:`~repro.synopsis.graph.GraphSynopsis` (whose
+    extents are checked too) or a loaded
+    :class:`~repro.synopsis.persist.FrozenGraph` (which has none).
+    """
+    violations = _check_nodes(graph)
+    edges_ok = _check_edges(graph, violations)
+    if edges_ok:
+        violations.extend(_check_partition(graph))
+    if isinstance(graph, GraphSynopsis):
+        violations.extend(_check_extents(graph, edges_ok))
     return violations
 
 
@@ -112,13 +130,13 @@ def raise_on_violations(violations: list[Violation], source: str = "synopsis") -
 # ----------------------------------------------------------------------
 # individual invariant groups
 # ----------------------------------------------------------------------
-def _check_nodes(sketch: TwigXSketch) -> list[Violation]:
+def _check_nodes(graph) -> list[Violation]:
     violations: list[Violation] = []
-    if not sketch.graph.nodes:
+    if not graph.nodes:
         violations.append(
             Violation("empty-graph", "nodes", "synopsis has no nodes")
         )
-    for node_id, node in sketch.graph.nodes.items():
+    for node_id, node in graph.nodes.items():
         where = f"nodes[{node_id}]"
         if not _is_count(node.count):
             violations.append(
@@ -139,10 +157,9 @@ def _check_nodes(sketch: TwigXSketch) -> list[Violation]:
     return violations
 
 
-def _check_edges(sketch: TwigXSketch, violations: list[Violation]) -> bool:
+def _check_edges(graph, violations: list[Violation]) -> bool:
     """Edge invariants; returns True when endpoint/count checks all hold
     (the partition check is meaningless otherwise)."""
-    graph = sketch.graph
     sound = True
     for index, ((source, target), edge) in enumerate(graph.edges.items()):
         where = f"edges[{index}]"
@@ -220,10 +237,9 @@ def _check_edges(sketch: TwigXSketch, violations: list[Violation]) -> bool:
     return sound
 
 
-def _check_partition(sketch: TwigXSketch) -> list[Violation]:
+def _check_partition(graph) -> list[Violation]:
     """Incoming child counts partition each extent (tree data): one node
     hosts the document root (deficit 1), every other deficit is 0."""
-    graph = sketch.graph
     violations: list[Violation] = []
     incoming: dict[int, float] = {node_id: 0 for node_id in graph.nodes}
     for (source, target), edge in graph.edges.items():
@@ -250,6 +266,76 @@ def _check_partition(sketch: TwigXSketch) -> list[Violation]:
                 f"extent sizes exceed incoming child counts by "
                 f"{total_deficit:g} elements; a tree document has "
                 f"exactly one root (expected deficit 1)",
+            )
+        )
+    return violations
+
+
+def _check_extents(graph: GraphSynopsis, edges_ok: bool) -> list[Violation]:
+    """The partition behind a graph that keeps its extents: each extent
+    in document order, assigned to its node and of its node's tag; all
+    extents together cover the document; and the document root lies in
+    the node whose extent exceeds its incoming child counts by one (only
+    checked when the edge counts are sound)."""
+    violations: list[Violation] = []
+    assignment = graph.assignment
+    covered = 0
+    for node_id, node in graph.nodes.items():
+        where = f"nodes[{node_id}].extent"
+        extent = node.extent
+        covered += len(extent)
+        if any(
+            earlier.node_id >= later.node_id
+            for earlier, later in zip(extent, extent[1:])
+        ):
+            violations.append(
+                Violation(
+                    "extent-order", where,
+                    "extent is not in document order",
+                )
+            )
+        stray = next(
+            (e for e in extent if assignment[e.node_id] != node_id), None
+        )
+        if stray is not None:
+            violations.append(
+                Violation(
+                    "extent-assignment", where,
+                    f"element {stray.node_id} is assigned to node "
+                    f"#{assignment[stray.node_id]}",
+                )
+            )
+        foreign = next((e for e in extent if e.tag != node.tag), None)
+        if foreign is not None:
+            violations.append(
+                Violation(
+                    "extent-tag", where,
+                    f"element {foreign.node_id} has tag {foreign.tag!r}, "
+                    f"the node {node.tag!r}",
+                )
+            )
+    element_count = graph.tree.element_count
+    if covered != element_count:
+        violations.append(
+            Violation(
+                "extent-cover", "nodes",
+                f"extents cover {covered} of {element_count} elements",
+            )
+        )
+    if not edges_ok:
+        return violations
+    root = assignment[graph.tree.root.node_id]
+    incoming = sum(
+        edge.child_count
+        for (_, target), edge in graph.edges.items()
+        if target == root
+    )
+    if root not in graph.nodes or graph.nodes[root].count - incoming != 1:
+        violations.append(
+            Violation(
+                "extent-root", f"nodes[{root}]",
+                f"node #{root} holds the document root, but its extent "
+                f"does not exceed its incoming child counts by one",
             )
         )
     return violations

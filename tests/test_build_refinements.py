@@ -11,7 +11,13 @@ from repro.build import (
 )
 from repro.datasets import figure1_document, generate_imdb
 from repro.errors import BuildError
-from repro.synopsis import EdgeRef, TwigXSketch, XSketchConfig
+from repro.synopsis import (
+    EdgeRef,
+    TwigXSketch,
+    XSketchConfig,
+    raise_on_violations,
+    validate_sketch,
+)
 
 
 @pytest.fixture()
@@ -33,7 +39,7 @@ class TestBStabilize:
             e for e in sketch.graph.parents_of(movie) if not e.backward_stable
         )
         refined = BStabilize(edge.source, edge.target).apply(sketch)
-        refined.validate()
+        raise_on_violations(validate_sketch(refined))
         movies = refined.graph.nodes_with_tag("movie")
         assert len(movies) == 2
         stabilized = refined.graph.edge(
@@ -63,7 +69,7 @@ class TestBStabilize:
         before = sketch.graph.node_count
         BStabilize(edge.source, edge.target).apply(sketch)
         assert sketch.graph.node_count == before
-        sketch.validate()
+        raise_on_violations(validate_sketch(sketch))
 
 
 class TestFStabilize:
@@ -71,7 +77,7 @@ class TestFStabilize:
         author = nid(sketch, "author")
         book = nid(sketch, "book")
         refined = FStabilize(author, book).apply(sketch)
-        refined.validate()
+        raise_on_violations(validate_sketch(refined))
         authors = refined.graph.nodes_with_tag("author")
         assert len(authors) == 2
         sizes = sorted(node.count for node in authors)

@@ -10,7 +10,12 @@ from repro.datasets import generate_imdb, movie_document
 from repro.errors import BuildError
 from repro.estimation import TwigEstimator
 from repro.query import ValuePredicate, count_bindings, parse_for_clause
-from repro.synopsis import TwigXSketch, XSketchConfig
+from repro.synopsis import (
+    TwigXSketch,
+    XSketchConfig,
+    raise_on_violations,
+    validate_sketch,
+)
 
 
 @pytest.fixture()
@@ -28,7 +33,7 @@ class TestApply:
         refined = ValueSplit(
             movie, ValuePredicate("=", "Action"), "type"
         ).apply(movie_sketch)
-        refined.validate()
+        raise_on_violations(validate_sketch(refined))
         parts = refined.graph.nodes_with_tag("movie")
         assert sorted(node.count for node in parts) == [2, 3]
 
@@ -37,7 +42,7 @@ class TestApply:
         refined = ValueSplit(
             type_node, ValuePredicate("=", "Action")
         ).apply(movie_sketch)
-        refined.validate()
+        raise_on_violations(validate_sketch(refined))
         parts = refined.graph.nodes_with_tag("type")
         assert sorted(node.count for node in parts) == [2, 3]
 

@@ -18,7 +18,11 @@ from repro.estimation import TwigEstimator
 from repro.obs import MetricsRegistry
 from repro.query import Path, Step, ValuePredicate, count_bindings, twig
 from repro.synopsis import TwigXSketch, XSketchConfig
-from repro.synopsis.validate import error_violations, validate_sketch
+from repro.synopsis.validate import (
+    error_violations,
+    raise_on_violations,
+    validate_sketch,
+)
 from repro.workload import (
     WorkloadGenerator,
     WorkloadSpec,
@@ -63,7 +67,7 @@ class TestCandidates:
     def test_all_candidates_applicable(self, coarse):
         for candidate in generate_candidates(coarse, random.Random(4)):
             refined = candidate.apply(coarse)
-            refined.validate()
+            raise_on_violations(validate_sketch(refined))
 
     def test_backward_expansion_gated_by_config(self, imdb):
         forward_only = TwigXSketch.coarsest(imdb, XSketchConfig())
@@ -202,7 +206,7 @@ class TestXBuildLoop:
         result = XBuild(imdb, budget, seed=11, sample_queries=6).run()
         assert result.sketch.size_bytes() >= budget * 0.8
         assert result.steps
-        result.sketch.validate()
+        raise_on_violations(validate_sketch(result.sketch))
 
     def test_sizes_monotonically_increase(self, imdb, coarse):
         result = XBuild(
@@ -255,7 +259,6 @@ class TestIncrementalBuildState:
         assert not result.truncated
         assert result.sketch.size_bytes() >= budget
         assert error_violations(validate_sketch(result.sketch)) == []
-        result.sketch.graph.validate()
 
     def test_split_memo_matches_fresh_proposals(self, imdb, coarse):
         builder = XBuild(

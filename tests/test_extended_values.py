@@ -13,7 +13,13 @@ from repro.errors import BuildError, SynopsisError
 from repro.estimation import TwigEstimator, enumerate_embeddings, tree_parse
 from repro.histogram import ValueCountHistogram
 from repro.query import ValuePredicate, count_bindings, parse_for_clause
-from repro.synopsis import EdgeRef, TwigXSketch, XSketchConfig
+from repro.synopsis import (
+    EdgeRef,
+    TwigXSketch,
+    XSketchConfig,
+    raise_on_violations,
+    validate_sketch,
+)
 
 
 def nid(sketch, tag):
@@ -133,7 +139,7 @@ class TestExtendedSummary:
         movie = nid(sketch, "movie")
         part = {sketch.graph.node(movie).extent[0].node_id}
         first, second = sketch.split_node(movie, part)
-        sketch.validate()
+        raise_on_violations(validate_sketch(sketch))
         assert sketch.extended_at(first) or sketch.extended_at(second)
         for part_id in (first, second):
             for summary in sketch.extended_at(part_id):

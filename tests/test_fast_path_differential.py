@@ -70,7 +70,12 @@ from repro.query.evaluator import (
     virtual_root,
 )
 from repro.query.values import ValuePredicate
-from repro.synopsis import TwigXSketch, XSketchConfig, label_split_synopsis
+from repro.synopsis import (
+    TwigXSketch,
+    XSketchConfig,
+    label_split_synopsis,
+    validate_graph,
+)
 from repro.synopsis import graph as graph_module
 from repro.synopsis.distributions import (
     EdgeRef,
@@ -191,7 +196,7 @@ def split_and_check(graph, node_id, part, split=GraphSynopsis.split_node):
     assert sorted(edge_rows(fresh)) == sorted(edge_rows(graph))
     assert fresh._witnesses == graph._witnesses
     assert set(graph._witnesses) == set(graph.edges)
-    graph.validate()
+    assert validate_graph(graph) == []
     return first, second
 
 

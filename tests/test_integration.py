@@ -16,7 +16,13 @@ from repro.build import xbuild
 from repro.doc import DocumentNode, DocumentTree
 from repro.estimation import TwigEstimator
 from repro.query import Path, count_bindings, parse_for_clause, twig
-from repro.synopsis import EdgeRef, TwigXSketch, XSketchConfig
+from repro.synopsis import (
+    EdgeRef,
+    TwigXSketch,
+    XSketchConfig,
+    raise_on_violations,
+    validate_sketch,
+)
 
 
 @st.composite
@@ -142,7 +148,7 @@ class TestFuzzing:
             tree = random_document(rng)
             tree.validate()
             sketch = TwigXSketch.coarsest(tree)
-            sketch.validate()
+            raise_on_violations(validate_sketch(sketch))
 
 
 class TestEndToEnd:

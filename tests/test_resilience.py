@@ -2,6 +2,7 @@
 XBUILD checkpoint/resume protocol (resume must be bit-identical)."""
 
 import gc
+import importlib
 import json
 
 import pytest
@@ -27,8 +28,6 @@ from repro.errors import (
     ReproError,
     ResourceLimitError,
 )
-from repro.experiments import ExperimentConfig, run_suite
-from repro.experiments.runner import GENERATORS
 from repro.query import parse_path, twig
 from repro.query.values import ValuePredicate
 from repro.resilience import (
@@ -49,6 +48,9 @@ from repro.resilience.checkpoint import config_signature, tree_fingerprint
 from repro.synopsis import TwigXSketch, XSketchConfig
 from repro.synopsis.distributions import EdgeRef
 from repro.synopsis.persist import sketch_to_dict
+
+# the module, not the ``repro.build.xbuild`` function of the same name
+xbuild_module = importlib.import_module("repro.build.xbuild")
 
 
 class FakeClock:
@@ -369,11 +371,9 @@ class TestXBuildResilience:
     def test_deadline_returns_truncated_best_so_far(
         self, small_tree, build_budget
     ):
-        # a clock that jumps one second per reading: the deadline expires
-        # after a handful of checks, without sleeping
-        ticks = iter(range(10**6))
-        guard = Budget(deadline=10.0, clock=lambda: next(ticks))
-        result = XBuild(small_tree, build_budget, seed=5, guard=guard).run()
+        result = XBuild(
+            small_tree, build_budget, seed=5, deadline=1e-6
+        ).run()
         assert result.truncated
         assert "deadline" in result.reason
         # the best-so-far sketch is still a valid synopsis
@@ -401,10 +401,8 @@ class TestXBuildResilience:
             assert not completed.truncated
             assert during and min(during) > 0
             assert frozen_after_run() == caller_froze
-            ticks = iter(range(10**6))
-            guard = Budget(deadline=10.0, clock=lambda: next(ticks))
             truncated = XBuild(
-                small_tree, build_budget, seed=5, guard=guard
+                small_tree, build_budget, seed=5, deadline=1e-6
             ).run()
             assert truncated.truncated
             assert frozen_after_run() == caller_froze
@@ -416,76 +414,24 @@ class TestXBuildResilience:
             if caller_froze:
                 gc.unfreeze()
 
-    def test_step_limit_marks_truncated(self, small_tree, build_budget):
-        result = XBuild(
-            small_tree, build_budget, seed=5, max_steps=1
-        ).run()
+    def test_step_limit_marks_truncated(
+        self, small_tree, build_budget, monkeypatch
+    ):
+        monkeypatch.setattr(xbuild_module, "_MAX_STEPS", 1)
+        result = XBuild(small_tree, build_budget, seed=5).run()
         assert result.truncated
         assert "step limit" in result.reason
         assert len(result.steps) == 1
 
-    def test_promoted_limits_keep_their_defaults(self, small_tree):
-        build = XBuild(small_tree, 4096)
-        assert build.max_stall_rounds == 5
-        assert build.max_steps == 2000
-
-    def test_budget_already_met_completes_with_no_steps(self, small_tree):
+    def test_budget_already_met_completes_with_no_steps(
+        self, small_tree, monkeypatch
+    ):
+        monkeypatch.setattr(xbuild_module, "_MAX_STALL_ROUNDS", 1)
         coarse = TwigXSketch.coarsest(small_tree, XSketchConfig())
-        result = XBuild(
-            small_tree, coarse.size_bytes(), seed=5, max_stall_rounds=1
-        ).run()
+        result = XBuild(small_tree, coarse.size_bytes(), seed=5).run()
         assert result.steps == []
         assert not result.truncated
 
     def test_parameter_validation(self, small_tree):
         with pytest.raises(BuildError):
-            XBuild(small_tree, 4096, max_stall_rounds=0)
-        with pytest.raises(BuildError):
-            XBuild(small_tree, 4096, max_steps=0)
-        with pytest.raises(BuildError):
             XBuild(small_tree, 4096, checkpoint_every=0)
-
-
-# ----------------------------------------------------------------------
-# suite isolation
-# ----------------------------------------------------------------------
-TINY = ExperimentConfig(
-    scale=900,
-    queries=6,
-    budget_steps=1,
-    budget_stride=512,
-    dataset_seeds=(
-        ("broken", 1),
-        ("tiny", 2),
-        ("flaky", 3),
-        ("slowpoke", 4),
-    ),
-)
-
-
-class TestRunSuite:
-    def test_failure_is_isolated(self, monkeypatch):
-        def explode(scale, seed=0):
-            raise BuildError("generator exploded")
-
-        monkeypatch.setitem(GENERATORS, "broken", explode)
-        monkeypatch.setitem(GENERATORS, "tiny", generate_imdb)
-        result = run_suite(("broken", "tiny"), kinds=("P",), config=TINY)
-        assert result.partial
-        assert [e.dataset for e in result.errors] == ["broken"]
-        assert result.errors[0].stage == "dataset"
-        assert result.errors[0].error_type == "BuildError"
-        # the healthy dataset still produced everything
-        assert "tiny" in result.sweeps
-        assert ("tiny", "P") in result.workloads
-
-    def test_deadline_truncates_sweep_not_suite(self, monkeypatch):
-        monkeypatch.setitem(GENERATORS, "slowpoke", generate_imdb)
-        result = run_suite(
-            ("slowpoke",), kinds=(), config=TINY, deadline=1e-6
-        )
-        assert result.truncated == ("slowpoke",)
-        assert result.partial
-        # truncated sweeps still deliver a full-length snapshot tuple
-        budgets = TINY.budgets(result.sweeps["slowpoke"][0].size_bytes())
-        assert len(result.sweeps["slowpoke"]) == len(budgets)

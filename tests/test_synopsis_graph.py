@@ -7,7 +7,12 @@ import pytest
 from repro.datasets.paperfig import figure1_document, figure4_documents
 from repro.doc import build_tree
 from repro.errors import SynopsisError
-from repro.synopsis import GraphSynopsis, label_split_synopsis
+from repro.synopsis import (
+    GraphSynopsis,
+    label_split_synopsis,
+    raise_on_violations,
+    validate_graph,
+)
 from repro.synopsis.graph import SynopsisEdge
 
 
@@ -34,7 +39,7 @@ class TestLabelSplit:
         assert node_by_tag(fig1_synopsis, "name").count == 3
 
     def test_partition_invariant(self, fig1_synopsis):
-        fig1_synopsis.validate()
+        assert validate_graph(fig1_synopsis) == []
         total = sum(n.count for n in fig1_synopsis.iter_nodes())
         assert total == fig1_synopsis.tree.element_count
 
@@ -132,7 +137,7 @@ class TestSplitNode:
         paper = node_by_tag(fig1_synopsis, "paper")
         part = {paper.extent[0].node_id, paper.extent[1].node_id}
         first, second = fig1_synopsis.split_node(paper.node_id, part)
-        fig1_synopsis.validate()
+        assert validate_graph(fig1_synopsis) == []
         assert fig1_synopsis.node(first).count == 2
         assert fig1_synopsis.node(second).count == 2
         assert len(fig1_synopsis.nodes_with_tag("paper")) == 2
@@ -186,7 +191,7 @@ class TestSplitNode:
             (first, second): (1, 1),
         }
         assert all(b.node_id not in key for key in synopsis.edges)
-        synopsis.validate()
+        assert validate_graph(synopsis) == []
 
 
 class TestValidate:
@@ -196,7 +201,7 @@ class TestValidate:
             edge.source, 999, 1, 1, edge.source_size, 1
         )
         with pytest.raises(SynopsisError, match="missing node"):
-            fig1_synopsis.validate()
+            raise_on_violations(validate_graph(fig1_synopsis))
 
 
 class TestFromPartition:
@@ -230,7 +235,7 @@ class TestFromPartition:
         synopsis = GraphSynopsis.from_partition(
             tree, [[tree.root], bs[:1], bs[1:]]
         )
-        synopsis.validate()
+        assert validate_graph(synopsis) == []
         assert synopsis.node_count == 3
 
 
@@ -245,8 +250,8 @@ class TestCopy:
         duplicate.split_node(paper.node_id, {paper.extent[0].node_id})
         assert len(fig1_synopsis.nodes_with_tag("paper")) == 1
         assert len(duplicate.nodes_with_tag("paper")) == 2
-        fig1_synopsis.validate()
-        duplicate.validate()
+        assert validate_graph(fig1_synopsis) == []
+        assert validate_graph(duplicate) == []
         assert fig1_synopsis.nodes.keys() == nodes.keys()
         assert all(fig1_synopsis.nodes[key] is node for key, node in nodes.items())
         assert {

@@ -4,7 +4,13 @@ import pytest
 
 from repro.datasets.paperfig import figure1_document, figure4_documents
 from repro.errors import SynopsisError
-from repro.synopsis import EdgeRef, TwigXSketch, XSketchConfig
+from repro.synopsis import (
+    EdgeRef,
+    TwigXSketch,
+    XSketchConfig,
+    raise_on_violations,
+    validate_sketch,
+)
 
 
 @pytest.fixture()
@@ -54,7 +60,7 @@ class TestCoarsest:
         assert sketch.value_summary(nid(sketch, "bib")) is None
 
     def test_validate(self, sketch):
-        sketch.validate()
+        raise_on_violations(validate_sketch(sketch))
 
     def test_size_positive_and_decomposable(self, sketch):
         assert sketch.size_bytes() > 0
@@ -148,7 +154,7 @@ class TestSplitMigration:
         paper = nid(sketch, "paper")
         part = {sketch.graph.node(paper).extent[0].node_id}
         first, second = sketch.split_node(paper, part)
-        sketch.validate()
+        raise_on_violations(validate_sketch(sketch))
         assert sketch.histograms_at(first) or sketch.histograms_at(second)
         assert paper not in sketch.edge_stats
 
@@ -161,7 +167,7 @@ class TestSplitMigration:
         ]
         part = {sketch.graph.node(paper).extent[0].node_id}
         sketch.split_node(paper, part)
-        sketch.validate()
+        raise_on_violations(validate_sketch(sketch))
         for histogram in sketch.histograms_at(author):
             for ref in histogram.scope:
                 assert sketch.graph.edge(ref.source, ref.target) is not None
@@ -171,8 +177,8 @@ class TestSplitMigration:
         paper = nid(duplicate, "paper")
         part = {duplicate.graph.node(paper).extent[0].node_id}
         duplicate.split_node(paper, part)
-        duplicate.validate()
-        sketch.validate()
+        raise_on_violations(validate_sketch(duplicate))
+        raise_on_violations(validate_sketch(sketch))
         assert len(sketch.graph.nodes_with_tag("paper")) == 1
 
 

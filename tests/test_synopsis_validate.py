@@ -2,17 +2,25 @@
 
 import pytest
 
-from repro.build import xbuild
-from repro.datasets import generate_imdb, movie_document
+from repro.build import XBuild, xbuild
+from repro.datasets import (
+    figure1_document,
+    generate_imdb,
+    generate_xmark,
+    movie_document,
+)
 from repro.errors import SynopsisIntegrityError
 from repro.synopsis import (
     TwigXSketch,
     error_violations,
+    label_split_synopsis,
     raise_on_violations,
     sketch_from_dict,
     sketch_to_dict,
+    validate_graph,
     validate_sketch,
 )
+from repro.synopsis.graph import SynopsisEdge
 from repro.synopsis.validate import Violation
 
 
@@ -102,6 +110,79 @@ class TestEdgeInvariants:
         edge.child_count -= 1
         edge.parent_count = min(edge.parent_count, edge.child_count)
         assert "tree-partition" in _codes(validate_sketch(loaded))
+
+
+class TestExtentInvariants:
+    """Checks that need the partition itself, so only a graph that keeps
+    its extents (not a loaded one) gets them."""
+
+    @pytest.fixture()
+    def graph(self):
+        return label_split_synopsis(figure1_document())
+
+    def test_label_split_graph_clean(self, graph):
+        assert validate_graph(graph) == []
+
+    def test_extent_out_of_document_order(self, graph):
+        node = next(n for n in graph.iter_nodes() if n.count > 1)
+        node.extent.reverse()
+        assert "extent-order" in _codes(validate_graph(graph))
+
+    def test_assignment_disagrees_with_extent(self, graph):
+        first, second = list(graph.nodes)[:2]
+        element = graph.nodes[first].extent[0]
+        graph.assignment[element.node_id] = second
+        assert "extent-assignment" in _codes(validate_graph(graph))
+
+    def test_element_of_another_tag(self, graph):
+        node = next(n for n in graph.iter_nodes() if n.count > 1)
+        node.tag = "stranger"
+        assert "extent-tag" in _codes(validate_graph(graph))
+
+    def test_extents_miss_an_element(self, graph):
+        node = next(n for n in graph.iter_nodes() if n.count > 1)
+        node.extent.pop()
+        assert "extent-cover" in _codes(validate_graph(graph))
+
+    def test_root_deficit_moved_to_another_node(self, graph):
+        # Take one child count from an edge and give the root's node an
+        # incoming edge instead: the deficits still sum to 1, but the
+        # node with deficit 1 no longer holds the document root.
+        root = graph.node_of(graph.tree.root)
+        edge = next(
+            e for e in graph.edges.values()
+            if e.parent_count < e.child_count and e.target != root
+        )
+        edge.child_count -= 1
+        graph.edges[(edge.source, root)] = SynopsisEdge(
+            edge.source, root, 1, 1,
+            graph.nodes[edge.source].count, graph.nodes[root].count,
+        )
+        assert _codes(validate_graph(graph)) == {"extent-root"}
+
+
+class TestBuildsStayValid:
+    @pytest.mark.parametrize("generate", [generate_imdb, generate_xmark])
+    @pytest.mark.parametrize("value_probability", [0.0, 0.3])
+    def test_every_sketch_a_build_reaches_is_clean(
+        self, generate, value_probability
+    ):
+        tree = generate(3000, seed=4)
+        budget = TwigXSketch.coarsest(tree).size_bytes() + 4096
+        failures = []
+
+        def check(sketch):
+            errors = error_violations(validate_sketch(sketch))
+            if errors:
+                failures.append((sketch.size_bytes(), errors))
+
+        result = XBuild(
+            tree, budget, seed=7,
+            sample_value_probability=value_probability,
+            on_step=check,
+        ).run()
+        assert result.steps
+        assert failures == []
 
 
 class TestHistogramInvariants:
