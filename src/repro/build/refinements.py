@@ -159,7 +159,8 @@ class FStabilize(Refinement):
 
 @dataclass(frozen=True)
 class EdgeRefine(Refinement):
-    """Double the bucket budget of one stored edge histogram.
+    """Double the bucket budget of one stored edge histogram, rebuilt from
+    the exact counts the histogram keeps.
 
     Applicable only while the histogram is actually compressed: once the
     engine stores fewer buckets than its budget allows, the distribution
@@ -187,7 +188,8 @@ class EdgeRefine(Refinement):
             )
         refined = sketch.copy()
         rebuilt = refined.make_edge_histogram(
-            self.node_id, histogram.scope, histogram.budget * 2
+            self.node_id, histogram.scope, histogram.budget * 2,
+            histogram.counts,
         )
         histograms = list(refined.edge_stats[self.node_id])
         histograms[self.index] = rebuilt
@@ -277,7 +279,8 @@ class EdgeExpand(Refinement):
 
 @dataclass(frozen=True)
 class ValueRefine(Refinement):
-    """Double the bucket budget of a node's value histogram."""
+    """Double the bucket budget of a node's value histogram, rebuilt from
+    the value counts the summary keeps."""
 
     node_id: int
 
@@ -287,12 +290,14 @@ class ValueRefine(Refinement):
             raise BuildError(
                 f"node #{self.node_id} carries no values to refine"
             )
-        if summary.histogram.bucket_count() < summary.budget:
+        if summary.bucket_count() < summary.budget:
             raise BuildError(
                 f"value histogram at #{self.node_id} is already exact"
             )
         refined = sketch.copy()
-        rebuilt = refined.make_value_summary(self.node_id, summary.budget * 2)
+        rebuilt = refined.make_value_summary(
+            self.node_id, summary.budget * 2, summary.counts
+        )
         if rebuilt is None:  # pragma: no cover - summary existed above
             raise BuildError(f"node #{self.node_id} lost its values")
         refined.value_stats[self.node_id] = rebuilt

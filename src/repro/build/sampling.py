@@ -41,7 +41,7 @@ from .refinements import (
     ValueSplit,
 )
 
-#: default cap on the per-round candidate pool
+#: cap on the per-round candidate pool
 DEFAULT_MAX_CANDIDATES = 16
 
 #: at most this many distinct values per tag may ground equality splits
@@ -101,7 +101,7 @@ def _value_refine_candidates(sketch: TwigXSketch) -> list[Refinement]:
     return [
         ValueRefine(node_id)
         for node_id, summary in sketch.value_stats.items()
-        if summary.histogram.bucket_count() >= summary.budget
+        if summary.bucket_count() >= summary.budget
     ]
 
 
@@ -263,11 +263,10 @@ def _value_expand_proposals(
 def generate_candidates(
     sketch: TwigXSketch,
     rng: random.Random,
-    max_candidates: Optional[int] = None,
     value_memo: Optional[dict[int, ValueProposals]] = None,
 ) -> list[Refinement]:
     """One round's candidate pool: applicable refinements, deduplicated,
-    shuffled, and capped at ``max_candidates``.
+    shuffled, and capped at :data:`DEFAULT_MAX_CANDIDATES`.
 
     Backward edge-expansions (``new_ref.source != node_id``) are proposed
     only when the sketch configuration enables the full model
@@ -300,8 +299,7 @@ def generate_candidates(
         )
     deduplicated = list(dict.fromkeys(pool))
     rng.shuffle(deduplicated)
-    cap = DEFAULT_MAX_CANDIDATES if max_candidates is None else max_candidates
-    return deduplicated[:cap]
+    return deduplicated[:DEFAULT_MAX_CANDIDATES]
 
 
 class RegionSampler:

@@ -45,6 +45,8 @@ class DocumentTree:
         self._subtree_ends: Optional[list[int]] = None
         # each node's children grouped by tag, built on first use
         self._child_index: Optional[list[dict[str, list[DocumentNode]]]] = None
+        # tags of which some element carries a value, built on first use
+        self._valued_tags: Optional[frozenset[str]] = None
         self._frozen = False
         if freeze:
             self.freeze()
@@ -148,6 +150,18 @@ class DocumentTree:
                     index[element.node_id] = groups
             self._child_index = index
         return self._child_index
+
+    def valued_tags(self) -> frozenset[str]:
+        """The tags of which at least one element carries a value, built
+        on first use like :meth:`child_index`."""
+        self._require_frozen()
+        if self._valued_tags is None:
+            self._valued_tags = frozenset(
+                tag
+                for tag, extent in self._extents.items()
+                if any(element.value is not None for element in extent)
+            )
+        return self._valued_tags
 
     def tag_counts(self) -> Counter:
         """Multiset of tags — how many elements carry each tag."""

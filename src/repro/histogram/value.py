@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from ..errors import SynopsisError
 from ..query.values import ValuePredicate
@@ -206,3 +206,41 @@ def build_value_histogram(values: Sequence, buckets: int):
     if all(isinstance(v, (int, float)) for v in values):
         return NumericValueHistogram(values, buckets)
     return StringValueHistogram([str(v) for v in values], buckets)
+
+
+def value_counts(values: Iterable) -> Counter:
+    """The multiset of ``values``, keyed so that each engine's reading of
+    a value is kept.
+
+    A string is its own key; any other value is keyed with its type, so
+    ``1``, ``1.0``, ``True`` and ``"1"`` are four keys: the numeric engine
+    reads ``float(v)`` and the string engine ``str(v)``, and which engine
+    applies, and how many distinct strings there are, depend on the types.
+    A float zero is keyed by its text, keeping ``-0.0`` apart from ``0.0``.
+    """
+    return Counter([
+        value if value.__class__ is str
+        else (
+            value.__class__,
+            value if value or value.__class__ is not float else str(value),
+        )
+        for value in values
+    ])
+
+
+def value_bucket_count(counts: Counter, buckets: int) -> int:
+    """``build_value_histogram(values, buckets).bucket_count()`` for the
+    values of the multiset ``counts`` (:func:`value_counts`), without
+    building the engine: ``min(buckets, n)`` for numeric values,
+    ``max(1, min(buckets, distinct strings))`` otherwise."""
+    if all(
+        key.__class__ is tuple and issubclass(key[0], (int, float))
+        for key in counts
+    ):
+        return min(buckets, sum(counts.values()))
+    distinct: set[str] = set()
+    for key in counts:
+        distinct.add(key if key.__class__ is str else str(key[1]))
+        if len(distinct) >= buckets:
+            break
+    return max(1, len(distinct))

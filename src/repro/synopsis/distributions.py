@@ -11,7 +11,10 @@ over the elements of ``n_i``; each dimension is an :class:`EdgeRef`:
 
 This module computes the distribution exactly from the document (via the
 synopsis extents); compression to a histogram happens in
-:mod:`repro.synopsis.summary`.
+:mod:`repro.synopsis.summary`.  The exact integer counts behind a
+distribution (how many elements realize each count vector) are what
+XBUILD keeps beside each histogram, so that a split can derive its parts'
+and its parents' histograms instead of rescanning extents.
 """
 
 from __future__ import annotations
@@ -47,7 +50,16 @@ class EdgeRef(NamedTuple):
 def exact_edge_distribution(
     synopsis: GraphSynopsis, node_id: int, scope: Sequence[EdgeRef]
 ) -> SparseDistribution:
-    """The exact distribution of ``scope`` counts over node ``node_id``.
+    """The exact distribution of ``scope`` counts over node ``node_id``
+    (:func:`exact_edge_counts`, normalized)."""
+    return SparseDistribution(exact_edge_counts(synopsis, node_id, scope))
+
+
+def exact_edge_counts(
+    synopsis: GraphSynopsis, node_id: int, scope: Sequence[EdgeRef]
+) -> Counter:
+    """How many elements of node ``node_id`` realize each vector of
+    ``scope`` counts, from a scan of the node's extent.
 
     Raises:
         SynopsisError: when ``scope`` is empty, names a missing edge, or a
@@ -68,16 +80,14 @@ def exact_edge_distribution(
 
     if all(ref.is_forward_at(node_id) for ref in scope):
         targets = [ref.target for ref in scope]
-        return SparseDistribution(
-            Counter(zip(*forward_columns(synopsis, node_id, targets)))
-        )
-    return _general_distribution(synopsis, node_id, scope)
+        return Counter(zip(*forward_columns(synopsis, node_id, targets)))
+    return _general_counts(synopsis, node_id, scope)
 
 
-def _general_distribution(
+def _general_counts(
     synopsis: GraphSynopsis, node_id: int, scope: Sequence[EdgeRef]
-) -> SparseDistribution:
-    """:func:`exact_edge_distribution` of any scope, one element at a time:
+) -> Counter:
+    """:func:`exact_edge_counts` of any scope, one element at a time:
     its children tally for the forward refs, and each backward ref's
     anchor among its ancestors."""
     forward_targets = [r.target for r in scope if r.is_forward_at(node_id)]
@@ -109,7 +119,29 @@ def _general_distribution(
                 if synopsis.node_of(child) == ref.target
             )
         observations.append(tuple(values[ref] for ref in scope))
-    return SparseDistribution.from_observations(observations)
+    return Counter(observations)
+
+
+def counts_minus(total: Counter, part: Counter) -> Counter:
+    """The counts of ``total`` less those of ``part``, a sub-multiset of
+    it; keys that reach zero are dropped.  The work is ``part``'s keys
+    plus a copy of ``total``."""
+    rest = Counter(total)
+    for key, count in part.items():
+        left = rest[key] - count
+        if left:
+            rest[key] = left
+        else:
+            del rest[key]
+    return rest
+
+
+def marginal_counts(counts: Counter, dim: int) -> Counter:
+    """The 1-D counts of dimension ``dim`` of the joint ``counts``."""
+    marginal: Counter = Counter()
+    for vector, count in counts.items():
+        marginal[vector[dim],] += count
+    return marginal
 
 
 def forward_columns(

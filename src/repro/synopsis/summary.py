@@ -17,17 +17,30 @@ higher-dimensional ones, recovering joint information.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import NamedTuple, Optional, Sequence
 
 from ..doc.tree import DocumentTree
 from ..errors import SynopsisError
 from ..histogram.centroid import CentroidHistogram
-from ..histogram.value import build_value_histogram
+from ..histogram.sparse import SparseDistribution
+from ..histogram.value import (
+    build_value_histogram,
+    value_bucket_count,
+    value_counts,
+)
 from ..histogram.wavelet import WaveletHistogram
 from . import size as sizing
-from .distributions import EdgeRef, exact_edge_distribution, forward_columns
-from .graph import GraphSynopsis, label_split_synopsis
+from .distributions import (
+    EdgeRef,
+    counts_minus,
+    exact_edge_counts,
+    forward_columns,
+    marginal_counts,
+)
+from .graph import GraphSynopsis, SynopsisNode, label_split_synopsis
 
 ENGINES = ("centroid", "wavelet", "exact")
 
@@ -77,12 +90,20 @@ class XSketchConfig:
 
 @dataclass
 class EdgeHistogram:
-    """One stored edge histogram: a scope and a compression engine."""
+    """One stored edge histogram: a scope and a compression engine.
+
+    A histogram built from a document keeps ``counts``, its exact integer
+    counts (how many elements realize each count vector), so that
+    refinements derive their histograms from it instead of rescanning
+    extents.  Like extents, the counts are construction scaffolding: never
+    sized or persisted, and None on a loaded histogram.
+    """
 
     node_id: int
     scope: tuple[EdgeRef, ...]
     engine: object
     budget: int
+    counts: Optional[Counter] = field(default=None, repr=False, compare=False)
 
     @property
     def dimensions(self) -> int:
@@ -109,17 +130,73 @@ class EdgeHistogram:
         return sizing.edge_histogram_bytes(self.dimensions, self.bucket_count())
 
 
-@dataclass
 class ValueSummary:
-    """One stored value histogram plus its budget."""
+    """One stored value histogram plus its budget.
 
-    node_id: int
-    histogram: object
-    budget: int
+    A summary built from a document keeps ``counts``, the exact multiset
+    of its node's values (:func:`~repro.histogram.value.value_counts`),
+    and the node's extent.  The engine is built from the extent on the
+    first read of :attr:`histogram`; :meth:`bucket_count` and
+    :meth:`size_bytes` read the counts, so a summary replaced unread never
+    builds one.  (The extent, not the counts, feeds the engine: the string
+    engine breaks frequency ties by first occurrence, which a multiset
+    does not keep.)  The counts are construction scaffolding like
+    extents: never sized or persisted, and a loaded summary, given its
+    engine, has none.
+    """
+
+    def __init__(
+        self,
+        node_id: int,
+        histogram,
+        budget: int,
+        counts: Optional[Counter] = None,
+        extent: Optional[Sequence] = None,
+    ):
+        self.node_id = node_id
+        self.budget = budget
+        self.counts = counts
+        self._histogram = histogram
+        self._extent = extent
+        self._bucket_count: Optional[int] = None
+
+    @property
+    def histogram(self):
+        """The value engine, built on first read.  Concurrent first reads
+        build equal engines, and the last one written is kept."""
+        engine = self._histogram
+        if engine is None:
+            engine = self._histogram = build_value_histogram(
+                [e.value for e in self._extent if e.value is not None],
+                self.budget,
+            )
+        return engine
+
+    @property
+    def total(self):
+        """The number of valued elements summarized (the engine's
+        ``total`` on a loaded summary)."""
+        if self.counts is None:
+            return getattr(self.histogram, "total", None)
+        return sum(self.counts.values())
+
+    def bucket_count(self) -> int:
+        """The engine's stored buckets, from the counts when kept."""
+        if self.counts is None:
+            return self.histogram.bucket_count()
+        count = self._bucket_count
+        if count is None:
+            count = self._bucket_count = value_bucket_count(
+                self.counts, self.budget
+            )
+        return count
 
     def size_bytes(self) -> int:
         """Stored size under the DESIGN.md cost model."""
-        return sizing.value_histogram_bytes(self.histogram.bucket_count())
+        return sizing.value_histogram_bytes(self.bucket_count())
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"<ValueSummary #{self.node_id} budget={self.budget}>"
 
 
 @dataclass
@@ -204,15 +281,20 @@ class TwigXSketch:
         node_id: int,
         edge_buckets: Optional[int] = None,
         value_buckets: Optional[int] = None,
+        edge_counts: Optional[dict[int, Counter]] = None,
+        values: Optional[Counter] = None,
     ) -> None:
         """(Re)install the fresh-node statistics for ``node_id``.
 
         Bucket budgets default to the configuration's initial values; a
         node created by splitting inherits its parent's budgets so earlier
         edge-refine / value-refine work survives structural refinements.
+        ``edge_counts`` (by target) and ``values`` hold counts a split
+        derived; what they do not hold is scanned.
         """
         edge_buckets = edge_buckets or self.config.initial_edge_buckets
         value_buckets = value_buckets or self.config.initial_value_buckets
+        edge_counts = edge_counts or {}
         histograms: list[EdgeHistogram] = []
         for edge in self.graph.children_of(node_id):
             if edge.forward_stable:
@@ -221,28 +303,37 @@ class TwigXSketch:
                         node_id,
                         (EdgeRef(node_id, edge.target),),
                         edge_buckets,
+                        edge_counts.get(edge.target),
                     )
                 )
         if histograms:
             self.edge_stats[node_id] = histograms
         else:
             self.edge_stats.pop(node_id, None)
-        summary = self.make_value_summary(node_id, value_buckets)
+        summary = self.make_value_summary(node_id, value_buckets, values)
         if summary is not None:
             self.value_stats[node_id] = summary
         else:
             self.value_stats.pop(node_id, None)
 
     def make_edge_histogram(
-        self, node_id: int, scope: Sequence[EdgeRef], buckets: int
+        self,
+        node_id: int,
+        scope: Sequence[EdgeRef],
+        buckets: int,
+        counts: Optional[Counter] = None,
     ) -> EdgeHistogram:
-        """Build a histogram over ``scope`` from the exact distribution."""
+        """Build a histogram over ``scope`` from its exact counts: the
+        ``counts`` a caller derived, else a scan of the node's extent
+        (:func:`~repro.synopsis.distributions.exact_edge_counts`)."""
         if len(scope) > self.config.max_histogram_dims:
             raise SynopsisError(
                 f"scope of {len(scope)} dims exceeds the configured cap "
                 f"of {self.config.max_histogram_dims}"
             )
-        exact = exact_edge_distribution(self.graph, node_id, scope)
+        if counts is None:
+            counts = exact_edge_counts(self.graph, node_id, scope)
+        exact = SparseDistribution(counts)
         engine: object
         if self.config.engine == "exact":
             engine = exact
@@ -250,7 +341,7 @@ class TwigXSketch:
             engine = WaveletHistogram(exact, buckets)
         else:
             engine = CentroidHistogram(exact, buckets)
-        return EdgeHistogram(node_id, tuple(scope), engine, buckets)
+        return EdgeHistogram(node_id, tuple(scope), engine, buckets, counts)
 
     def make_extended_summary(
         self,
@@ -313,17 +404,19 @@ class TwigXSketch:
         return self.extended_stats.get(node_id, [])
 
     def make_value_summary(
-        self, node_id: int, buckets: int
+        self, node_id: int, buckets: int, counts: Optional[Counter] = None
     ) -> Optional[ValueSummary]:
-        """Build a value histogram for ``node_id``; None when valueless."""
-        values = [
-            element.value
-            for element in self.graph.node(node_id).extent
-            if element.value is not None
-        ]
-        if not values:
+        """A value summary for ``node_id`` over the multiset of its values:
+        the ``counts`` a caller derived, else a scan of the node's extent.
+        None when valueless.  The engine is built on first read."""
+        extent = self.graph.node(node_id).extent
+        if counts is None:
+            counts = value_counts(
+                e.value for e in extent if e.value is not None
+            )
+        if not counts:
             return None
-        return ValueSummary(node_id, build_value_histogram(values, buckets), buckets)
+        return ValueSummary(node_id, None, buckets, counts, extent)
 
     # ------------------------------------------------------------------
     # accessors
@@ -410,7 +503,9 @@ class TwigXSketch:
 
         The two new nodes get fresh default statistics; histograms at other
         nodes whose scope references an edge incident to the split node are
-        rebuilt with a remapped scope (same budget).
+        rebuilt with a remapped scope (same budget).  Both are derived from
+        the retained counts at the cost of the smaller part, where that is
+        exact (:meth:`_part_counts`, :meth:`_remapped_counts`).
 
         Returns the two new node ids.
         """
@@ -448,12 +543,21 @@ class TwigXSketch:
                 self.extended_stats[other_id] = kept
             else:
                 del self.extended_stats[other_id]
-        self.install_default_stats(
-            first, inherited_edge_buckets, inherited_value_buckets
+        small, large = sorted(
+            (self.graph.node(first), self.graph.node(second)),
+            key=attrgetter("count"),
         )
-        self.install_default_stats(
-            second, inherited_edge_buckets, inherited_value_buckets
+        edge_counts, values = self._part_counts(
+            node_id, small, large, old_histograms, old_value
         )
+        for part_id in (first, second):
+            self.install_default_stats(
+                part_id,
+                inherited_edge_buckets,
+                inherited_value_buckets,
+                edge_counts[part_id],
+                values[part_id],
+            )
         # The split node's own extended summaries are rebuilt per part
         # (remapping the count scope to the edges each part retains), so
         # value-expand work survives structural refinement.
@@ -478,6 +582,10 @@ class TwigXSketch:
                 )
             if rebuilt:
                 self.extended_stats[part_id] = rebuilt
+        small_parents = (
+            _parents_by_node(small, self.graph.assignment)
+            if stale_refs_by_node else {}
+        )
         for other_id, histograms in stale_refs_by_node.items():
             if other_id == node_id or other_id not in self.edge_stats:
                 continue
@@ -490,7 +598,17 @@ class TwigXSketch:
                     if remapped:
                         rebuilt.append(
                             self.make_edge_histogram(
-                                other_id, remapped, histogram.budget
+                                other_id,
+                                remapped,
+                                histogram.budget,
+                                self._remapped_counts(
+                                    histogram,
+                                    remapped,
+                                    node_id,
+                                    small,
+                                    large,
+                                    small_parents.get(other_id, {}),
+                                ),
                             )
                         )
                 else:
@@ -500,6 +618,115 @@ class TwigXSketch:
             else:
                 self.edge_stats.pop(other_id, None)
         return first, second
+
+    def _part_counts(
+        self,
+        old_id: int,
+        small: SynopsisNode,
+        large: SynopsisNode,
+        old_histograms: list[EdgeHistogram],
+        old_value: Optional[ValueSummary],
+    ) -> tuple[dict[int, dict[int, Counter]], dict[int, Optional[Counter]]]:
+        """The counts of the default statistics of the parts of split node
+        ``old_id``: per part, its edge counts by F-stable target and its
+        value counts, scanning only the ``small`` part S.
+
+        The ``large`` part L's counts over an edge are the old node's
+        retained counts, marginalized onto that edge, minus S's; L's values
+        are the old node's minus S's.  Where that is not exact, L's counts
+        are left out, so :meth:`install_default_stats` scans them: an edge
+        the old node's histograms do not cover (one that is F-stable only
+        at L, or one into a part of a recursive node), and the values of a
+        node that kept no value summary while its tag carries values.
+        """
+        graph = self.graph
+        covered = {
+            ref.target: (histogram.counts, dim)
+            for histogram in old_histograms
+            if histogram.counts is not None
+            for dim, ref in enumerate(histogram.scope)
+            if ref.source == old_id
+        }
+        small_id, large_id = small.node_id, large.node_id
+        derived = [
+            edge.target
+            for edge in graph.children_of(large_id)
+            if edge.forward_stable and edge.target in covered
+        ]
+        targets = list(dict.fromkeys([
+            edge.target
+            for edge in graph.children_of(small_id)
+            if edge.forward_stable
+        ] + derived))
+        small_counts = {
+            target: Counter(zip(column))
+            for target, column in zip(
+                targets, forward_columns(graph, small_id, targets)
+            )
+        }
+        large_counts = {}
+        for target in derived:
+            known, dim = covered[target]
+            large_counts[target] = counts_minus(
+                marginal_counts(known, dim), small_counts[target]
+            )
+
+        small_values = value_counts(
+            e.value for e in small.extent if e.value is not None
+        )
+        large_values: Optional[Counter] = None  # scanned
+        if old_value is not None and old_value.counts is not None:
+            large_values = counts_minus(old_value.counts, small_values)
+        elif not small_values and small.tag not in graph.tree.valued_tags():
+            large_values = Counter()
+        return (
+            {small_id: small_counts, large_id: large_counts},
+            {small_id: small_values, large_id: large_values},
+        )
+
+    def _remapped_counts(
+        self,
+        histogram: EdgeHistogram,
+        scope: tuple[EdgeRef, ...],
+        old_id: int,
+        small: SynopsisNode,
+        large: SynopsisNode,
+        small_parents: dict[int, int],
+    ) -> Optional[Counter]:
+        """The counts of ``histogram``, remapped to ``scope`` after
+        ``old_id`` split into ``small`` (S) and ``large`` (L); None (scan
+        instead) when the histogram has a backward ref or kept no counts.
+
+        An element keeps its counts on every other edge.  The old counts
+        are first mapped as though each element's children in the split
+        node all lay in L.  Only the elements with a child in S are wrong
+        then: ``small_parents`` counts, per such element, its children in
+        S.  Each is corrected from its row in the document's child index,
+        so neither L nor the histogram's node is scanned.
+        """
+        node_id, old_scope = histogram.node_id, histogram.scope
+        if histogram.counts is None or any(
+            ref.source != node_id for ref in old_scope
+        ):
+            return None
+        split_dim = old_scope.index(EdgeRef(node_id, old_id))
+        # each new dimension reads an old one (>= 0), S (-1) or L (-2)
+        picks = [
+            -1 if ref.target == small.node_id
+            else -2 if ref.target == large.node_id
+            else old_scope.index(ref)
+            for ref in scope
+        ]
+        counts: Counter = Counter()
+        for vector, count in histogram.counts.items():
+            counts[_remap(vector, picks, split_dim, 0)] += count
+        rows = _scope_rows(
+            self.graph, old_scope, old_id, (small, large), small_parents
+        )
+        for row, small_count in zip(rows, small_parents.values()):
+            counts[_remap(row, picks, split_dim, 0)] -= 1
+            counts[_remap(row, picks, split_dim, small_count)] += 1
+        return +counts
 
     def changes_since(self, base: "TwigXSketch") -> SketchChanges:
         """The nodes and edges whose statistics differ from ``base``.
@@ -601,3 +828,73 @@ class TwigXSketch:
             f"<TwigXSketch nodes={self.graph.node_count} "
             f"edges={self.graph.edge_count} size={self.size_kb():.1f}KB>"
         )
+
+
+def _parents_by_node(
+    part: SynopsisNode, assignment: list[int]
+) -> dict[int, dict[int, int]]:
+    """Per synopsis node, how many children in ``part`` each of its
+    elements has (only elements with at least one)."""
+    counts = Counter([
+        element.parent.node_id
+        for element in part.extent
+        if element.parent is not None
+    ])
+    grouped: dict[int, dict[int, int]] = {}
+    for parent_id, count in counts.items():
+        grouped.setdefault(assignment[parent_id], {})[parent_id] = count
+    return grouped
+
+
+def _scope_rows(
+    graph: GraphSynopsis,
+    scope: tuple[EdgeRef, ...],
+    old_id: int,
+    parts: tuple[SynopsisNode, SynopsisNode],
+    elements: dict[int, int],
+) -> list[tuple[int, ...]]:
+    """The forward counts over ``scope`` of each of ``elements``, read
+    from the document's child index; a ref to the split node ``old_id``
+    counts the children in either of its ``parts``."""
+    tree = graph.tree
+    index = tree.child_index()
+    assignment = graph.assignment
+    dims = []
+    for ref in scope:
+        if ref.target == old_id:
+            tag, targets = parts[0].tag, {part.node_id for part in parts}
+            size = parts[0].count + parts[1].count
+        else:
+            node = graph.nodes[ref.target]
+            tag, targets, size = node.tag, {ref.target}, node.count
+        # None: the targets hold every element of the tag
+        dims.append((tag, None if size == len(tree.extent(tag)) else targets))
+    return [
+        tuple(
+            len(index[element_id].get(tag, ())) if targets is None
+            else sum(
+                1 for child in index[element_id].get(tag, ())
+                if assignment[child.node_id] in targets
+            )
+            for tag, targets in dims
+        )
+        for element_id in elements
+    ]
+
+
+def _remap(
+    vector: tuple[int, ...],
+    picks: list[int],
+    split_dim: int,
+    small_count: int,
+) -> tuple[int, ...]:
+    """``vector``, an element's old counts, over a remapped scope: each
+    of ``picks`` reads an old dimension (>= 0), the element's
+    ``small_count`` children in S (-1), or the rest of its children in the
+    split node, at ``split_dim``, in L (-2)."""
+    return tuple(
+        vector[pick] if pick >= 0
+        else small_count if pick == -1
+        else vector[split_dim] - small_count
+        for pick in picks
+    )

@@ -468,7 +468,7 @@ def _check_value_histograms(sketch: TwigXSketch) -> list[Violation]:
                 )
             )
             continue
-        total = getattr(summary.histogram, "total", None)
+        total = summary.total
         if total is not None and not _is_count(total):
             violations.append(
                 Violation(

@@ -12,6 +12,7 @@ from repro.build import (
     generate_candidates,
     xbuild,
 )
+from repro.build import sampling
 from repro.build.sampling import RegionSampler
 from repro.datasets import generate_imdb, generate_xmark
 from repro.estimation import TwigEstimator
@@ -58,11 +59,10 @@ class TestCandidates:
         candidates = generate_candidates(coarse, random.Random(2))
         assert len(candidates) == len(set(candidates))
 
-    def test_max_candidates_respected(self, coarse):
-        candidates = generate_candidates(
-            coarse, random.Random(3), max_candidates=4
-        )
-        assert len(candidates) <= 4
+    def test_max_candidates_respected(self, coarse, monkeypatch):
+        monkeypatch.setattr(sampling, "DEFAULT_MAX_CANDIDATES", 4)
+        candidates = generate_candidates(coarse, random.Random(3))
+        assert len(candidates) == 4
 
     def test_all_candidates_applicable(self, coarse):
         for candidate in generate_candidates(coarse, random.Random(4)):
@@ -260,7 +260,9 @@ class TestIncrementalBuildState:
         assert result.sketch.size_bytes() >= budget
         assert error_violations(validate_sketch(result.sketch)) == []
 
-    def test_split_memo_matches_fresh_proposals(self, imdb, coarse):
+    def test_split_memo_matches_fresh_proposals(
+        self, imdb, coarse, monkeypatch
+    ):
         builder = XBuild(
             imdb,
             coarse.size_bytes() + 1500,
@@ -269,8 +271,9 @@ class TestIncrementalBuildState:
         )
         sketch = builder.run().sketch
         assert builder._value_memo
+        monkeypatch.setattr(sampling, "DEFAULT_MAX_CANDIDATES", 10_000)
         memoized = generate_candidates(
-            sketch, random.Random(5), 10_000, builder._value_memo
+            sketch, random.Random(5), builder._value_memo
         )
-        fresh = generate_candidates(sketch, random.Random(5), 10_000)
+        fresh = generate_candidates(sketch, random.Random(5))
         assert memoized == fresh

@@ -37,6 +37,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.build import generate_candidates
+from repro.build import sampling as sampling_module
 from repro.build.refinements import (
     ALL_REFINEMENTS,
     FStabilize,
@@ -79,7 +80,7 @@ from repro.synopsis import (
 from repro.synopsis import graph as graph_module
 from repro.synopsis.distributions import (
     EdgeRef,
-    _general_distribution,
+    _general_counts,
     exact_edge_distribution,
 )
 from repro.synopsis.graph import GraphSynopsis
@@ -622,12 +623,16 @@ def check_derived_round(
 ):
     """Score one round's candidates through a derived estimator and
     compare every report with a fresh estimator's; returns the kinds
-    of the refinements that applied.  ``limits`` go to the estimators."""
+    of the refinements that applied.  ``max_candidates`` replaces the
+    pool cap for the round; ``limits`` go to the estimators."""
     sampler = RegionSampler(tree, rng, value_probability=0.5)
     base = TwigEstimator(sketch, **limits).keep_records()
     fresh_base = TwigEstimator(sketch, **limits)
     kinds = set()
-    for candidate in generate_candidates(sketch, rng, max_candidates):
+    cap = max_candidates or sampling_module.DEFAULT_MAX_CANDIDATES
+    with mock.patch.object(sampling_module, "DEFAULT_MAX_CANDIDATES", cap):
+        candidates = generate_candidates(sketch, rng)
+    for candidate in candidates:
         try:
             refined = candidate.apply(sketch)
         except BuildError:
@@ -791,7 +796,9 @@ def assert_forward_matches_references(graph, node_id, targets):
     scope = [EdgeRef(node_id, target) for target in targets]
     points = exact_edge_distribution(graph, node_id, scope).points()
     assert points == target_side_distribution(graph, node_id, targets).points()
-    assert points == _general_distribution(graph, node_id, scope).points()
+    assert points == SparseDistribution(
+        _general_counts(graph, node_id, scope)
+    ).points()
     return points
 
 

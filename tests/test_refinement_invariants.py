@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from repro.build import XBuild, generate_candidates, refinements
+from repro.build import XBuild, generate_candidates, refinements, sampling
 from repro.build.refinements import (
     BStabilize,
     EdgeExpand,
@@ -95,11 +95,14 @@ def paperfig_sketch():
     return TwigXSketch.coarsest(figure1_document())
 
 
-def test_statistics_only_refinements_share_the_graph(paperfig_sketch):
+def test_statistics_only_refinements_share_the_graph(
+    paperfig_sketch, monkeypatch
+):
     sketch = paperfig_sketch
     statistics_only = (EdgeRefine, EdgeExpand, ValueRefine, ValueExpand)
     shared = set()
-    for candidate in generate_candidates(sketch, random.Random(3), 10_000):
+    monkeypatch.setattr(sampling, "DEFAULT_MAX_CANDIDATES", 10_000)
+    for candidate in generate_candidates(sketch, random.Random(3)):
         try:
             refined = candidate.apply(sketch)
         except BuildError:

@@ -19,7 +19,9 @@ edges), so its estimates must equal :func:`count_bindings`:
   no children and no branches, and every element carries a value: the
   reference value histograms hold one bucket per element, so they are
   exact;
-* for paths with ``//`` steps, on documents whose tags never nest.
+* for paths with ``//`` steps, on documents whose tags never nest, when
+  the estimator walks ``//`` as deep as the document (its ``max_depth``
+  caps a walk's hops).
 
 An exact-engine synopsis that XBUILD itself reaches, on imdb@150 with an
 unbounded budget, estimates a P workload (branches and ``//`` included)
@@ -53,6 +55,7 @@ from hypothesis import strategies as st
 from repro.build.oracles import build_reference_sketch
 from repro.doc import build_tree
 from repro.estimation import TwigEstimator
+from repro.estimation.embeddings import DEFAULT_MAX_DESCENDANT_DEPTH
 from repro.build.xbuild import XBuild
 from repro.datasets import generate_imdb
 from repro.query.ast import CHILD, DESCENDANT, Path, Step, TwigNode, TwigQuery
@@ -190,8 +193,8 @@ def descendant_paths(draw, tags):
     return path_query(Step(tag, axis) for tag, axis in steps)
 
 
-def assert_exact(tree, queries):
-    estimator = TwigEstimator(build_reference_sketch(tree))
+def assert_exact(tree, queries, max_depth=DEFAULT_MAX_DESCENDANT_DEPTH):
+    estimator = TwigEstimator(build_reference_sketch(tree), max_depth=max_depth)
     for query in queries:
         assert estimator.estimate(query) == pytest.approx(
             count_bindings(query, tree)
@@ -241,11 +244,30 @@ def test_an_exact_synopsis_xbuild_reaches_is_exact():
 
 @given(data=st.data())
 def test_descendant_paths_are_exact_when_tags_do_not_nest(data):
+    """``//`` walks stop after ``max_depth`` hops and the drawn documents
+    have up to 40 levels, so the estimator walks as deep as the document."""
     tree = data.draw(layered_trees())
     tags = tags_of(tree)
     queries = data.draw(st.lists(descendant_paths(tags), min_size=1,
                                  max_size=15))
-    assert_exact(tree, queries)
+    assert_exact(
+        tree, queries, max(DEFAULT_MAX_DESCENDANT_DEPTH, tree.max_depth())
+    )
+
+
+def test_descendant_walks_stop_at_the_depth_cap():
+    """The documented cap: on a 14-level chain, ``a0//a13`` is 13 hops,
+    one more than the default ``max_depth`` walks."""
+    spec = ("a13", None, [])
+    for depth in reversed(range(13)):
+        spec = (f"a{depth}", None, [spec])
+    tree = build_tree(spec)
+    query = path_query([Step("a0"), Step("a13", DESCENDANT)])
+    sketch = build_reference_sketch(tree)
+    assert DEFAULT_MAX_DESCENDANT_DEPTH == 12
+    assert TwigEstimator(sketch).estimate(query) == 0
+    assert TwigEstimator(sketch, max_depth=14).estimate(query) == 1
+    assert count_bindings(query, tree) == 1
 
 
 def test_hand_written_document_is_exact():
