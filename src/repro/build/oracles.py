@@ -99,9 +99,9 @@ def build_reference_sketch(tree: DocumentTree) -> TwigXSketch:
             )
         )
         if refs:
-            sketch.edge_stats[node.node_id] = [
-                sketch.make_edge_histogram(node.node_id, refs, 64)
-            ]
+            sketch.edge_stats[node.node_id] = (
+                sketch.make_edge_histogram(node.node_id, refs, 64),
+            )
         summary = sketch.make_value_summary(
             node.node_id, _REFERENCE_VALUE_BUCKETS
         )

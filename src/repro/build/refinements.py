@@ -27,7 +27,7 @@ from typing import Optional
 
 from ..errors import BuildError, SynopsisError
 from ..query.values import ValuePredicate
-from ..synopsis.distributions import EdgeRef
+from ..synopsis.distributions import EdgeRef, child_counts
 from ..synopsis.graph import GraphSynopsis
 from ..synopsis.summary import TwigXSketch
 
@@ -139,13 +139,12 @@ class FStabilize(Refinement):
             )
         refined = sketch.copy()
         graph = refined.graph
+        element_ids = [e.node_id for e in graph.node(self.source).extent]
+        (column,) = child_counts(graph, element_ids, [(self.target,)])
         part = {
-            element.node_id
-            for element in graph.node(self.source).extent
-            if any(
-                graph.node_of(child) == self.target
-                for child in element.children
-            )
+            element_id
+            for element_id, count in zip(element_ids, column)
+            if count
         }
         refined.split_node(self.source, part)
         return refined
@@ -193,7 +192,7 @@ class EdgeRefine(Refinement):
         )
         histograms = list(refined.edge_stats[self.node_id])
         histograms[self.index] = rebuilt
-        refined.edge_stats[self.node_id] = histograms
+        refined.edge_stats[self.node_id] = tuple(histograms)
         return refined
 
     def region(self) -> set[int]:
@@ -263,7 +262,7 @@ class EdgeExpand(Refinement):
         rebuilt[self.index] = merged
         if donor_index is not None:
             del rebuilt[donor_index]
-        refined.edge_stats[self.node_id] = rebuilt
+        refined.edge_stats[self.node_id] = tuple(rebuilt)
         return refined
 
     def region(self) -> set[int]:
@@ -344,7 +343,7 @@ class ValueExpand(Refinement):
         except SynopsisError as error:
             raise BuildError(str(error)) from None
         refined.extended_stats[self.node_id] = (
-            refined.extended_at(self.node_id) + [summary]
+            *refined.extended_at(self.node_id), summary
         )
         return refined
 

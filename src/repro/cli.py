@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from collections import Counter
 
@@ -100,9 +101,13 @@ def _load_tree(args):
     return parse_file(args.file, mode=mode)
 
 
+#: a ``for`` clause opens with an optional ``for``, a variable and ``in``
+_FOR_CLAUSE_RE = re.compile(r"(?:(?i:for)\s+)?\$?\w+\s+in\s")
+
+
 def _parse_query(text: str):
     stripped = text.strip()
-    if stripped.lower().startswith("for ") or " in " in stripped:
+    if _FOR_CLAUSE_RE.match(stripped):
         return parse_for_clause(stripped)
     return twig(parse_path(stripped))
 
@@ -113,19 +118,6 @@ def _open_tracer(path):
         return None, None
     sink = JsonlSink(path)
     return SpanTracer(sink), sink
-
-
-def _breakers_from_registry(registry, sketch: str) -> dict:
-    """Final breaker states, read back from ``serve_breaker_state`` gauges."""
-    states: dict = {}
-    for metric in registry.snapshot()["metrics"]:
-        if metric["name"] != "serve_breaker_state":
-            continue
-        for series in metric["series"]:
-            labels = series["labels"]
-            if labels.get("sketch") == sketch and series["value"] == 1.0:
-                states[labels["tier"]] = labels["state"]
-    return states
 
 
 def cmd_stats(args) -> int:
@@ -327,10 +319,10 @@ def cmd_serve_eval(args) -> int:
                 abs(response.estimate - entry.true_count) / entry.true_count
             )
             errored += 1
-    # Refresh the breaker gauges, then report the states the registry holds
-    # (the same series `repro metrics` exports).
-    service.breaker_states("default")
-    breakers = _breakers_from_registry(registry, "default")
+    # The final states, by tier name; polling also refreshes the breaker
+    # gauges, so the registry (the series `repro metrics` exports) holds
+    # the same states.
+    breakers = dict(sorted(service.breaker_states("default").items()))
     count = len(load.queries)
     print(f"served {count} queries over {source}")
     for tier in ("twig", "path", "cst", "uniform"):

@@ -148,33 +148,47 @@ def forward_columns(
     synopsis: GraphSynopsis, node_id: int, targets: Sequence[int]
 ) -> list[list[int]]:
     """Per target, each element's number of children in that target, in
-    extent order.
+    extent order (:func:`child_counts` over the node's extent)."""
+    return child_counts(
+        synopsis,
+        [element.node_id for element in synopsis.node(node_id).extent],
+        [(target,) for target in targets],
+    )
 
-    Each element of ``node_id`` counts its children in a target among its
-    children with the target's tag, read from the document's child index:
-    the work is the node's extent plus those children, not the targets'
-    extents.
+
+def child_counts(
+    synopsis: GraphSynopsis,
+    element_ids: Sequence[int],
+    groups: Sequence[Sequence[int]],
+) -> list[list[int]]:
+    """Per group of same-tag target nodes, each element's number of
+    children in the group, in ``element_ids`` order (ids distinct).
+
+    Each element counts among its children with the group's tag, read from
+    the document's child index: the work is the elements plus those
+    children, not the targets' extents.  A group that holds every element
+    of its tag counts list lengths.
     """
     tree = synopsis.tree
     index = tree.child_index()
     assignment = synopsis.assignment
-    extent = synopsis.node(node_id).extent
-    rows = [index[element.node_id] for element in extent]
+    nodes = synopsis.nodes
+    rows = [index[element_id] for element_id in element_ids]
     columns = []
-    for target in targets:
-        node = synopsis.node(target)
-        tag = node.tag
-        if node.count == len(tree.extent(tag)):
-            # the target holds every element of its tag
+    for group in groups:
+        tag = nodes[group[0]].tag
+        if sum(nodes[target].count for target in group) == len(
+            tree.extent(tag)
+        ):
             columns.append([len(children.get(tag, ())) for children in rows])
             continue
         hits = Counter([
-            child.parent
-            for children in rows
+            element_id
+            for element_id, children in zip(element_ids, rows)
             for child in children.get(tag, ())
-            if assignment[child.node_id] == target
+            if assignment[child.node_id] in group
         ])
-        columns.append([hits.get(element, 0) for element in extent])
+        columns.append([hits.get(element_id, 0) for element_id in element_ids])
     return columns
 
 

@@ -24,7 +24,7 @@ scaffolding and is *not* charged to the synopsis size budget (see
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Iterable, Iterator, NamedTuple, Optional
 
@@ -52,9 +52,15 @@ class SynopsisNode:
         return f"<SynopsisNode #{self.node_id} {self.tag} |{self.count}|>"
 
 
-@dataclass
+@dataclass(frozen=True)
 class SynopsisEdge:
-    """One synopsis edge with its counts and derived stabilities."""
+    """One synopsis edge with its counts and derived stabilities.
+
+    Immutable, so graph copies share edge records.  ``witness`` is where
+    an extent scan first meets the edge (see :func:`_tally`); like
+    extents it is construction scaffolding: left out of equality, never
+    persisted, and None on a loaded graph.
+    """
 
     source: int
     target: int
@@ -62,6 +68,9 @@ class SynopsisEdge:
     parent_count: int
     source_size: int
     target_size: int
+    witness: Optional[tuple[int, int, int]] = field(
+        default=None, compare=False
+    )
 
     @property
     def backward_stable(self) -> bool:
@@ -185,8 +194,6 @@ class GraphSynopsis(IndexedGraph):
         self._next_id = 0
         # lazy adjacency index over ``edges`` — rebuilt after mutations
         self._adjacency: Optional[tuple[dict, dict]] = None
-        # per edge key, where an extent scan first meets it (see _tally)
-        self._witnesses: dict[tuple[int, int], tuple[int, int, int]] = {}
 
     # ------------------------------------------------------------------
     # construction
@@ -243,20 +250,33 @@ class GraphSynopsis(IndexedGraph):
     def _recompute_all_edges(self) -> None:
         self._adjacency = None
         tallies = _tally(self.tree.iter_edges(), self.assignment)
-        self.edges = {key: self._edge(key, t) for key, t in tallies.items()}
-        self._witnesses = {key: tuple(t[2:]) for key, t in tallies.items()}
+        self.edges = self._tallied(tallies)
 
-    def _edge(self, key: tuple[int, int], tally: list) -> SynopsisEdge:
-        """The edge ``key`` with the counts of its :func:`_tally` entry."""
+    def _edge(
+        self,
+        key: tuple[int, int],
+        child_count: int,
+        parent_count: int,
+        witness: tuple[int, int, int],
+    ) -> SynopsisEdge:
+        """The edge ``key`` with the given counts and witness."""
         source, target = key
         return SynopsisEdge(
             source,
             target,
-            tally[0],
-            len(tally[1]),
+            child_count,
+            parent_count,
             self.nodes[source].count,
             self.nodes[target].count,
+            witness,
         )
+
+    def _tallied(self, tallies: dict[tuple[int, int], list]) -> dict:
+        """The edges of :func:`_tally` entries, in their order."""
+        return {
+            key: self._edge(key, t[0], len(t[1]), (t[2], t[3], t[4]))
+            for key, t in tallies.items()
+        }
 
     def _replace_split_edges(
         self,
@@ -277,38 +297,36 @@ class GraphSynopsis(IndexedGraph):
         to the rescan.
         """
         self._adjacency = None
-        moved, witnesses = self._part_edges(old_id, parts)
+        moved = self._part_edges(old_id, parts)
         for key in [
             key for key in self.edges
             if key[0] in affected or key[1] in affected or old_id in key
         ]:
             edge = self.edges.pop(key)
-            witness = self._witnesses.pop(key)
             if old_id not in key:
                 moved[key] = edge
-                witnesses[key] = witness
         rank = {node_id: index for index, node_id in enumerate(affected)}
         after_children = len(self.assignment)
 
-        def scan_position(key: tuple[int, int]) -> tuple[int, int, int]:
-            source, target = key
-            parent_id, child_id, first_target = witnesses[key]
+        def scan_position(edge: SynopsisEdge) -> tuple[int, int, int]:
+            parent_id, child_id, first_target = edge.witness
             positions = []
-            if source in rank:
-                positions.append((rank[source], parent_id, child_id))
-            if target in rank:
-                positions.append((rank[target], first_target, after_children))
+            if edge.source in rank:
+                positions.append((rank[edge.source], parent_id, child_id))
+            if edge.target in rank:
+                positions.append(
+                    (rank[edge.target], first_target, after_children)
+                )
             return min(positions)
 
-        for key in sorted(moved, key=scan_position):
-            self.edges[key] = moved[key]
-            self._witnesses[key] = witnesses[key]
+        for edge in sorted(moved.values(), key=scan_position):
+            self.edges[edge.source, edge.target] = edge
 
     def _part_edges(
         self, old_id: int, parts: tuple[SynopsisNode, SynopsisNode]
-    ) -> tuple[dict, dict]:
-        """The edges incident to the parts of split node ``old_id``, and
-        their witnesses; ``edges`` still holds the old node's edges.
+    ) -> dict[tuple[int, int], SynopsisEdge]:
+        """The edges incident to the parts of split node ``old_id``;
+        ``edges`` still holds the old node's edges.
 
         Only the smaller part S is tallied (Hopcroft's rule, as Paige &
         Tarjan apply it to partition refinement): each S element's child
@@ -333,10 +351,9 @@ class GraphSynopsis(IndexedGraph):
             ),
             assignment,
         )
-        edges = {key: self._edge(key, t) for key, t in tallies.items()}
-        witnesses = {key: tuple(t[2:]) for key, t in tallies.items()}
+        edges = self._tallied(tallies)
         if recursive:
-            return edges, witnesses
+            return edges
         small_id, large_id = small.node_id, large.node_id
         for (source, target), edge in self.edges.items():
             if source == old_id:
@@ -352,25 +369,17 @@ class GraphSynopsis(IndexedGraph):
                 parent_count -= len(tally[1])
             if not child_count:
                 continue
-            witness = self._witnesses[(source, target)]
             if source == old_id:
-                witnesses[key] = self._outgoing_witness(large, target, witness)
+                witness = self._outgoing_witness(large, target, edge.witness)
             else:
                 if tally is not None:
                     parent_count += sum(
                         1 for parent_id in tally[1]
                         if self._first_child_in(parent_id, large_id) is not None
                     )
-                witnesses[key] = self._incoming_witness(source, large, witness)
-            edges[key] = SynopsisEdge(
-                key[0],
-                key[1],
-                child_count,
-                parent_count,
-                self.nodes[key[0]].count,
-                self.nodes[key[1]].count,
-            )
-        return edges, witnesses
+                witness = self._incoming_witness(source, large, edge.witness)
+            edges[key] = self._edge(key, child_count, parent_count, witness)
+        return edges
 
     def _first_child_in(
         self, element_id: int, node_id: int
@@ -497,11 +506,11 @@ class GraphSynopsis(IndexedGraph):
         # element it parents, then each child node at its first pair.  The
         # set's iteration order fixes the order of the rebuilt edges.
         parents, children = [], []
-        for (source, target), witness in self._witnesses.items():
+        for (source, target), edge in self.edges.items():
             if target == node_id and source != node_id:
-                parents.append((witness[2], source))
+                parents.append((edge.witness[2], source))
             elif source == node_id and target != node_id:
-                children.append((witness[:2], target))
+                children.append((edge.witness[:2], target))
         affected = {first.node_id, second.node_id}
         affected.update(source for _, source in sorted(parents))
         affected.update(target for _, target in sorted(children))
@@ -509,28 +518,17 @@ class GraphSynopsis(IndexedGraph):
         return first.node_id, second.node_id
 
     def copy(self) -> "GraphSynopsis":
-        """A structural copy sharing the document and the nodes.
+        """A structural copy sharing the document, the nodes and the edges.
 
         No code mutates a :class:`SynopsisNode` or its extent once built
-        (a split replaces the node), so the copy shares them; the
-        assignment and the edges are copied.
+        (a split replaces the node), and edges are immutable, so the copy
+        shares both; only the assignment and the two dicts are copied.
         """
         duplicate = GraphSynopsis(self.tree)
         duplicate.assignment = list(self.assignment)
         duplicate._next_id = self._next_id
         duplicate.nodes = dict(self.nodes)
-        duplicate.edges = {
-            key: SynopsisEdge(
-                edge.source,
-                edge.target,
-                edge.child_count,
-                edge.parent_count,
-                edge.source_size,
-                edge.target_size,
-            )
-            for key, edge in self.edges.items()
-        }
-        duplicate._witnesses = dict(self._witnesses)
+        duplicate.edges = dict(self.edges)
         return duplicate
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -412,7 +412,9 @@ def sketch_from_dict(payload: dict, strict: bool = False) -> TwigXSketch:
             _PointsHistogram(points),
             _field(entry, "budget", int, path),
         )
-        sketch.edge_stats.setdefault(entry["node"], []).append(histogram)
+        sketch.edge_stats[entry["node"]] = (
+            *sketch.histograms_at(entry["node"]), histogram
+        )
     entries = _require_list(payload["value_histograms"], "value_histograms")
     for index, entry in enumerate(entries):
         path = f"value_histograms[{index}]"
@@ -472,7 +474,9 @@ def sketch_from_dict(payload: dict, strict: bool = False) -> TwigXSketch:
             _field(entry, "value_budget", int, path),
             _field(entry, "count_budget", int, path),
         )
-        sketch.extended_stats.setdefault(entry["node"], []).append(summary)
+        sketch.extended_stats[entry["node"]] = (
+            *sketch.extended_at(entry["node"]), summary
+        )
     if strict:
         from .validate import raise_on_violations, validate_sketch
 

@@ -35,6 +35,7 @@ from ..histogram.wavelet import WaveletHistogram
 from . import size as sizing
 from .distributions import (
     EdgeRef,
+    child_counts,
     counts_minus,
     exact_edge_counts,
     forward_columns,
@@ -75,17 +76,6 @@ class XSketchConfig:
     def __post_init__(self):
         if self.engine not in ENGINES:
             raise SynopsisError(f"unknown histogram engine {self.engine!r}")
-
-    @staticmethod
-    def prototype() -> "XSketchConfig":
-        """The paper's measured prototype: forward counts to F-stable
-        children only, single-dimensional value histograms."""
-        return XSketchConfig(include_backward=False)
-
-    @staticmethod
-    def full() -> "XSketchConfig":
-        """The full model: backward counts allowed during construction."""
-        return XSketchConfig(include_backward=True)
 
 
 @dataclass
@@ -255,9 +245,11 @@ class TwigXSketch:
     def __init__(self, graph: GraphSynopsis, config: XSketchConfig):
         self.graph = graph
         self.config = config
-        self.edge_stats: dict[int, list[EdgeHistogram]] = {}
+        # per node, tuples: a refinement replaces a node's tuple, never
+        # edits it, so copies share them
+        self.edge_stats: dict[int, tuple[EdgeHistogram, ...]] = {}
         self.value_stats: dict[int, ValueSummary] = {}
-        self.extended_stats: dict[int, list[ExtendedValueSummary]] = {}
+        self.extended_stats: dict[int, tuple[ExtendedValueSummary, ...]] = {}
         #: True while ``graph`` may be shared with a copy (see :meth:`copy`)
         self._graph_shared = False
 
@@ -307,7 +299,7 @@ class TwigXSketch:
                     )
                 )
         if histograms:
-            self.edge_stats[node_id] = histograms
+            self.edge_stats[node_id] = tuple(histograms)
         else:
             self.edge_stats.pop(node_id, None)
         summary = self.make_value_summary(node_id, value_buckets, values)
@@ -399,9 +391,9 @@ class TwigXSketch:
             node_id, value_tag, scope, histogram, value_buckets, count_buckets
         )
 
-    def extended_at(self, node_id: int) -> list[ExtendedValueSummary]:
+    def extended_at(self, node_id: int) -> tuple[ExtendedValueSummary, ...]:
         """The extended value summaries stored for ``node_id``."""
-        return self.extended_stats.get(node_id, [])
+        return self.extended_stats.get(node_id, ())
 
     def make_value_summary(
         self, node_id: int, buckets: int, counts: Optional[Counter] = None
@@ -421,9 +413,9 @@ class TwigXSketch:
     # ------------------------------------------------------------------
     # accessors
     # ------------------------------------------------------------------
-    def histograms_at(self, node_id: int) -> list[EdgeHistogram]:
+    def histograms_at(self, node_id: int) -> tuple[EdgeHistogram, ...]:
         """The edge histograms stored for ``node_id`` (possibly empty)."""
-        return self.edge_stats.get(node_id, [])
+        return self.edge_stats.get(node_id, ())
 
     def value_summary(self, node_id: int) -> Optional[ValueSummary]:
         """The value histogram stored for ``node_id``, if any."""
@@ -481,21 +473,16 @@ class TwigXSketch:
 
         Both sketches keep one :class:`GraphSynopsis` until either splits
         a node: :meth:`split_node` copies the graph first.  A statistics-
-        only refinement therefore never copies the graph.  The statistics
-        lists are copied; their histogram engines (immutable) are shared.
+        only refinement therefore never copies the graph.  The per-node
+        statistics tuples are shared: every writer replaces a node's
+        tuple, so only the three dicts are copied.
         """
         self._graph_shared = True
         duplicate = TwigXSketch(self.graph, self.config)
         duplicate._graph_shared = True
-        duplicate.edge_stats = {
-            node_id: list(histograms)
-            for node_id, histograms in self.edge_stats.items()
-        }
+        duplicate.edge_stats = dict(self.edge_stats)
         duplicate.value_stats = dict(self.value_stats)
-        duplicate.extended_stats = {
-            node_id: list(summaries)
-            for node_id, summaries in self.extended_stats.items()
-        }
+        duplicate.extended_stats = dict(self.extended_stats)
         return duplicate
 
     def split_node(self, node_id: int, part: set[int]) -> tuple[int, int]:
@@ -531,14 +518,14 @@ class TwigXSketch:
         # Extended summaries at other nodes referencing the split node are
         # dropped (construction re-proposes them when still valuable).
         for other_id in list(self.extended_stats):
-            kept = [
+            kept = tuple(
                 summary
                 for summary in self.extended_stats[other_id]
                 if not any(
                     ref.source == node_id or ref.target == node_id
                     for ref in summary.scope
                 )
-            ]
+            )
             if kept:
                 self.extended_stats[other_id] = kept
             else:
@@ -581,7 +568,7 @@ class TwigXSketch:
                     )
                 )
             if rebuilt:
-                self.extended_stats[part_id] = rebuilt
+                self.extended_stats[part_id] = tuple(rebuilt)
         small_parents = (
             _parents_by_node(small, self.graph.assignment)
             if stale_refs_by_node else {}
@@ -614,7 +601,7 @@ class TwigXSketch:
                 else:
                     rebuilt.append(histogram)
             if rebuilt:
-                self.edge_stats[other_id] = rebuilt
+                self.edge_stats[other_id] = tuple(rebuilt)
             else:
                 self.edge_stats.pop(other_id, None)
         return first, second
@@ -720,9 +707,15 @@ class TwigXSketch:
         counts: Counter = Counter()
         for vector, count in histogram.counts.items():
             counts[_remap(vector, picks, split_dim, 0)] += count
-        rows = _scope_rows(
-            self.graph, old_scope, old_id, (small, large), small_parents
-        )
+        rows = zip(*child_counts(
+            self.graph,
+            list(small_parents),
+            [
+                (small.node_id, large.node_id) if ref.target == old_id
+                else (ref.target,)
+                for ref in old_scope
+            ],
+        ))
         for row, small_count in zip(rows, small_parents.values()):
             counts[_remap(row, picks, split_dim, 0)] -= 1
             counts[_remap(row, picks, split_dim, small_count)] += 1
@@ -844,42 +837,6 @@ def _parents_by_node(
     for parent_id, count in counts.items():
         grouped.setdefault(assignment[parent_id], {})[parent_id] = count
     return grouped
-
-
-def _scope_rows(
-    graph: GraphSynopsis,
-    scope: tuple[EdgeRef, ...],
-    old_id: int,
-    parts: tuple[SynopsisNode, SynopsisNode],
-    elements: dict[int, int],
-) -> list[tuple[int, ...]]:
-    """The forward counts over ``scope`` of each of ``elements``, read
-    from the document's child index; a ref to the split node ``old_id``
-    counts the children in either of its ``parts``."""
-    tree = graph.tree
-    index = tree.child_index()
-    assignment = graph.assignment
-    dims = []
-    for ref in scope:
-        if ref.target == old_id:
-            tag, targets = parts[0].tag, {part.node_id for part in parts}
-            size = parts[0].count + parts[1].count
-        else:
-            node = graph.nodes[ref.target]
-            tag, targets, size = node.tag, {ref.target}, node.count
-        # None: the targets hold every element of the tag
-        dims.append((tag, None if size == len(tree.extent(tag)) else targets))
-    return [
-        tuple(
-            len(index[element_id].get(tag, ())) if targets is None
-            else sum(
-                1 for child in index[element_id].get(tag, ())
-                if assignment[child.node_id] in targets
-            )
-            for tag, targets in dims
-        )
-        for element_id in elements
-    ]
 
 
 def _remap(

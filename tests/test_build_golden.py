@@ -110,7 +110,7 @@ IMDB_NO_EDGE_COUNTS_TRAIL = [
         pytest.param(
             lambda: generate_imdb(2000, seed=55), 3072, 55, IMDB_FULL_TRAIL,
             "a9d7b882ade1c7753adca6d257817b30aeec734f921d31a13e6ece251d1a59e9",
-            XSketchConfig.full(),
+            XSketchConfig(include_backward=True),
             id="imdb-2000-full",
         ),
         pytest.param(

@@ -71,7 +71,9 @@ class TestCandidates:
 
     def test_backward_expansion_gated_by_config(self, imdb):
         forward_only = TwigXSketch.coarsest(imdb, XSketchConfig())
-        full = TwigXSketch.coarsest(imdb, XSketchConfig.full())
+        full = TwigXSketch.coarsest(
+            imdb, XSketchConfig(include_backward=True)
+        )
 
         def backward_expansions(sketch):
             rng = random.Random(5)

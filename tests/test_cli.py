@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _parse_query, main
 from repro.doc import build_tree, write_file
+from repro.query import parse_for_clause, parse_path, twig
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +81,43 @@ class TestEstimate:
     def test_bad_query_is_error(self, xml_file, capsys):
         assert main(["estimate", xml_file, "--query", "a[[", "--budget", "1"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_value_containing_in_is_a_path(self, tmp_path, capsys):
+        tree = build_tree((
+            "imdb",
+            [
+                ("movie", [("title", "Love in Paris", [])]),
+                ("movie", [("title", "Heat", [])]),
+            ],
+        ))
+        path = tmp_path / "movies.xml"
+        write_file(tree, path)
+        code = main([
+            "estimate", str(path), "--query",
+            '//movie/title{="Love in Paris"}', "--budget", "1", "--exact",
+        ])
+        assert code == 0
+        assert "exact selectivity:     1\n" in capsys.readouterr().out
+
+
+def _as_path(text):
+    return twig(parse_path(text))
+
+
+class TestQueryShape:
+    """A query is a ``for`` clause when it opens with an optional ``for``,
+    a variable and ``in``; any other text is a path."""
+
+    @pytest.mark.parametrize("text, parse", [
+        ('//movie/title{="Love in Paris"}', _as_path),
+        ("author/paper/title", _as_path),
+        ("for a in author, p in a/paper[year > 2000]", parse_for_clause),
+        ("FOR a in author, p in a/paper", parse_for_clause),
+        ("a in author, t in a/paper/title", parse_for_clause),
+        ("$a in author", parse_for_clause),
+    ])
+    def test_parse_query_decides_by_clause_shape(self, text, parse):
+        assert _parse_query(text).key == parse(text).key
 
 
 class TestWorkload:

@@ -36,7 +36,7 @@ from pathlib import Path
 import pytest
 
 REPO = Path(__file__).resolve().parent.parent
-ROOTS = ("src", "tests", "benchmarks", "perfbench")
+ROOTS = ("src", "tests", "benchmarks", "perfbench", "examples")
 FIXTURE = "tests/fixtures/broken_pkg"
 COUNT_OPS = {
     "make_edge_histogram", "make_value_summary", "make_extended_summary",

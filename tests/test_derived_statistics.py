@@ -93,9 +93,14 @@ def scanning():
 def counting_scans():
     """Record the scans refinements make: the node of each
     ``forward_columns`` and ``exact_edge_counts`` call, the number of
-    values each ``value_counts`` call reads, and each engine build."""
-    scans = {"columns": [], "edges": [], "values": [], "engines": 0}
+    elements each direct ``child_counts`` call (a parent's rows) reads,
+    the number of values each ``value_counts`` call reads, and each
+    engine build."""
+    scans = {
+        "columns": [], "edges": [], "rows": [], "values": [], "engines": 0
+    }
     columns = summary_module.forward_columns
+    rows = summary_module.child_counts
     edges = summary_module.exact_edge_counts
     values = summary_module.value_counts
     engines = summary_module.build_value_histogram
@@ -104,6 +109,10 @@ def counting_scans():
         if targets:
             scans["columns"].append(node_id)
         return columns(graph, node_id, targets)
+
+    def record_rows(graph, element_ids, groups):
+        scans["rows"].append(len(element_ids))
+        return rows(graph, element_ids, groups)
 
     def record_edges(graph, node_id, scope):
         scans["edges"].append(node_id)
@@ -120,6 +129,8 @@ def counting_scans():
 
     with mock.patch.object(
         summary_module, "forward_columns", record_columns
+    ), mock.patch.object(
+        summary_module, "child_counts", record_rows
     ), mock.patch.object(
         summary_module, "exact_edge_counts", record_edges
     ), mock.patch.object(
@@ -274,7 +285,7 @@ def recursive_trees(draw, max_nodes=30):
 
 CONFIGS = {
     "default": XSketchConfig(),
-    "full": XSketchConfig.full(),
+    "full": XSketchConfig(include_backward=True),
     "exact": XSketchConfig(engine="exact"),
 }
 
@@ -328,7 +339,7 @@ def test_every_refinement_kind_is_checked():
     tree = generate_imdb(400, seed=3)
     rng = random.Random(7)
     kinds = set()
-    for config in (XSketchConfig(), XSketchConfig.full()):
+    for config in (XSketchConfig(), XSketchConfig(include_backward=True)):
         sketch = TwigXSketch.coarsest(tree, config)
         for _ in range(3):
             found, refined = check_pool(sketch, rng)
@@ -394,6 +405,7 @@ def test_lopsided_splits_scan_only_the_smaller_part(part_ids):
     assert small.count == 1
     assert set(scans["columns"]) == {small.node_id}
     assert scans["edges"] == []
+    assert scans["rows"] == [1]  # r's one element with a child in S
     assert scans["values"] == [1]
     assert scans["engines"] == 0
     assert_matches_scan(refined, scanned_split(sketch, movies, part_ids))
@@ -449,10 +461,13 @@ def test_parent_histogram_at_the_dimension_cap():
         refined.split_node(y_node, part)
     assert movies not in scans["columns"] + scans["edges"]
     (remapped,) = refined.histograms_at(movies)
-    large = max(
+    small, large = sorted(
         (n for n in refined.graph.iter_nodes() if n.tag == "y"),
         key=lambda n: n.count,
     )
+    # the rows read are the movies with a y child in S, not every movie
+    parents = {element.parent.node_id for element in small.extent}
+    assert scans["rows"] == [len(parents)] and len(parents) < 12
     assert remapped.scope == (
         EdgeRef(movies, t_node),
         EdgeRef(movies, large.node_id),
@@ -518,7 +533,8 @@ def test_refines_rebuild_from_the_retained_counts():
         with counting_scans() as scans:
             refined = refinement.apply(sketch)
         assert scans == {
-            "columns": [], "edges": [], "values": [], "engines": 0
+            "columns": [], "edges": [], "rows": [], "values": [],
+            "engines": 0,
         }
         check_refinement(refinement, sketch)
     assert refined.value_summary(valued).counts is (

@@ -81,6 +81,7 @@ from repro.synopsis import graph as graph_module
 from repro.synopsis.distributions import (
     EdgeRef,
     _general_counts,
+    child_counts,
     exact_edge_distribution,
 )
 from repro.synopsis.graph import GraphSynopsis
@@ -174,7 +175,13 @@ def rescan_edges(before, graph, old_id, affected):
 
 
 def edge_rows(graph):
-    return [(key, astuple(edge)) for key, edge in graph.edges.items()]
+    """Each edge's key and counts, without its witness."""
+    return [(key, astuple(edge)[:6]) for key, edge in graph.edges.items()]
+
+
+def witnesses(graph):
+    """Each edge's witness, by key."""
+    return {key: edge.witness for key, edge in graph.edges.items()}
 
 
 def split_and_check(graph, node_id, part, split=GraphSynopsis.split_node):
@@ -195,8 +202,7 @@ def split_and_check(graph, node_id, part, split=GraphSynopsis.split_node):
     fresh = graph.copy()
     fresh._recompute_all_edges()
     assert sorted(edge_rows(fresh)) == sorted(edge_rows(graph))
-    assert fresh._witnesses == graph._witnesses
-    assert set(graph._witnesses) == set(graph.edges)
+    assert witnesses(fresh) == witnesses(graph)
     assert validate_graph(graph) == []
     return first, second
 
@@ -302,7 +308,7 @@ def witness_sides(graph, node_id, small):
     the larger part's witness derives from lie in the smaller part."""
     sides = set()
     for (source, target), (parent_id, child_id, first) in (
-        graph._witnesses.items()
+        witnesses(graph).items()
     ):
         if source == target:
             continue
@@ -576,7 +582,7 @@ WORKLOADS = {
 CONFIGS = {
     "default": XSketchConfig(),
     "no-edge-counts": XSketchConfig(store_edge_counts=False),
-    "full": XSketchConfig.full(),
+    "full": XSketchConfig(include_backward=True),
     "exact": XSketchConfig(engine="exact"),
 }
 
@@ -831,6 +837,55 @@ def test_forward_distribution_matches_general_path(tree, data):
     graph, node_id, targets = draw_forward_scope(tree, data)
     if targets:
         assert_forward_matches_references(graph, node_id, targets)
+
+
+def recount_children(graph, element_ids, groups):
+    """:func:`child_counts` from every child of every element."""
+    return [
+        [
+            sum(
+                1 for child in graph.tree.node_by_id(element_id).children
+                if graph.node_of(child) in group
+            )
+            for element_id in element_ids
+        ]
+        for group in groups
+    ]
+
+
+@given(tree=recursive_trees(), data=st.data())
+def test_child_counts_match_the_references(tree, data):
+    """Over a node's extent, one target per group, against the count from
+    the targets' side; then over any distinct elements, against a recount
+    of every child, with groups that are the two parts of a split node
+    (together, they may hold their tag's whole extent) and every node."""
+    graph, node_id, targets = draw_forward_scope(tree, data)
+    if targets:
+        ids = [element.node_id for element in graph.node(node_id).extent]
+        groups = [(target,) for target in targets]
+        columns = child_counts(graph, ids, groups)
+        assert SparseDistribution(Counter(zip(*columns))).points() == (
+            target_side_distribution(graph, node_id, targets).points()
+        )
+        assert columns == recount_children(graph, ids, groups)
+    splittable = [node for node in graph.iter_nodes() if node.count > 1]
+    if not splittable:
+        return
+    node = data.draw(st.sampled_from(splittable))
+    ids = [element.node_id for element in node.extent]
+    first, second = graph.split_node(node.node_id, set(data.draw(
+        st.lists(st.sampled_from(ids), min_size=1, max_size=len(ids) - 1,
+                 unique=True)
+    )))
+    groups = [(first, second), (second, first)] + [
+        (other.node_id,) for other in graph.iter_nodes()
+    ]
+    elements = data.draw(st.lists(
+        st.integers(0, tree.element_count - 1), max_size=12, unique=True
+    ))
+    assert child_counts(graph, elements, groups) == recount_children(
+        graph, elements, groups
+    )
 
 
 def test_forward_distribution_counts_childless_elements_once():

@@ -49,8 +49,8 @@ def _xmark_build():
         ),
         pytest.param(
             lambda: XBuild(
-                generate_imdb(2000, seed=55), 3072, XSketchConfig.full(),
-                seed=55,
+                generate_imdb(2000, seed=55), 3072,
+                XSketchConfig(include_backward=True), seed=55,
             ),
             id="imdb-2000-full",
         ),

@@ -700,7 +700,9 @@ class TestSharedFacts:
         return {
             "built": sketch,
             "coarsest": TwigXSketch.coarsest(tree),
-            "full": TwigXSketch.coarsest(tree, XSketchConfig.full()),
+            "full": TwigXSketch.coarsest(
+                tree, XSketchConfig(include_backward=True)
+            ),
         }
 
     @staticmethod

@@ -1,6 +1,6 @@
 """Tests for the graph synopsis: partition, edges, stability, splitting."""
 
-from dataclasses import astuple
+from dataclasses import FrozenInstanceError, astuple
 
 import pytest
 
@@ -13,6 +13,7 @@ from repro.synopsis import (
     raise_on_violations,
     validate_graph,
 )
+from repro.synopsis import graph as graph_module
 from repro.synopsis.graph import SynopsisEdge
 
 
@@ -244,7 +245,11 @@ class TestCopy:
         nodes = dict(fig1_synopsis.nodes)
         extents = {key: list(node.extent) for key, node in nodes.items()}
         edges = {key: astuple(edge) for key, edge in fig1_synopsis.edges.items()}
-        witnesses = dict(fig1_synopsis._witnesses)
+        records = dict(fig1_synopsis.edges)
+        witnesses = {
+            key: edge.witness for key, edge in fig1_synopsis.edges.items()
+        }
+        assert None not in witnesses.values()
         duplicate = fig1_synopsis.copy()
         paper = node_by_tag(duplicate, "paper")
         duplicate.split_node(paper.node_id, {paper.extent[0].node_id})
@@ -261,7 +266,49 @@ class TestCopy:
             key: astuple(edge) for key, edge in fig1_synopsis.edges.items()
         } == edges
         assert list(fig1_synopsis.edges) == list(edges)
-        assert fig1_synopsis._witnesses == witnesses
+        assert all(
+            fig1_synopsis.edges[key] is edge for key, edge in records.items()
+        )
+        assert {
+            key: edge.witness for key, edge in fig1_synopsis.edges.items()
+        } == witnesses
+
+    def test_copy_shares_edge_records(self, fig1_synopsis, monkeypatch):
+        built = []
+
+        class CountingEdge(SynopsisEdge):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(graph_module, "SynopsisEdge", CountingEdge)
+        duplicate = fig1_synopsis.copy()
+        assert built == []
+        assert list(duplicate.edges) == list(fig1_synopsis.edges)
+        assert all(
+            duplicate.edges[key] is edge
+            for key, edge in fig1_synopsis.edges.items()
+        )
+        paper = node_by_tag(duplicate, "paper")
+        duplicate.split_node(paper.node_id, {paper.extent[0].node_id})
+        assert built  # the counter sees the edges a split does build
+
+    def test_edges_are_immutable(self, fig1_synopsis):
+        edge = next(iter(fig1_synopsis.edges.values()))
+        for name, value in [
+            ("child_count", edge.child_count + 1),
+            ("parent_count", 0),
+            ("target_size", 1),
+            ("witness", None),
+        ]:
+            with pytest.raises(FrozenInstanceError):
+                setattr(edge, name, value)
+
+    def test_witness_is_left_out_of_equality(self, fig1_synopsis):
+        edge = next(iter(fig1_synopsis.edges.values()))
+        bare = SynopsisEdge(*astuple(edge)[:6])
+        assert bare.witness is None
+        assert bare == edge and hash(bare) == hash(edge)
 
     def test_ancestor_in(self, fig1_synopsis):
         author = node_by_tag(fig1_synopsis, "author")

@@ -24,8 +24,8 @@ def nid(sketch, tag):
 
 class TestConfig:
     def test_default_is_prototype(self):
-        assert not XSketchConfig.prototype().include_backward
-        assert XSketchConfig.full().include_backward
+        assert XSketchConfig() == XSketchConfig(include_backward=False)
+        assert not XSketchConfig().include_backward
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(SynopsisError):
@@ -180,6 +180,34 @@ class TestSplitMigration:
         raise_on_violations(validate_sketch(duplicate))
         raise_on_violations(validate_sketch(sketch))
         assert len(sketch.graph.nodes_with_tag("paper")) == 1
+
+
+    def test_copy_shares_statistics(self, sketch):
+        paper, keyword = (nid(sketch, tag) for tag in ("paper", "keyword"))
+        sketch.extended_stats[paper] = (sketch.make_extended_summary(
+            paper, "year", (EdgeRef(paper, keyword),), 4, 4
+        ),)
+        edge_stats = dict(sketch.edge_stats)
+        extended = dict(sketch.extended_stats)
+        assert all(type(h) is tuple for h in edge_stats.values())
+        duplicate = sketch.copy()
+        for ours, theirs in (
+            (duplicate.edge_stats, edge_stats),
+            (duplicate.extended_stats, extended),
+            (duplicate.value_stats, sketch.value_stats),
+        ):
+            assert ours.keys() == theirs.keys()
+            assert all(ours[key] is theirs[key] for key in theirs)
+        # the copy's writers replace its tuples, never the base's
+        duplicate.split_node(paper, {
+            sketch.graph.node(paper).extent[0].node_id
+        })
+        assert paper not in duplicate.extended_stats
+        assert sketch.edge_stats.keys() == edge_stats.keys()
+        assert all(
+            sketch.edge_stats[key] is edge_stats[key] for key in edge_stats
+        )
+        assert sketch.extended_stats[paper] is extended[paper]
 
 
 class TestFigure4Sketches:

@@ -1,5 +1,7 @@
 """Tests for the synopsis invariant checker (repro.synopsis.validate)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.build import XBuild, xbuild
@@ -31,8 +33,13 @@ def built_sketch():
 
 
 def _frozen(sketch):
-    """An independent loaded copy whose graph objects are mutable."""
+    """An independent loaded copy whose graph nodes are mutable."""
     return sketch_from_dict(sketch_to_dict(sketch))
+
+
+def _replace_edge(graph, edge, **changes):
+    """Swap ``edge`` for a copy with ``changes`` (edges are immutable)."""
+    graph.edges[edge.source, edge.target] = replace(edge, **changes)
 
 
 def _codes(violations):
@@ -77,27 +84,29 @@ class TestEdgeInvariants:
     def test_child_count_exceeds_target(self, built_sketch):
         loaded = _frozen(built_sketch)
         edge = next(iter(loaded.graph.edges.values()))
-        edge.child_count = loaded.graph.nodes[edge.target].count + 7
+        _replace_edge(
+            loaded.graph, edge,
+            child_count=loaded.graph.nodes[edge.target].count + 7,
+        )
         assert "edge-count-range" in _codes(validate_sketch(loaded))
 
     def test_parent_count_exceeds_child_count(self, built_sketch):
         loaded = _frozen(built_sketch)
         edge = next(iter(loaded.graph.edges.values()))
-        edge.parent_count = edge.child_count + 1
+        _replace_edge(loaded.graph, edge, parent_count=edge.child_count + 1)
         codes = _codes(validate_sketch(loaded))
         assert "edge-count-order" in codes or "edge-count-range" in codes
 
     def test_stale_cached_size_flags_stability(self, built_sketch):
         loaded = _frozen(built_sketch)
         edge = next(iter(loaded.graph.edges.values()))
-        edge.target_size = edge.target_size + 100
+        _replace_edge(loaded.graph, edge, target_size=edge.target_size + 100)
         assert "edge-size-stale" in _codes(validate_sketch(loaded))
 
     def test_zero_witness_edge(self, built_sketch):
         loaded = _frozen(built_sketch)
         edge = next(iter(loaded.graph.edges.values()))
-        edge.child_count = 0
-        edge.parent_count = 0
+        _replace_edge(loaded.graph, edge, child_count=0, parent_count=0)
         assert "edge-witness" in _codes(validate_sketch(loaded))
 
     def test_partition_deficit(self, built_sketch):
@@ -107,8 +116,11 @@ class TestEdgeInvariants:
         edge = max(
             loaded.graph.edges.values(), key=lambda e: e.child_count
         )
-        edge.child_count -= 1
-        edge.parent_count = min(edge.parent_count, edge.child_count)
+        _replace_edge(
+            loaded.graph, edge,
+            child_count=edge.child_count - 1,
+            parent_count=min(edge.parent_count, edge.child_count - 1),
+        )
         assert "tree-partition" in _codes(validate_sketch(loaded))
 
 
@@ -153,7 +165,7 @@ class TestExtentInvariants:
             e for e in graph.edges.values()
             if e.parent_count < e.child_count and e.target != root
         )
-        edge.child_count -= 1
+        _replace_edge(graph, edge, child_count=edge.child_count - 1)
         graph.edges[(edge.source, root)] = SynopsisEdge(
             edge.source, root, 1, 1,
             graph.nodes[edge.source].count, graph.nodes[root].count,
