@@ -190,9 +190,9 @@ class EdgeRefine(Refinement):
             self.node_id, histogram.scope, histogram.budget * 2,
             histogram.counts,
         )
-        histograms = list(refined.edge_stats[self.node_id])
+        histograms = list(refined.histograms_at(self.node_id))
         histograms[self.index] = rebuilt
-        refined.edge_stats[self.node_id] = tuple(histograms)
+        refined.set_histograms(self.node_id, histograms)
         return refined
 
     def region(self) -> set[int]:
@@ -258,11 +258,11 @@ class EdgeExpand(Refinement):
             )
         refined = sketch.copy()
         merged = refined.make_edge_histogram(self.node_id, scope, budget)
-        rebuilt = list(refined.edge_stats[self.node_id])
+        rebuilt = list(refined.histograms_at(self.node_id))
         rebuilt[self.index] = merged
         if donor_index is not None:
             del rebuilt[donor_index]
-        refined.edge_stats[self.node_id] = tuple(rebuilt)
+        refined.set_histograms(self.node_id, rebuilt)
         return refined
 
     def region(self) -> set[int]:
@@ -299,7 +299,7 @@ class ValueRefine(Refinement):
         )
         if rebuilt is None:  # pragma: no cover - summary existed above
             raise BuildError(f"node #{self.node_id} lost its values")
-        refined.value_stats[self.node_id] = rebuilt
+        refined.set_value_summary(self.node_id, rebuilt)
         return refined
 
     def region(self) -> set[int]:
@@ -342,8 +342,8 @@ class ValueExpand(Refinement):
             )
         except SynopsisError as error:
             raise BuildError(str(error)) from None
-        refined.extended_stats[self.node_id] = (
-            *refined.extended_at(self.node_id), summary
+        refined.set_extended(
+            self.node_id, (*refined.extended_at(self.node_id), summary)
         )
         return refined
 

@@ -170,7 +170,9 @@ class SketchFacts:
     """Caches over one sketch's static facts, filled as estimates read them.
 
     Node labels, average child counts and positive-count probabilities per
-    edge, and marginals keyed by ``(id(histogram), kept dims)`` holding
+    edge, per valued node its ``(valued, count)`` elements when only some
+    carry a value (else ``()``), and marginals keyed by
+    ``(id(histogram), kept dims)`` holding
     ``(histogram, marginal points, dim -> position)``: holding the
     histogram keeps its id unique, and refinements replace histograms,
     never change them.  Every value depends on the sketch alone, so
@@ -183,6 +185,7 @@ class SketchFacts:
         self.labels: dict[int, str] = {}
         self.averages: dict[tuple[int, int], float] = {}
         self.positives: dict[tuple[int, int], float] = {}
+        self.partly_valued: dict[int, tuple] = {}
         self.marginals: dict[tuple, tuple] = {}
 
 
@@ -232,6 +235,7 @@ class TwigEstimator:
         self._label_cache = facts.labels
         self._average_cache = facts.averages
         self._positive_cache = facts.positives
+        self._partly_valued = facts.partly_valued
         self._marginals = facts.marginals
         self._lookups = (
             None
@@ -411,11 +415,12 @@ class TwigEstimator:
         For a recorded query the derived estimator takes the embeddings
         from the record when both sketches share their graph (enumeration
         reads only the graph) and copies each embedding's value when its
-        read set misses :meth:`TwigXSketch.changes_since`.  It recomputes
-        the others and sums in enumeration order, so every answer equals
-        a fresh ``TwigEstimator(refined)``'s.  Other queries, estimators
-        without records and estimators with an explain recorder take the
-        full path.
+        read set misses the changes ``refined`` recorded
+        (:meth:`TwigXSketch.changes_from`).  It recomputes the others and
+        sums in enumeration order, so every answer equals a fresh
+        ``TwigEstimator(refined)``'s.  Other queries, estimators without
+        records or with an explain recorder, and a ``refined`` that is not
+        a copy of this sketch as it stands take the full path.
         """
         derived = TwigEstimator(
             refined,
@@ -425,13 +430,17 @@ class TwigEstimator:
             metrics=self._metrics,
             explain=self._explain,
         )
-        if self._records is not None:
-            changes = refined.changes_since(self.sketch)
+        changes = (
+            None if self._records is None
+            else refined.changes_from(self.sketch)
+        )
+        if changes is not None:
             if not refined.config.store_edge_counts:
                 # without stored counts an edge's child count is
                 # apportioned over every incoming edge of its target
-                for key in changes.edges:
-                    changes.nodes.update(key)
+                changes = SketchChanges(
+                    changes.nodes.union(*changes.edges), changes.edges
+                )
             derived._base = self
             derived._changes = changes
         return derived
@@ -729,12 +738,25 @@ class TwigEstimator:
     def _value_selectivity(self, node_id: int, predicate) -> float:
         """Fraction of the node's elements whose value satisfies
         ``predicate``; elements without values (no value histogram stored)
-        cannot match."""
+        cannot match.  The histogram's fraction is one of the valued
+        elements, so on a node where only some elements carry a value it
+        is scaled by their share."""
         summary = self.sketch.value_summary(node_id)
-        selectivity = (
-            0.0 if summary is None
-            else summary.histogram.selectivity(predicate)
-        )
+        if summary is None:
+            selectivity = 0.0
+        else:
+            selectivity = summary.histogram.selectivity(predicate)
+            partly = self._partly_valued.get(node_id)
+            if partly is None:
+                valued = summary.total
+                count = self.sketch.graph.node(node_id).count
+                partly = self._partly_valued[node_id] = (
+                    (valued, count)
+                    if valued is not None and valued < count else ()
+                )
+            if partly:
+                valued, count = partly
+                selectivity = selectivity * valued / count
         if self._tally is not None:
             self._tally["value"] += 1
         if self._explain is not None:

@@ -10,6 +10,10 @@ value bucket, a compressed distribution of the count vector.
 
 Elements whose value is missing are tracked as a separate bucket so that
 total mass stays 1; value predicates never match them.
+
+Like an edge histogram's, each bucket's count distribution is merged on
+first read: a summary built and dropped unread (most XBUILD candidates)
+never runs the Ward merge, and its size needs none.
 """
 
 from __future__ import annotations
@@ -26,9 +30,14 @@ from .sparse import SparseDistribution
 
 
 class _Bucket:
-    """One value bucket: a value range/key, its mass, and count points."""
+    """One value bucket: a value range/key, its mass, and count points.
 
-    __slots__ = ("low", "high", "key", "mass", "distinct", "points")
+    The points are given, or merged from a :class:`CentroidHistogram` on
+    the first read of :attr:`points`.
+    """
+
+    __slots__ = ("low", "high", "key", "mass", "distinct", "_points",
+                 "_counts")
 
     def __init__(self, low, high, key, mass, distinct, points):
         self.low = low
@@ -36,7 +45,27 @@ class _Bucket:
         self.key = key  # exact string key, or None for range/pool buckets
         self.mass = mass
         self.distinct = distinct
-        self.points = points  # list[Point] over the count dimensions
+        if isinstance(points, CentroidHistogram):
+            self._points, self._counts = None, points
+        else:
+            self._points, self._counts = points, None
+
+    @property
+    def points(self) -> list[Point]:
+        """The count points over the count dimensions, merged on first
+        read.  ``_counts`` is read before ``_points`` and cleared after it
+        is set, so a concurrent first read finds one or the other."""
+        counts = self._counts
+        points = self._points
+        if points is None:
+            points = self._points = counts.points()
+            self._counts = None
+        return points
+
+    def point_count(self) -> int:
+        """Stored count points, without merging."""
+        counts = self._counts
+        return len(self._points) if counts is None else counts.bucket_count()
 
     def overlap(self, predicate: ValuePredicate) -> float:
         """Fraction of this bucket's mass matching ``predicate``."""
@@ -49,6 +78,8 @@ class _Bucket:
                 return 1.0 - (1.0 / self.distinct if self.distinct else 0.0)
             return 0.5  # ordered predicate on the unknown pool
         # numeric range bucket, continuous-uniform inside
+        if isinstance(predicate.value, str):
+            return 0.0  # type mismatch, as in the numeric value histogram
         low, high = float(self.low), float(self.high)
         if predicate.op == "=":
             if low <= predicate.value <= high:
@@ -102,8 +133,9 @@ class ValueCountHistogram:
         present = [(v, c) for v, c in observations if v is not None]
         missing = [c for v, c in observations if v is None]
         self.missing_mass = len(missing) / total
-        self._missing_points: list[Point] = (
-            self._compress(missing) if missing else []
+        self._missing = _Bucket(
+            None, None, None, self.missing_mass, 0,
+            self._compress(missing) if missing else [],
         )
 
         self.buckets: list[_Bucket] = []
@@ -116,9 +148,11 @@ class ValueCountHistogram:
                 )
 
     # ------------------------------------------------------------------
-    def _compress(self, count_vectors) -> list[Point]:
+    def _compress(self, count_vectors) -> CentroidHistogram:
+        """The count distribution of ``count_vectors``, merged on first
+        read."""
         source = SparseDistribution.from_observations(count_vectors)
-        return CentroidHistogram(source, self.count_buckets).points()
+        return CentroidHistogram(source, self.count_buckets)
 
     def _build_numeric(self, present, value_buckets, total) -> None:
         ordered = sorted(present, key=lambda pair: pair[0])
@@ -197,7 +231,7 @@ class ValueCountHistogram:
                 )
             weighted.extend(
                 (vector, mass * self.missing_mass)
-                for vector, mass in self._missing_points
+                for vector, mass in self._missing.points
             )
             return ops.normalize(weighted)
         for bucket in self.buckets:
@@ -221,7 +255,7 @@ class ValueCountHistogram:
             "count_buckets": self.count_buckets,
             "missing_mass": self.missing_mass,
             "missing_points": [
-                [list(vector), mass] for vector, mass in self._missing_points
+                [list(vector), mass] for vector, mass in self._missing.points
             ],
             "buckets": [
                 {
@@ -243,9 +277,10 @@ class ValueCountHistogram:
         histogram.dimensions = state["dimensions"]
         histogram.count_buckets = state["count_buckets"]
         histogram.missing_mass = state["missing_mass"]
-        histogram._missing_points = [
-            (tuple(vector), mass) for vector, mass in state["missing_points"]
-        ]
+        histogram._missing = _Bucket(
+            None, None, None, histogram.missing_mass, 0,
+            [(tuple(vector), mass) for vector, mass in state["missing_points"]],
+        )
         histogram.buckets = [
             _Bucket(
                 entry["low"],
@@ -260,9 +295,10 @@ class ValueCountHistogram:
         return histogram
 
     def count_point_total(self) -> int:
-        """Total stored count points across all buckets (size accounting)."""
-        total = sum(len(bucket.points) for bucket in self.buckets)
-        return total + len(self._missing_points)
+        """Total stored count points across all buckets (size accounting),
+        without merging."""
+        total = sum(bucket.point_count() for bucket in self.buckets)
+        return total + self._missing.point_count()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -90,13 +90,15 @@ class SynopsisEdge:
 
 
 class _Adjacency(NamedTuple):
-    """The read indexes of a graph, all built in one pass."""
+    """The read indexes of a graph."""
 
     #: node id -> outgoing edges, in ``edges`` order
     children: dict[int, list[SynopsisEdge]]
     #: node id -> incoming edges, in ``edges`` order
     parents: dict[int, list[SynopsisEdge]]
-    #: node id -> child tag -> target ids, in ``edges`` order
+    #: node id -> child tag -> target ids, in ``edges`` order; a node's
+    #: entry is filled from ``children`` on its first read
+    #: (:meth:`IndexedGraph.child_ids_with_tag`)
     child_ids_by_tag: dict[int, dict[str, list[int]]]
     #: tag -> nodes with that tag, in ``nodes`` order
     nodes_by_tag: dict[str, list]
@@ -106,9 +108,14 @@ class IndexedGraph:
     """The read API a graph synopsis shares with a loaded one.
 
     Subclasses hold ``nodes`` (id -> node with a ``tag``) and ``edges``
-    ((source, target) -> :class:`SynopsisEdge`), and set ``_adjacency``
-    to None whenever either changes; the indexes are rebuilt on the next
-    read.
+    ((source, target) -> :class:`SynopsisEdge`), and ``_adjacency``, the
+    read indexes over both, built on the first read when None.  A change
+    to ``nodes`` or ``edges`` either sets ``_adjacency`` to None or
+    replaces it with an index patched to the lists a rebuild would give,
+    in ``edges`` and ``nodes`` order (:meth:`GraphSynopsis.split_node`).
+    The index is never edited in place, except that a node's
+    ``child_ids_by_tag`` entry is filled on its first read: a graph copy
+    shares it.
     """
 
     nodes: dict
@@ -121,17 +128,13 @@ class IndexedGraph:
             nodes = self.nodes
             children: dict[int, list[SynopsisEdge]] = {}
             parents: dict[int, list[SynopsisEdge]] = {}
-            by_tag: dict[int, dict[str, list[int]]] = {}
             for edge in self.edges.values():
                 children.setdefault(edge.source, []).append(edge)
                 parents.setdefault(edge.target, []).append(edge)
-                by_tag.setdefault(edge.source, {}).setdefault(
-                    nodes[edge.target].tag, []
-                ).append(edge.target)
             tags: dict[str, list] = {}
             for node in nodes.values():
                 tags.setdefault(node.tag, []).append(node)
-            self._adjacency = _Adjacency(children, parents, by_tag, tags)
+            self._adjacency = _Adjacency(children, parents, {}, tags)
         return self._adjacency
 
     def node(self, node_id: int):
@@ -155,9 +158,22 @@ class IndexedGraph:
 
     def child_ids_with_tag(self, node_id: int, tag: str) -> list[int]:
         """Targets of the node's outgoing edges whose tag is ``tag``, in
-        ``edges`` order.  The list is the index's own: do not mutate it."""
-        by_tag = self._adjacency_index().child_ids_by_tag.get(node_id)
-        return by_tag.get(tag, []) if by_tag is not None else []
+        ``edges`` order.  The list is the index's own: do not mutate it.
+
+        The node's entry is grouped from its outgoing edges on the first
+        read.  Graphs sharing an index have equal nodes and edges, so the
+        entry is right for every one of them."""
+        index = self._adjacency_index()
+        by_tag = index.child_ids_by_tag.get(node_id)
+        if by_tag is None:
+            nodes = self.nodes
+            by_tag = {}
+            for edge in index.children.get(node_id, ()):
+                by_tag.setdefault(nodes[edge.target].tag, []).append(
+                    edge.target
+                )
+            index.child_ids_by_tag[node_id] = by_tag
+        return by_tag.get(tag, [])
 
     def nodes_with_tag(self, tag: str) -> list:
         """All nodes whose elements carry ``tag``, in ``nodes`` order."""
@@ -192,8 +208,8 @@ class GraphSynopsis(IndexedGraph):
         # assignment[element.node_id] -> synopsis node id
         self.assignment: list[int] = []
         self._next_id = 0
-        # lazy adjacency index over ``edges`` — rebuilt after mutations
-        self._adjacency: Optional[tuple[dict, dict]] = None
+        # read indexes over ``nodes`` and ``edges``, built on first read
+        self._adjacency: Optional[_Adjacency] = None
 
     # ------------------------------------------------------------------
     # construction
@@ -283,6 +299,7 @@ class GraphSynopsis(IndexedGraph):
         old_id: int,
         parts: tuple[SynopsisNode, SynopsisNode],
         affected: set[int],
+        index: _Adjacency,
     ) -> None:
         """Swap the edges of split node ``old_id`` for those of its parts.
 
@@ -294,18 +311,29 @@ class GraphSynopsis(IndexedGraph):
         edges — each element's child pairs, then its parent pair.  That
         order is observable (candidate pools, default statistics and
         serialization all iterate ``edges``), so builds stay bit-identical
-        to the rescan.
+        to the rescan.  ``index``, the adjacency index before the split,
+        is patched to match.
         """
-        self._adjacency = None
-        moved = self._part_edges(old_id, parts)
-        for key in [
-            key for key in self.edges
-            if key[0] in affected or key[1] in affected or old_id in key
-        ]:
-            edge = self.edges.pop(key)
+        moved = self._part_edges(old_id, parts, index)
+        gone = {old_id, *affected}
+        popped = [
+            edge
+            for node_id in gone
+            for edge in index.children.get(node_id, ())
+        ]
+        popped += [
+            edge
+            for node_id in gone
+            for edge in index.parents.get(node_id, ())
+            if edge.source not in gone
+        ]
+        edges = self.edges
+        for edge in popped:
+            key = edge.source, edge.target
+            del edges[key]
             if old_id not in key:
                 moved[key] = edge
-        rank = {node_id: index for index, node_id in enumerate(affected)}
+        rank = {node_id: rank for rank, node_id in enumerate(affected)}
         after_children = len(self.assignment)
 
         def scan_position(edge: SynopsisEdge) -> tuple[int, int, int]:
@@ -319,14 +347,88 @@ class GraphSynopsis(IndexedGraph):
                 )
             return min(positions)
 
-        for edge in sorted(moved.values(), key=scan_position):
-            self.edges[edge.source, edge.target] = edge
+        appended = sorted(moved.values(), key=scan_position)
+        for edge in appended:
+            edges[edge.source, edge.target] = edge
+        self._adjacency = self._patched_adjacency(
+            index, old_id, parts, gone, popped, appended
+        )
+
+    def _patched_adjacency(
+        self,
+        index: _Adjacency,
+        old_id: int,
+        parts: tuple[SynopsisNode, SynopsisNode],
+        gone: set[int],
+        popped: list[SynopsisEdge],
+        appended: list[SynopsisEdge],
+    ) -> _Adjacency:
+        """``index`` after a split took every edge of a node in ``gone``
+        (``popped``) out of ``edges`` and put the ``appended`` ones at its
+        end, with the parts at the end of ``nodes``: the lists a rebuild
+        would give.
+
+        A node in ``gone`` lost all its edges, so its lists are its
+        appended edges.  A node outside it with a popped edge keeps its
+        other edges in order and takes its appended ones after them.
+        Every other list is shared with ``index``; new lists and dicts
+        replace the old ones, which a graph copy may share.  A node whose
+        children changed loses its ``child_ids_by_tag`` entry, to be
+        grouped again on its next read.
+        """
+        children, parents = dict(index.children), dict(index.parents)
+        by_tag = dict(index.child_ids_by_tag)
+        for node_id in gone:
+            children.pop(node_id, None)
+            parents.pop(node_id, None)
+            by_tag.pop(node_id, None)
+        added_children: dict[int, list[SynopsisEdge]] = {}
+        added_parents: dict[int, list[SynopsisEdge]] = {}
+        for edge in appended:
+            added_children.setdefault(edge.source, []).append(edge)
+            added_parents.setdefault(edge.target, []).append(edge)
+        for edge in popped:
+            source, target = edge.source, edge.target
+            if source not in gone and source not in added_children:
+                added_children[source] = []
+            if target not in gone and target not in added_parents:
+                added_parents[target] = []
+        for node_id, added in added_children.items():
+            if node_id not in gone:
+                added[:0] = [
+                    edge for edge in children[node_id]
+                    if edge.target not in gone
+                ]
+            by_tag.pop(node_id, None)
+            if added:
+                children[node_id] = added
+            else:
+                del children[node_id]
+        for node_id, added in added_parents.items():
+            if node_id not in gone:
+                added[:0] = [
+                    edge for edge in parents[node_id]
+                    if edge.source not in gone
+                ]
+            if added:
+                parents[node_id] = added
+            else:
+                del parents[node_id]
+        tag = parts[0].tag
+        tag_nodes = dict(index.nodes_by_tag)
+        tag_nodes[tag] = [
+            node for node in tag_nodes[tag] if node.node_id != old_id
+        ] + list(parts)
+        return _Adjacency(children, parents, by_tag, tag_nodes)
 
     def _part_edges(
-        self, old_id: int, parts: tuple[SynopsisNode, SynopsisNode]
+        self,
+        old_id: int,
+        parts: tuple[SynopsisNode, SynopsisNode],
+        index: _Adjacency,
     ) -> dict[tuple[int, int], SynopsisEdge]:
         """The edges incident to the parts of split node ``old_id``;
-        ``edges`` still holds the old node's edges.
+        ``edges`` and ``index`` still hold the old node's edges.
 
         Only the smaller part S is tallied (Hopcroft's rule, as Paige &
         Tarjan apply it to partition refinement): each S element's child
@@ -355,7 +457,10 @@ class GraphSynopsis(IndexedGraph):
         if recursive:
             return edges
         small_id, large_id = small.node_id, large.node_id
-        for (source, target), edge in self.edges.items():
+        for edge in (
+            *index.children.get(old_id, ()), *index.parents.get(old_id, ())
+        ):
+            source, target = edge.source, edge.target
             if source == old_id:
                 key, small_key = (large_id, target), (small_id, target)
             elif target == old_id:
@@ -490,6 +595,7 @@ class GraphSynopsis(IndexedGraph):
         outside = [e for e in node.extent if e.node_id not in part]
         if not inside or not outside:
             raise SynopsisError("split subset must be proper and non-empty")
+        index = self._adjacency_index()
         del self.nodes[node_id]
         first = SynopsisNode(self._next_id, node.tag, inside)
         self._next_id += 1
@@ -505,30 +611,37 @@ class GraphSynopsis(IndexedGraph):
         # the old extent first meets them: each parent node at the first
         # element it parents, then each child node at its first pair.  The
         # set's iteration order fixes the order of the rebuilt edges.
-        parents, children = [], []
-        for (source, target), edge in self.edges.items():
-            if target == node_id and source != node_id:
-                parents.append((edge.witness[2], source))
-            elif source == node_id and target != node_id:
-                children.append((edge.witness[:2], target))
+        parents = [
+            (edge.witness[2], edge.source)
+            for edge in index.parents.get(node_id, ())
+            if edge.source != node_id
+        ]
+        children = [
+            (edge.witness[:2], edge.target)
+            for edge in index.children.get(node_id, ())
+            if edge.target != node_id
+        ]
         affected = {first.node_id, second.node_id}
         affected.update(source for _, source in sorted(parents))
         affected.update(target for _, target in sorted(children))
-        self._replace_split_edges(node_id, (first, second), affected)
+        self._replace_split_edges(node_id, (first, second), affected, index)
         return first.node_id, second.node_id
 
     def copy(self) -> "GraphSynopsis":
-        """A structural copy sharing the document, the nodes and the edges.
+        """A structural copy sharing the document, the nodes, the edges
+        and the adjacency index.
 
         No code mutates a :class:`SynopsisNode` or its extent once built
-        (a split replaces the node), and edges are immutable, so the copy
-        shares both; only the assignment and the two dicts are copied.
+        (a split replaces the node), edges are immutable, and a split
+        replaces the index rather than editing it, so the copy shares all
+        three; only the assignment and the two dicts are copied.
         """
         duplicate = GraphSynopsis(self.tree)
         duplicate.assignment = list(self.assignment)
         duplicate._next_id = self._next_id
         duplicate.nodes = dict(self.nodes)
         duplicate.edges = dict(self.edges)
+        duplicate._adjacency = self._adjacency
         return duplicate
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -412,8 +412,8 @@ def sketch_from_dict(payload: dict, strict: bool = False) -> TwigXSketch:
             _PointsHistogram(points),
             _field(entry, "budget", int, path),
         )
-        sketch.edge_stats[entry["node"]] = (
-            *sketch.histograms_at(entry["node"]), histogram
+        sketch.set_histograms(
+            entry["node"], (*sketch.histograms_at(entry["node"]), histogram)
         )
     entries = _require_list(payload["value_histograms"], "value_histograms")
     for index, entry in enumerate(entries):
@@ -436,11 +436,11 @@ def sketch_from_dict(payload: dict, strict: bool = False) -> TwigXSketch:
                 f"value-histogram state is unreadable: {exc}",
                 f"{path}.state",
             ) from exc
-        sketch.value_stats[entry["node"]] = ValueSummary(
+        sketch.set_value_summary(entry["node"], ValueSummary(
             _field(entry, "node", int, path),
             engine,
             _field(entry, "budget", int, path),
-        )
+        ))
     entries = _require_list(
         payload["extended_histograms"], "extended_histograms"
     )
@@ -474,8 +474,8 @@ def sketch_from_dict(payload: dict, strict: bool = False) -> TwigXSketch:
             _field(entry, "value_budget", int, path),
             _field(entry, "count_budget", int, path),
         )
-        sketch.extended_stats[entry["node"]] = (
-            *sketch.extended_at(entry["node"]), summary
+        sketch.set_extended(
+            entry["node"], (*sketch.extended_at(entry["node"]), summary)
         )
     if strict:
         from .validate import raise_on_violations, validate_sketch

@@ -149,6 +149,7 @@ class ValueSummary:
         self._histogram = histogram
         self._extent = extent
         self._bucket_count: Optional[int] = None
+        self._total: Optional[int] = None
 
     @property
     def histogram(self):
@@ -164,11 +165,15 @@ class ValueSummary:
 
     @property
     def total(self):
-        """The number of valued elements summarized (the engine's
-        ``total`` on a loaded summary)."""
+        """The number of valued elements summarized: the engine's
+        ``total`` on a loaded summary, else the counts' sum, computed on
+        first read."""
         if self.counts is None:
             return getattr(self.histogram, "total", None)
-        return sum(self.counts.values())
+        total = self._total
+        if total is None:
+            total = self._total = sum(self.counts.values())
+        return total
 
     def bucket_count(self) -> int:
         """The engine's stored buckets, from the counts when kept."""
@@ -221,13 +226,13 @@ class ExtendedValueSummary:
 
 
 class SketchChanges(NamedTuple):
-    """What a refined sketch changed over its base
-    (:meth:`TwigXSketch.changes_since`).
+    """What a sketch changed since :meth:`TwigXSketch.copy` made it, as
+    recorded by its writes (:meth:`TwigXSketch.changes_from`).
 
     Attributes:
-        nodes: ids of the nodes that live in only one of the sketches, or
-            whose count, tag or statistics objects differ.
-        edges: keys of the edges added, removed or recounted.
+        nodes: ids of the nodes whose statistics were written, and of the
+            nodes a split removed or created.
+        edges: keys of the edges a split removed or created.
     """
 
     nodes: set[int]
@@ -240,6 +245,11 @@ class TwigXSketch:
     Create with :meth:`coarsest` and refine through the operations in
     :mod:`repro.build`; estimate twig selectivities with
     :class:`repro.estimation.estimator.TwigEstimator`.
+
+    The statistics dicts are read freely, but written only through
+    :meth:`set_histograms`, :meth:`set_value_summary` and
+    :meth:`set_extended`: the writer keeps the sketch's statistics bytes
+    and its record of changes current.
     """
 
     def __init__(self, graph: GraphSynopsis, config: XSketchConfig):
@@ -252,6 +262,15 @@ class TwigXSketch:
         self.extended_stats: dict[int, tuple[ExtendedValueSummary, ...]] = {}
         #: True while ``graph`` may be shared with a copy (see :meth:`copy`)
         self._graph_shared = False
+        #: stored bytes of the three statistics dicts, kept by every write
+        self._stats_bytes = 0
+        #: what this sketch changed since :meth:`copy` made it
+        self._changes = SketchChanges(set(), set())
+        #: the identity of the sketch this one was copied from, as it
+        #: stood at the copy; None for a sketch not made by a copy
+        self._origin: Optional[object] = None
+        #: this sketch's identity as a copy source, until its next write
+        self._token: Optional[object] = None
 
     # ------------------------------------------------------------------
     # construction
@@ -298,15 +317,47 @@ class TwigXSketch:
                         edge_counts.get(edge.target),
                     )
                 )
-        if histograms:
-            self.edge_stats[node_id] = tuple(histograms)
+        self.set_histograms(node_id, histograms)
+        self.set_value_summary(
+            node_id, self.make_value_summary(node_id, value_buckets, values)
+        )
+
+    # ------------------------------------------------------------------
+    # the statistics writer
+    # ------------------------------------------------------------------
+    def set_histograms(
+        self, node_id: int, histograms: Sequence[EdgeHistogram]
+    ) -> None:
+        """Store ``node_id``'s edge histograms (none: drop them)."""
+        self._store(self.edge_stats, node_id, tuple(histograms))
+
+    def set_value_summary(
+        self, node_id: int, summary: Optional[ValueSummary]
+    ) -> None:
+        """Store ``node_id``'s value summary (None: drop it)."""
+        self._store(self.value_stats, node_id, summary)
+
+    def set_extended(
+        self, node_id: int, summaries: Sequence[ExtendedValueSummary]
+    ) -> None:
+        """Store ``node_id``'s extended value summaries (none: drop them)."""
+        self._store(self.extended_stats, node_id, tuple(summaries))
+
+    def _store(self, table: dict, node_id: int, entry) -> None:
+        """The one statistics writer: replace ``node_id``'s ``entry`` in
+        ``table``, dropping an empty one, and keep the statistics bytes and
+        the change record current.  A statistic's size never changes once
+        built, so the bytes of the replaced entry are the ones added when
+        it was stored."""
+        self._stats_bytes += _entry_bytes(entry) - _entry_bytes(
+            table.get(node_id)
+        )
+        if entry:
+            table[node_id] = entry
         else:
-            self.edge_stats.pop(node_id, None)
-        summary = self.make_value_summary(node_id, value_buckets, values)
-        if summary is not None:
-            self.value_stats[node_id] = summary
-        else:
-            self.value_stats.pop(node_id, None)
+            table.pop(node_id, None)
+        self._changes.nodes.add(node_id)
+        self._token = None
 
     def make_edge_histogram(
         self,
@@ -447,19 +498,14 @@ class TwigXSketch:
     # size accounting
     # ------------------------------------------------------------------
     def size_bytes(self) -> int:
-        """Stored size of the synopsis under the DESIGN.md cost model."""
-        total = sizing.graph_bytes(
+        """Stored size of the synopsis under the DESIGN.md cost model: the
+        graph's, from its node and edge counts, plus the statistics bytes
+        every write keeps (:meth:`_store`), so no statistic is walked."""
+        return self._stats_bytes + sizing.graph_bytes(
             self.graph.node_count,
             self.graph.edge_count,
             self.config.store_edge_counts,
         )
-        for histograms in self.edge_stats.values():
-            total += sum(h.size_bytes() for h in histograms)
-        for summary in self.value_stats.values():
-            total += summary.size_bytes()
-        for summaries in self.extended_stats.values():
-            total += sum(s.size_bytes() for s in summaries)
-        return total
 
     def size_kb(self) -> float:
         """Stored size in kilobytes (the Figure 9 x-axis)."""
@@ -483,7 +529,26 @@ class TwigXSketch:
         duplicate.edge_stats = dict(self.edge_stats)
         duplicate.value_stats = dict(self.value_stats)
         duplicate.extended_stats = dict(self.extended_stats)
+        duplicate._stats_bytes = self._stats_bytes
+        if self._token is None:
+            self._token = object()
+        duplicate._origin = self._token
         return duplicate
+
+    def changes_from(self, base: "TwigXSketch") -> Optional[SketchChanges]:
+        """The nodes and edges this sketch changed over ``base``, when it
+        is a :meth:`copy` of ``base`` and ``base`` was not written since;
+        otherwise None.
+
+        The record holds every node whose statistics were written (even
+        to an equal value) and every node and edge a split removed or
+        created, so it contains every difference between the two
+        sketches.  Edges a split only moved to the end of ``edges`` keep
+        their records and are not changes.
+        """
+        if self._origin is None or self._origin is not base._token:
+            return None
+        return self._changes
 
     def split_node(self, node_id: int, part: set[int]) -> tuple[int, int]:
         """Split a node and migrate statistics.
@@ -499,6 +564,14 @@ class TwigXSketch:
         if self._graph_shared:
             self.graph = self.graph.copy()
             self._graph_shared = False
+        graph = self.graph
+        changed_edges = self._changes.edges
+        changed_edges.update(
+            (edge.source, edge.target)
+            for edge in (
+                *graph.children_of(node_id), *graph.parents_of(node_id)
+            )
+        )
         stale_refs_by_node = self._scopes_mentioning(node_id)
         old_histograms = self.edge_stats.get(node_id, [])
         inherited_edge_buckets = max(
@@ -510,26 +583,32 @@ class TwigXSketch:
             old_value.budget if old_value is not None
             else self.config.initial_value_buckets
         )
-        own_extended = self.extended_stats.get(node_id, [])
-        first, second = self.graph.split_node(node_id, part)
-        self.edge_stats.pop(node_id, None)
-        self.value_stats.pop(node_id, None)
-        self.extended_stats.pop(node_id, None)
+        own_extended = self.extended_stats.get(node_id, ())
+        first, second = graph.split_node(node_id, part)
+        for part_id in (first, second):
+            changed_edges.update(
+                (edge.source, edge.target)
+                for edge in (
+                    *graph.children_of(part_id), *graph.parents_of(part_id)
+                )
+            )
+        self._changes.nodes.update((node_id, first, second))
+        self.set_histograms(node_id, ())
+        self.set_value_summary(node_id, None)
+        self.set_extended(node_id, ())
         # Extended summaries at other nodes referencing the split node are
         # dropped (construction re-proposes them when still valuable).
-        for other_id in list(self.extended_stats):
+        for other_id, summaries in list(self.extended_stats.items()):
             kept = tuple(
                 summary
-                for summary in self.extended_stats[other_id]
+                for summary in summaries
                 if not any(
                     ref.source == node_id or ref.target == node_id
                     for ref in summary.scope
                 )
             )
-            if kept:
-                self.extended_stats[other_id] = kept
-            else:
-                del self.extended_stats[other_id]
+            if len(kept) < len(summaries):
+                self.set_extended(other_id, kept)
         small, large = sorted(
             (self.graph.node(first), self.graph.node(second)),
             key=attrgetter("count"),
@@ -568,7 +647,7 @@ class TwigXSketch:
                     )
                 )
             if rebuilt:
-                self.extended_stats[part_id] = tuple(rebuilt)
+                self.set_extended(part_id, rebuilt)
         small_parents = (
             _parents_by_node(small, self.graph.assignment)
             if stale_refs_by_node else {}
@@ -600,10 +679,7 @@ class TwigXSketch:
                         )
                 else:
                     rebuilt.append(histogram)
-            if rebuilt:
-                self.edge_stats[other_id] = tuple(rebuilt)
-            else:
-                self.edge_stats.pop(other_id, None)
+            self.set_histograms(other_id, rebuilt)
         return first, second
 
     def _part_counts(
@@ -721,48 +797,6 @@ class TwigXSketch:
             counts[_remap(row, picks, split_dim, small_count)] += 1
         return +counts
 
-    def changes_since(self, base: "TwigXSketch") -> SketchChanges:
-        """The nodes and edges whose statistics differ from ``base``.
-
-        Statistics objects are compared by identity: a refinement rebuilds
-        every histogram it touches and keeps the others.  A graph shared
-        with ``base`` (see :meth:`copy`) is not walked.
-        """
-        nodes: set[int] = set()
-        for ours, theirs in (
-            (self.edge_stats, base.edge_stats),
-            (self.extended_stats, base.extended_stats),
-        ):
-            for node_id in ours.keys() | theirs.keys():
-                mine, other = ours.get(node_id, ()), theirs.get(node_id, ())
-                if len(mine) != len(other) or any(
-                    a is not b for a, b in zip(mine, other)
-                ):
-                    nodes.add(node_id)
-        for node_id in self.value_stats.keys() | base.value_stats.keys():
-            if self.value_stats.get(node_id) is not base.value_stats.get(
-                node_id
-            ):
-                nodes.add(node_id)
-        edges: set[tuple[int, int]] = set()
-        if self.graph is not base.graph:
-            ours, theirs = self.graph.nodes, base.graph.nodes
-            for node_id in ours.keys() | theirs.keys():
-                mine, other = ours.get(node_id), theirs.get(node_id)
-                if (
-                    mine is None
-                    or other is None
-                    or (mine.count, mine.tag) != (other.count, other.tag)
-                ):
-                    nodes.add(node_id)
-            ours, theirs = self.graph.edges, base.graph.edges
-            edges.update(
-                key
-                for key in ours.keys() | theirs.keys()
-                if ours.get(key) != theirs.get(key)
-            )
-        return SketchChanges(nodes, edges)
-
     def _scopes_mentioning(self, node_id: int) -> dict[int, list[EdgeHistogram]]:
         stale: dict[int, list[EdgeHistogram]] = {}
         for other_id, histograms in self.edge_stats.items():
@@ -821,6 +855,16 @@ class TwigXSketch:
             f"<TwigXSketch nodes={self.graph.node_count} "
             f"edges={self.graph.edge_count} size={self.size_kb():.1f}KB>"
         )
+
+
+def _entry_bytes(entry) -> int:
+    """Stored bytes of one statistics entry: a statistic, a tuple of
+    them, or None."""
+    if entry is None:
+        return 0
+    if isinstance(entry, tuple):
+        return sum([statistic.size_bytes() for statistic in entry])
+    return entry.size_bytes()
 
 
 def _parents_by_node(

@@ -25,7 +25,9 @@ estimators silently rely on:
 * histogram scopes reference live nodes and existing edges, masses are
   finite, non-negative, and total ≈ 1, and (for the mean-preserving
   ``centroid``/``exact`` engines) the mass-weighted mean of every
-  forward dimension reproduces the stored edge total.
+  forward dimension reproduces the stored edge total;
+* the size the sketch keeps as its statistics are written equals the sum
+  its graph and statistics walk to.
 
 Violations come back as structured :class:`Violation` records rather
 than exceptions, so callers can report all of them at once;
@@ -39,6 +41,7 @@ import math
 from dataclasses import dataclass
 
 from ..errors import SynopsisIntegrityError
+from . import size as sizing
 from .distributions import EdgeRef
 from .graph import GraphSynopsis
 from .summary import TwigXSketch
@@ -88,6 +91,7 @@ def validate_sketch(sketch: TwigXSketch) -> list[Violation]:
     violations.extend(_check_edge_histograms(sketch))
     violations.extend(_check_value_histograms(sketch))
     violations.extend(_check_extended_histograms(sketch))
+    violations.extend(_check_size(sketch))
     return violations
 
 
@@ -485,6 +489,30 @@ def _check_value_histograms(sketch: TwigXSketch) -> list[Violation]:
                 )
             )
     return violations
+
+
+def _check_size(sketch: TwigXSketch) -> list[Violation]:
+    """The kept size against a walk of every statistic: a statistic
+    stored past the sketch's writer leaves the two apart."""
+    walked = sizing.graph_bytes(
+        sketch.graph.node_count,
+        sketch.graph.edge_count,
+        sketch.config.store_edge_counts,
+    )
+    for table in (sketch.edge_stats, sketch.extended_stats):
+        for statistics in table.values():
+            walked += sum(statistic.size_bytes() for statistic in statistics)
+    walked += sum(summary.size_bytes() for summary in sketch.value_stats.values())
+    kept = sketch.size_bytes()
+    if kept == walked:
+        return []
+    return [
+        Violation(
+            "size-kept", "size_bytes",
+            f"kept size {kept} B disagrees with the {walked} B its graph "
+            f"and statistics walk to",
+        )
+    ]
 
 
 def _check_extended_histograms(sketch: TwigXSketch) -> list[Violation]:

@@ -11,7 +11,8 @@ refinement ignore the counts), field by field:
 * its retained counts equal a recount from the extents;
 * ``points()``, ``bucket_count()``, ``size_bytes()`` and the value
   engine's state equal the scanned statistic's;
-* ``changes_since`` names the same nodes and edges.
+* the change record (``changes_from``) and the identity diff
+  (``changes_since``) name the same nodes and edges.
 
 Counters on the scan entry points check that ``bucket_count()`` and
 ``size_bytes()`` never build a value engine, and that a derivation never
@@ -56,6 +57,7 @@ from repro.synopsis import (
     sketch_to_dict,
 )
 from repro.synopsis.distributions import EdgeRef, exact_edge_counts
+from tests.test_candidate_bookkeeping import changes_since
 
 summary_module = importlib.import_module("repro.synopsis.summary")
 
@@ -223,7 +225,8 @@ def check_refinement(candidate, base):
         scanned = candidate.apply(base)
     assert_sizes_build_no_engine(derived)
     assert_matches_scan(derived, scanned)
-    assert derived.changes_since(base) == scanned.changes_since(base)
+    assert changes_since(derived, base) == changes_since(scanned, base)
+    assert derived.changes_from(base) == scanned.changes_from(base)
     assert_recounted(derived)
     return derived
 

@@ -39,14 +39,14 @@ def worked_example_sketch(fig1) -> TwigXSketch:
     sketch = TwigXSketch.coarsest(fig1, XSketchConfig(engine="exact"))
     author = nid(sketch, "author")
     paper = nid(sketch, "paper")
-    sketch.edge_stats[author] = [
+    sketch.set_histograms(author, [
         sketch.make_edge_histogram(
             author,
             (EdgeRef(author, paper), EdgeRef(author, nid(sketch, "name"))),
             buckets=8,
         )
-    ]
-    sketch.edge_stats[paper] = [
+    ])
+    sketch.set_histograms(paper, [
         sketch.make_edge_histogram(
             paper,
             (
@@ -56,7 +56,7 @@ def worked_example_sketch(fig1) -> TwigXSketch:
             ),
             buckets=8,
         )
-    ]
+    ])
     return sketch
 
 
@@ -120,13 +120,13 @@ class TestExactSketchIsExact:
         for document in figure4_documents():
             sketch = TwigXSketch.coarsest(document, XSketchConfig(engine="exact"))
             a = nid(sketch, "a")
-            sketch.edge_stats[a] = [
+            sketch.set_histograms(a, [
                 sketch.make_edge_histogram(
                     a,
                     (EdgeRef(a, nid(sketch, "b")), EdgeRef(a, nid(sketch, "c"))),
                     buckets=16,
                 )
-            ]
+            ])
             query = parse_for_clause("for t0 in a, t1 in t0/b, t2 in t0/c")
             estimate = TwigEstimator(sketch).estimate(query)
             assert estimate == pytest.approx(count_bindings(query, document))
@@ -147,7 +147,7 @@ class TestExactSketchIsExact:
         sketch = TwigXSketch.coarsest(fig1, XSketchConfig(engine="exact"))
         author = nid(sketch, "author")
         paper = nid(sketch, "paper")
-        sketch.edge_stats[paper] = [
+        sketch.set_histograms(paper, [
             sketch.make_edge_histogram(
                 paper,
                 (
@@ -157,7 +157,7 @@ class TestExactSketchIsExact:
                 ),
                 buckets=8,
             )
-        ]
+        ])
         query = parse_for_clause(
             "for t0 in author, t1 in t0/name, t2 in t0/paper/keyword"
         )

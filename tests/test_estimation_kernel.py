@@ -583,14 +583,14 @@ def test_backward_conditioning_reads_the_parent_expansion():
         for tag in ("author", "paper", "keyword")
     )
     owned = EdgeRef(author, paper)
-    sketch.edge_stats[author] = [
+    sketch.set_histograms(author, [
         sketch.make_edge_histogram(author, (owned,), 8)
-    ]
-    sketch.edge_stats[paper] = [
+    ])
+    sketch.set_histograms(paper, [
         sketch.make_edge_histogram(
             paper, (EdgeRef(paper, keyword), owned), 8
         )
-    ]
+    ])
     root = TwigNode("t0", Path((Step("author"),)))
     root.add_child(TwigNode("t1", Path((Step("paper"),))))
     root.children[0].add_child(TwigNode("t2", Path((Step("keyword"),))))
@@ -601,9 +601,9 @@ def test_backward_conditioning_reads_the_parent_expansion():
     assert seen["conditions"] == 2
     truth = 1 + 3**3 + 1 + 2**3
     assert TwigEstimator(sketch).estimate(query) == pytest.approx(truth)
-    sketch.edge_stats[paper] = [
+    sketch.set_histograms(paper, [
         sketch.make_edge_histogram(paper, (EdgeRef(paper, keyword),), 8)
-    ]
+    ])
     assert TwigEstimator(sketch).estimate(query) != pytest.approx(truth)
 
 
@@ -732,9 +732,9 @@ def test_marginals_are_computed_once_per_histogram_and_kept_set(monkeypatch):
     sketch = TwigXSketch.coarsest(tree)
     m = sketch.graph.nodes_with_tag("m")[0].node_id
     a, b = (sketch.graph.nodes_with_tag(tag)[0].node_id for tag in "ab")
-    sketch.edge_stats[m] = [
+    sketch.set_histograms(m, [
         sketch.make_edge_histogram(m, (EdgeRef(m, a), EdgeRef(m, b)), 8)
-    ]
+    ])
     root = TwigNode("t0", Path((Step("r"), Step("m", DESCENDANT))))
     root.add_child(TwigNode("t1", Path((Step("a"),))))
     query = TwigQuery(root)
@@ -884,18 +884,25 @@ def test_frozen_and_live_graphs_share_one_index():
     assert index_rows(loaded) == index_rows(sketch.graph)
 
 
-def test_index_is_built_once_and_dropped_with_the_adjacency(monkeypatch):
+def test_index_is_built_once_and_patched_on_split(monkeypatch):
+    """A copy shares its source's index; a split patches its own and
+    leaves the source's as it was."""
     sketch = TwigXSketch.coarsest(generate_imdb(300, seed=4))
     graph = sketch.graph.copy()
+    graph._adjacency = None  # build this copy's own
     built = counting(monkeypatch, graph_module, "_Adjacency")
     for _ in range(3):
         index_rows(graph)
     assert built["_Adjacency"] == 1
+    shared = graph.copy()
+    assert shared._adjacency is graph._adjacency
     movie = graph.nodes_with_tag("movie")[0]
     graph.split_node(
         movie.node_id, {element.node_id for element in movie.extent[:5]}
     )
-    assert graph._adjacency is None
+    assert built["_Adjacency"] == 2
     assert index_rows(graph) == scan_rows(graph)
     assert built["_Adjacency"] == 2
     assert movie not in graph.nodes_with_tag("movie")
+    assert movie in shared.nodes_with_tag("movie")
+    assert index_rows(shared) == scan_rows(shared)

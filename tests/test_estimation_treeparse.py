@@ -53,13 +53,13 @@ class TestSets:
     def test_backward_condition_set(self, sketch):
         author = nid(sketch, "author")
         paper = nid(sketch, "paper")
-        sketch.edge_stats[paper] = [
+        sketch.set_histograms(paper, [
             sketch.make_edge_histogram(
                 paper,
                 (EdgeRef(paper, nid(sketch, "keyword")), EdgeRef(author, paper)),
                 buckets=8,
             )
-        ]
+        ])
         embedding, plans = plan_for(
             sketch, "for a in author, p in a/paper, k in p/keyword"
         )
@@ -73,13 +73,13 @@ class TestSets:
         # backward dim must NOT appear in D (it gets marginalized away)
         author = nid(sketch, "author")
         paper = nid(sketch, "paper")
-        sketch.edge_stats[paper] = [
+        sketch.set_histograms(paper, [
             sketch.make_edge_histogram(
                 paper,
                 (EdgeRef(paper, nid(sketch, "keyword")), EdgeRef(author, paper)),
                 buckets=8,
             )
-        ]
+        ])
         query = twig(parse_path("paper"), parse_path("keyword"))
         (embedding,) = enumerate_embeddings(query, sketch.graph)
         plans = tree_parse(embedding, sketch)
@@ -92,13 +92,13 @@ class TestBranchConditioning:
     def test_single_alternative_branch_absorbed(self, sketch):
         paper = nid(sketch, "paper")
         year = nid(sketch, "year")
-        sketch.edge_stats[paper] = [
+        sketch.set_histograms(paper, [
             sketch.make_edge_histogram(
                 paper,
                 (EdgeRef(paper, nid(sketch, "keyword")), EdgeRef(paper, year)),
                 buckets=8,
             )
-        ]
+        ])
         query = twig(parse_path("paper[year]"), parse_path("keyword"))
         (embedding,) = enumerate_embeddings(query, sketch.graph)
         plans = tree_parse(embedding, sketch)
@@ -109,7 +109,7 @@ class TestBranchConditioning:
 
     def test_conditioning_disabled(self, sketch):
         paper = nid(sketch, "paper")
-        sketch.edge_stats[paper] = [
+        sketch.set_histograms(paper, [
             sketch.make_edge_histogram(
                 paper,
                 (
@@ -118,7 +118,7 @@ class TestBranchConditioning:
                 ),
                 buckets=8,
             )
-        ]
+        ])
         query = twig(parse_path("paper[year]"), parse_path("keyword"))
         (embedding,) = enumerate_embeddings(query, sketch.graph)
         plans = tree_parse(embedding, sketch, branch_conditioning=False)
@@ -156,9 +156,9 @@ class TestBranchConditioningEffect:
             EdgeRef(movie, nid(sketch, tag))
             for tag in ("actor", "keyword", "narrator")
         )
-        sketch.edge_stats[movie] = [
+        sketch.set_histograms(movie, [
             sketch.make_edge_histogram(movie, scope, buckets=64)
-        ]
+        ])
         query = parse_for_clause(
             "for m in movie[narrator], a in m/actor, k in m/keyword"
         )

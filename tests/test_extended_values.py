@@ -73,6 +73,14 @@ class TestValueCountHistogram:
         with pytest.raises(SynopsisError):
             ValueCountHistogram([("x", (1,))], 0, 2)
 
+    def test_string_predicate_on_numeric_buckets_matches_nothing(self):
+        """As in the numeric value histogram: a type mismatch matches no
+        element (``year = "1990"`` once raised a TypeError here)."""
+        hist = ValueCountHistogram([(1990, (1,)), (1991, (2,))], 2, 2)
+        for op in ("=", "!=", "<="):
+            assert hist.match_mass(ValuePredicate(op, "1990")) == 0.0
+        assert hist.conditional_points(ValuePredicate("=", "1990")) == []
+
     def test_range_bucket_partial_overlap(self):
         observations = [(year, (1,)) for year in range(1990, 2010)]
         hist = ValueCountHistogram(observations, value_buckets=2, count_buckets=2)
@@ -85,7 +93,7 @@ class TestExtendedSummary:
     def sketch(self):
         sketch = TwigXSketch.coarsest(movie_document(), XSketchConfig(engine="exact"))
         movie = nid(sketch, "movie")
-        sketch.extended_stats[movie] = [
+        sketch.set_extended(movie, [
             sketch.make_extended_summary(
                 movie,
                 "type",
@@ -96,7 +104,7 @@ class TestExtendedSummary:
                 value_buckets=6,
                 count_buckets=8,
             )
-        ]
+        ])
         return sketch
 
     def test_branch_value_predicate_estimated_exactly(self, sketch):
@@ -163,7 +171,7 @@ class TestOwnValueExtended:
             value_buckets=4,
             count_buckets=6,
         )
-        sketch.extended_stats[movie] = [summary]
+        sketch.set_extended(movie, [summary])
         query = parse_for_clause(
             "for m in movie[year < 1990], a in m/actor"
         )

@@ -719,7 +719,7 @@ def test_statistics_only_refinement_reuses_the_embeddings(monkeypatch):
     node_id = next(iter(sketch.value_stats))
     refined = ValueRefine(node_id).apply(sketch)
     assert refined.graph is sketch.graph
-    assert refined.changes_since(sketch).nodes == {node_id}
+    assert refined.changes_from(sketch).nodes == {node_id}
     enumerated = []
     original = estimator_module.enumerate_embeddings
     monkeypatch.setattr(

@@ -68,7 +68,7 @@ class TestExactSketchMatchesEvaluator:
             for node in sketch.graph.nodes_with_tag(tag)
         )
         if len(refs) == 2:  # both tags present somewhere in the document
-            sketch.edge_stats[a] = [sketch.make_edge_histogram(a, refs, 64)]
+            sketch.set_histograms(a, [sketch.make_edge_histogram(a, refs, 64)])
         estimate = TwigEstimator(sketch).estimate(self.QUERY)
         assert estimate == pytest.approx(truth, abs=1e-6)
 

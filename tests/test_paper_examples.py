@@ -96,14 +96,14 @@ class TestT4_WorkedExample:
         sketch = TwigXSketch.coarsest(tree, XSketchConfig(engine="exact"))
         author = nid(sketch.graph, "author")
         paper = nid(sketch.graph, "paper")
-        sketch.edge_stats[author] = [
+        sketch.set_histograms(author, [
             sketch.make_edge_histogram(
                 author,
                 (EdgeRef(author, paper), EdgeRef(author, nid(sketch.graph, "name"))),
                 buckets=8,
             )
-        ]
-        sketch.edge_stats[paper] = [
+        ])
+        sketch.set_histograms(paper, [
             sketch.make_edge_histogram(
                 paper,
                 (
@@ -113,7 +113,7 @@ class TestT4_WorkedExample:
                 ),
                 buckets=8,
             )
-        ]
+        ])
         query = parse_for_clause(
             """
             for t0 in author, t1 in t0/book, t2 in t0/name,

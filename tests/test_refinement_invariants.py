@@ -109,7 +109,7 @@ def test_statistics_only_refinements_share_the_graph(
             continue
         if isinstance(candidate, statistics_only):
             assert refined.graph is sketch.graph, candidate.describe()
-            assert refined.changes_since(sketch).edges == set()
+            assert refined.changes_from(sketch).edges == set()
             shared.add(type(candidate))
         else:
             assert refined.graph is not sketch.graph, candidate.describe()
@@ -127,6 +127,6 @@ def test_a_split_copies_the_shared_graph_first(paperfig_sketch):
     assert refined.graph is not graph
     assert sketch.graph is graph
     assert sketch_to_dict(sketch) == before
-    changes = refined.changes_since(sketch)
+    changes = refined.changes_from(sketch)
     assert unstable.target in changes.nodes
     assert any(unstable.target in key for key in changes.edges)

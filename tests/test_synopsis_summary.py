@@ -162,9 +162,9 @@ class TestSplitMigration:
         author = nid(sketch, "author")
         paper = nid(sketch, "paper")
         # give author a histogram over the paper edge, then split paper
-        sketch.edge_stats[author] = [
+        sketch.set_histograms(author, [
             sketch.make_edge_histogram(author, (EdgeRef(author, paper),), 4)
-        ]
+        ])
         part = {sketch.graph.node(paper).extent[0].node_id}
         sketch.split_node(paper, part)
         raise_on_violations(validate_sketch(sketch))
@@ -184,9 +184,9 @@ class TestSplitMigration:
 
     def test_copy_shares_statistics(self, sketch):
         paper, keyword = (nid(sketch, tag) for tag in ("paper", "keyword"))
-        sketch.extended_stats[paper] = (sketch.make_extended_summary(
+        sketch.set_extended(paper, (sketch.make_extended_summary(
             paper, "year", (EdgeRef(paper, keyword),), 4, 4
-        ),)
+        ),))
         edge_stats = dict(sketch.edge_stats)
         extended = dict(sketch.extended_stats)
         assert all(type(h) is tuple for h in edge_stats.values())

@@ -16,9 +16,10 @@ edges), so its estimates must equal :func:`count_bindings`:
   over the B-stable edge, and the leaves and branches of a fan read
   nothing but the fan node's exact joint counts;
 * for a value predicate on the last node of a path when that node has
-  no children and no branches, and every element carries a value: the
-  reference value histograms hold one bucket per element, so they are
-  exact;
+  no children and no branches: the reference value histograms hold one
+  bucket per element, so they are exact, and where only some elements
+  carry a value the histogram's fraction of the valued ones is scaled by
+  their share of the node;
 * for paths with ``//`` steps, on documents whose tags never nest, when
   the estimator walks ``//`` as deep as the document (its ``max_depth``
   caps a walk's hops).
@@ -35,8 +36,6 @@ exact statistics do not make true:
   beside sibling counts, multiplies in under structure/value
   independence (about 1% of random twigs with predicates anywhere
   differ);
-* a value predicate over elements of which only some carry a value: the
-  value histogram's fraction counts valued elements only;
 * a branch predicate that repeats another's edge, or tests an edge that
   also expands a child, multiplies in as an independent existence
   probability (``a[a][a]`` estimates 1.5 where the truth is 2).
@@ -69,8 +68,9 @@ TAGS = ("a", "b", "c")
 
 def _tree(draw, max_nodes, tag_at, valued=False):
     """A random document: node ``i`` hangs under its predecessor or any
-    earlier node; ``tag_at(depth)`` draws each node's tag, and with
-    ``valued`` every node carries an integer value."""
+    earlier node; ``tag_at(depth)`` draws each node's tag.  With
+    ``valued`` every node carries an integer value, and with ``"partly"``
+    some nodes do."""
     size = draw(st.integers(2, max_nodes))
     parents = [
         draw(st.just(index - 1) | st.integers(0, index - 1))
@@ -84,9 +84,10 @@ def _tree(draw, max_nodes, tag_at, valued=False):
     for child, parent in enumerate(parents, start=1):
         children[parent].append(child)
 
-    values = [
-        draw(st.integers(0, 5)) if valued else None for _ in range(size)
-    ]
+    value = st.integers(0, 5)
+    if valued == "partly":
+        value = st.none() | value
+    values = [draw(value) if valued else None for _ in range(size)]
     specs: list = [None] * size
     for index in reversed(range(size)):  # children before their parent
         specs[index] = (
@@ -220,6 +221,26 @@ def test_twigs_fanning_out_at_their_last_node_are_exact(data):
         fanned_paths(tags_of(tree), valued), min_size=1, max_size=15
     ))
     assert_exact(tree, queries)
+
+
+@given(data=st.data())
+def test_value_predicates_over_partly_valued_elements_are_exact(data):
+    """Only some elements carry a value: ``b/a{<=1}`` with two of three
+    ``a`` elements valued once estimated 3.0 against a truth of 2."""
+    tree = data.draw(recursive_trees(valued="partly"))
+    queries = data.draw(st.lists(
+        fanned_paths(tags_of(tree), valued=True), min_size=1, max_size=15
+    ))
+    assert_exact(tree, queries)
+
+
+def test_a_partly_valued_node_scales_its_value_fraction():
+    tree = build_tree(("r", [("b", [("a", 1, []), ("a", 0, []), "a"])]))
+    query = path_query([
+        Step("b"), Step("a", CHILD, ValuePredicate("<=", 1)),
+    ])
+    assert count_bindings(query, tree) == 2
+    assert_exact(tree, [query])
 
 
 def test_an_exact_synopsis_xbuild_reaches_is_exact():
