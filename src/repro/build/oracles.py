@@ -54,8 +54,8 @@ def _backward_bisimulation(graph: GraphSynopsis) -> None:
     changed = True
     while changed and graph.node_count < _REFERENCE_NODE_CAP:
         changed = False
-        for edge in list(graph.edges.values()):
-            if edge.backward_stable or graph.edge(edge.source, edge.target) is None:
+        for edge in graph.iter_edges():
+            if edge.backward_stable:
                 continue
             target = graph.node(edge.target)
             part = {

@@ -55,7 +55,7 @@ _DISCRIMINATIVE_FRACTION = 0.5
 def _structural_candidates(sketch: TwigXSketch) -> list[Refinement]:
     """B-/F-stabilize proposals: one per unstable synopsis edge."""
     proposals: list[Refinement] = []
-    for edge in sketch.graph.edges.values():
+    for edge in sketch.graph.iter_edges():
         if not edge.backward_stable:
             proposals.append(BStabilize(edge.source, edge.target))
         if not edge.forward_stable:

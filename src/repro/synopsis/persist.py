@@ -100,7 +100,9 @@ class FrozenGraph(IndexedGraph):
 
     Shares the read API the estimators use, and its lazily built
     indexes, with :class:`GraphSynopsis` through :class:`IndexedGraph`;
-    mutation helpers (splitting) raise :class:`SynopsisError`.
+    mutation helpers (splitting) raise :class:`SynopsisError`.  Every
+    read is in the canonical order, so the order of ``nodes`` and
+    ``edges`` as given does not matter.
     """
 
     def __init__(self, nodes: list[FrozenNode], edges: list[SynopsisEdge]):
@@ -234,7 +236,7 @@ def sketch_to_dict(sketch: TwigXSketch) -> dict:
                 "source_size": e.source_size,
                 "target_size": e.target_size,
             }
-            for e in sketch.graph.edges.values()
+            for e in sketch.graph.iter_edges()
         ],
         "edge_histograms": [
             {

@@ -543,8 +543,7 @@ class TwigXSketch:
         The record holds every node whose statistics were written (even
         to an equal value) and every node and edge a split removed or
         created, so it contains every difference between the two
-        sketches.  Edges a split only moved to the end of ``edges`` keep
-        their records and are not changes.
+        sketches.
         """
         if self._origin is None or self._origin is not base._token:
             return None

@@ -165,7 +165,8 @@ def _check_edges(graph, violations: list[Violation]) -> bool:
     """Edge invariants; returns True when endpoint/count checks all hold
     (the partition check is meaningless otherwise)."""
     sound = True
-    for index, ((source, target), edge) in enumerate(graph.edges.items()):
+    for index, edge in enumerate(graph.iter_edges()):
+        source, target = edge.source, edge.target
         where = f"edges[{index}]"
         if source not in graph.nodes or target not in graph.nodes:
             violations.append(
@@ -246,8 +247,8 @@ def _check_partition(graph) -> list[Violation]:
     hosts the document root (deficit 1), every other deficit is 0."""
     violations: list[Violation] = []
     incoming: dict[int, float] = {node_id: 0 for node_id in graph.nodes}
-    for (source, target), edge in graph.edges.items():
-        incoming[target] += edge.child_count
+    for edge in graph.iter_edges():
+        incoming[edge.target] += edge.child_count
     total_deficit = 0.0
     for node_id, node in graph.nodes.items():
         if not _is_count(node.count):
@@ -330,9 +331,7 @@ def _check_extents(graph: GraphSynopsis, edges_ok: bool) -> list[Violation]:
         return violations
     root = assignment[graph.tree.root.node_id]
     incoming = sum(
-        edge.child_count
-        for (_, target), edge in graph.edges.items()
-        if target == root
+        edge.child_count for edge in graph.iter_edges() if edge.target == root
     )
     if root not in graph.nodes or graph.nodes[root].count - incoming != 1:
         violations.append(

@@ -11,8 +11,9 @@ An XBUILD candidate costs what its refinement changes:
   The record must contain the diff (a missing change would give a wrong
   derived estimate); it may hold more.
 * ``GraphSynopsis.split_node`` patches the adjacency index; the
-  reference is the index a rebuild over ``nodes`` and ``edges`` gives,
-  list order included.
+  references are the canonical order, sorted in the test from ``nodes``
+  and ``edges``, and a rebuild, list order and records included
+  (:func:`~tests.test_fast_path_differential.assert_index_is_canonical`).
 * ``ValueCountHistogram`` merges each bucket's count points on first
   read; the reference is the eager merge it replaced
   (:func:`eager_merge`).
@@ -42,13 +43,13 @@ from repro.histogram.sparse import SparseDistribution
 from repro.query.values import ValuePredicate
 from repro.synopsis import TwigXSketch, XSketchConfig
 from repro.synopsis import size as sizing
-from repro.synopsis.graph import IndexedGraph
 from repro.synopsis.summary import ExtendedValueSummary, SketchChanges
 from repro.synopsis.validate import validate_sketch
 from tests.test_fast_path_differential import (
     CONFIGS,
     MIXED_VALUES,
     NAMED_DOCUMENTS,
+    assert_index_is_canonical,
     recursive_trees,
 )
 
@@ -115,36 +116,6 @@ def changes_since(refined, base):
     return SketchChanges(nodes, edges)
 
 
-def rebuilt(graph):
-    """A graph whose adjacency index is rebuilt over ``graph``'s nodes
-    and edges."""
-    probe = IndexedGraph()
-    probe.nodes, probe.edges, probe._adjacency = graph.nodes, graph.edges, None
-    return probe
-
-
-def index_identities(graph):
-    """``graph``'s index with every edge and node replaced by its
-    identity, so two indexes compare equal only over the same objects in
-    one order; every node's tag entry is read first."""
-    tags = {node.tag for node in graph.iter_nodes()}
-    for node_id in graph.nodes:
-        for tag in tags:
-            graph.child_ids_with_tag(node_id, tag)
-    index = graph._adjacency
-    return (
-        {k: [id(e) for e in v] for k, v in index.children.items()},
-        {k: [id(e) for e in v] for k, v in index.parents.items()},
-        index.child_ids_by_tag,
-        {k: [id(n) for n in v] for k, v in index.nodes_by_tag.items()},
-    )
-
-
-def assert_index_matches_rebuild(graph):
-    if graph._adjacency is not None:
-        assert index_identities(graph) == index_identities(rebuilt(graph))
-
-
 def check_books(refined, base):
     """The kept size, the change record and the index of ``refined``, a
     refinement of ``base``, against the references."""
@@ -157,8 +128,8 @@ def check_books(refined, base):
     assert diff.edges <= recorded.edges
     if refined.graph is base.graph:
         assert recorded.edges == set()
-    assert_index_matches_rebuild(refined.graph)
-    assert_index_matches_rebuild(base.graph)
+    assert_index_is_canonical(refined.graph)
+    assert_index_is_canonical(base.graph)
 
 
 def apply_pool(sketch, rng):
@@ -251,8 +222,8 @@ def test_a_copy_shares_the_index_until_it_splits():
     refined = BStabilize(edge.source, edge.target).apply(sketch)
     assert sketch.graph._adjacency is index
     assert refined.graph._adjacency is not index
-    assert_index_matches_rebuild(sketch.graph)
-    assert_index_matches_rebuild(refined.graph)
+    assert_index_is_canonical(sketch.graph)
+    assert_index_is_canonical(refined.graph)
 
 
 def test_size_kept_past_the_writer_is_flagged():

@@ -645,15 +645,16 @@ def test_indexed_enumeration_matches_the_edge_scan():
             assert signatures(query, graph) == signatures(
                 query, ScanningGraph(graph)
             )
-    # the part holding the later elements gets the smaller id, so the
-    # scan meets its edge second
+    # the part holding the later elements gets the smaller id, and the
+    # canonical order meets it first
     tree = build_tree(("r", [("m", ["a"])] * 4))
     graph = TwigXSketch.coarsest(tree).graph.copy()
     a = graph.nodes_with_tag("a")[0]
     graph.split_node(a.node_id, {e.node_id for e in a.extent[2:]})
     m = graph.nodes_with_tag("m")[0].node_id
     met_first, met_second = graph.child_ids_with_tag(m, "a")
-    assert met_first > met_second
+    assert met_first < met_second
+    assert graph.node(met_first).extent == a.extent[2:]
     query = TwigQuery(TwigNode("t0", Path((Step("m"), Step("a")))))
     assert signatures(query, graph) == signatures(query, ScanningGraph(graph))
     assert [sig[3][0][0] for sig in signatures(query, graph)] == [
@@ -825,9 +826,10 @@ def index_rows(graph):
 
 
 def scan_rows(graph):
-    """:func:`index_rows` by scanning every edge and node per read."""
-    edges = list(graph.edges.values())
-    nodes = list(graph.iter_nodes())
+    """:func:`index_rows` by scanning every edge and node per read, both
+    sorted here into the canonical order."""
+    edges = [graph.edges[key] for key in sorted(graph.edges)]
+    nodes = [graph.nodes[node_id] for node_id in sorted(graph.nodes)]
     tags = {n.tag for n in nodes}
     return {
         node.node_id: (

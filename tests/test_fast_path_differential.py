@@ -1,13 +1,11 @@
 """Differential property tests: each fast path against its slow reference.
 
 * ``GraphSynopsis.split_node`` tallies only the smaller part's document
-  edges, derives the larger part's counts and witnesses from the old
-  node's, and re-inserts the neighbours' edges in the order a rescan would
-  meet them.  The oracles are that rescan — every extent of the split
-  node's neighbourhood, walked in ``affected`` set order — with the one
-  fix the fast path makes on purpose: no edge of the old node survives
-  (the rescan left a recursive node's ``old -> old`` self-loop behind);
-  and a full recount for counts and witnesses.
+  edges, derives the larger part's counts from the old node's, and
+  patches the adjacency index.  The oracles are a full recount of the
+  edges, and an index rebuilt and one sorted in the test in the canonical
+  order (nodes by id, children by target, parents by source).  A split
+  writes only the old node's and the parts' edges.
 * ``count_bindings`` answers ``//tag`` steps from the tag extents and
   child steps from the child index; the oracle is the walking evaluator,
   ``eval_path`` from the virtual root.
@@ -36,7 +34,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.build import generate_candidates
+from repro.build import XBuild, generate_candidates
 from repro.build import sampling as sampling_module
 from repro.build.refinements import (
     ALL_REFINEMENTS,
@@ -84,7 +82,7 @@ from repro.synopsis.distributions import (
     child_counts,
     exact_edge_distribution,
 )
-from repro.synopsis.graph import GraphSynopsis
+from repro.synopsis.graph import GraphSynopsis, IndexedGraph
 from repro.workload import WorkloadGenerator, WorkloadSpec
 
 TAGS = ("a", "b", "c")
@@ -121,95 +119,86 @@ def recursive_trees(draw, max_nodes=40, values=INT_VALUES):
 
 
 # ----------------------------------------------------------------------
-# (a) split recount vs the neighbourhood rescan
+# (a) split recount vs a full recount and the canonical index
 # ----------------------------------------------------------------------
-def rescan_edges(before, graph, old_id, affected):
-    """The edges after a split, as the neighbourhood rescan builds them.
-
-    ``before`` maps the pre-split edge keys to their counts; ``graph``
-    already carries the post-split nodes and assignment.  Returns
-    ``[(key, counts)]`` in ``edges`` order.
-    """
-    edges = [
-        (key, counts)
-        for key, counts in before.items()
-        if key[0] not in affected
-        and key[1] not in affected
-        and old_id not in key
-    ]
-    counts: dict = {}
-    parents: dict = {}
-    seen_pairs: set = set()
-
-    def record(parent, child):
-        key = (graph.node_of(parent), graph.node_of(child))
-        if key[0] in affected or key[1] in affected:
-            counts[key] = counts.get(key, 0) + 1
-            parents.setdefault(key, set()).add(parent.node_id)
-
-    for node_id in affected:
-        for element in graph.node(node_id).extent:
-            for child in element.children:
-                pair = (element.node_id, child.node_id)
-                if pair not in seen_pairs:
-                    seen_pairs.add(pair)
-                    record(element, child)
-            if element.parent is not None:
-                pair = (element.parent.node_id, element.node_id)
-                if pair not in seen_pairs:
-                    seen_pairs.add(pair)
-                    record(element.parent, element)
-    for (source, target), child_count in counts.items():
-        edges.append((
-            (source, target),
-            (
-                source,
-                target,
-                child_count,
-                len(parents[(source, target)]),
-                graph.node(source).count,
-                graph.node(target).count,
-            ),
-        ))
-    return edges
-
-
 def edge_rows(graph):
-    """Each edge's key and counts, without its witness."""
-    return [(key, astuple(edge)[:6]) for key, edge in graph.edges.items()]
+    """Each edge's counts, by key."""
+    return {key: astuple(edge) for key, edge in graph.edges.items()}
 
 
-def witnesses(graph):
-    """Each edge's witness, by key."""
-    return {key: edge.witness for key, edge in graph.edges.items()}
+def canonical_index(graph):
+    """The adjacency index the canonical order defines, sorted here from
+    ``graph.nodes`` and ``graph.edges``: each node's children by target
+    id, its parents by source id and its child ids per tag ascending
+    (an empty entry for a childless node), each tag's nodes by id."""
+    children, parents = {}, {}
+    by_tag = {node_id: {} for node_id in graph.nodes}
+    for key in sorted(graph.edges):
+        edge = graph.edges[key]
+        children.setdefault(edge.source, []).append(edge)
+        parents.setdefault(edge.target, []).append(edge)
+        by_tag[edge.source].setdefault(
+            graph.nodes[edge.target].tag, []
+        ).append(edge.target)
+    nodes_by_tag = {}
+    for node_id in sorted(graph.nodes):
+        node = graph.nodes[node_id]
+        nodes_by_tag.setdefault(node.tag, []).append(node)
+    return children, parents, by_tag, nodes_by_tag
+
+
+def identities(index):
+    """``index`` with every edge and node replaced by its identity, so two
+    indexes compare equal only over the same objects in one order."""
+    children, parents, by_tag, nodes_by_tag = index
+    return (
+        {key: [id(edge) for edge in edges] for key, edges in children.items()},
+        {key: [id(edge) for edge in edges] for key, edges in parents.items()},
+        by_tag,
+        {tag: [id(node) for node in nodes] for tag, nodes in
+         nodes_by_tag.items()},
+    )
+
+
+def read_index(graph):
+    """:func:`identities` of ``graph``'s index, every tag entry read."""
+    tags = {node.tag for node in graph.nodes.values()}
+    for node_id in graph.nodes:
+        for tag in tags:
+            graph.child_ids_with_tag(node_id, tag)
+    return identities(graph._adjacency)
+
+
+def assert_index_is_canonical(graph):
+    """``graph``'s index, when built, equals a rebuild and the canonical
+    order, with list order and records."""
+    if graph._adjacency is None:
+        return
+    rebuilt = IndexedGraph()
+    rebuilt.nodes, rebuilt.edges, rebuilt._adjacency = (
+        graph.nodes, graph.edges, None
+    )
+    expected = identities(canonical_index(graph))
+    assert read_index(graph) == expected
+    assert read_index(rebuilt) == expected
 
 
 def split_and_check(graph, node_id, part, split=GraphSynopsis.split_node):
-    """Split ``node_id`` by ``part`` and check the result: counts and
-    ``edges`` order against the rescan, counts and witnesses against a
-    full recount.  Returns the two new node ids."""
-    old_extent = list(graph.node(node_id).extent)
-    before = dict(edge_rows(graph))
+    """Split ``node_id`` by ``part`` and check the result: counts against
+    a full recount, the patched index against a rebuild and the canonical
+    order.  Returns the two new node ids."""
     first, second = split(graph, node_id, part)
-    affected = {first, second}
-    affected.update(
-        graph.node_of(e.parent) for e in old_extent if e.parent is not None
-    )
-    affected.update(
-        graph.node_of(c) for e in old_extent for c in e.children
-    )
-    assert edge_rows(graph) == rescan_edges(before, graph, node_id, affected)
     fresh = graph.copy()
     fresh._recompute_all_edges()
-    assert sorted(edge_rows(fresh)) == sorted(edge_rows(graph))
-    assert witnesses(fresh) == witnesses(graph)
+    assert edge_rows(fresh) == edge_rows(graph)
+    assert_index_is_canonical(graph)
     assert validate_graph(graph) == []
     return first, second
 
 
 @given(tree=recursive_trees(), data=st.data())
 @settings(max_examples=80, deadline=None)
-def test_split_recount_matches_rescan_order_and_full_recount(tree, data):
+def test_split_recount_matches_full_recount_and_canonical_index(tree, data):
     graph = label_split_synopsis(tree)
     for _ in range(data.draw(st.integers(1, 6))):
         splittable = [node for node in graph.iter_nodes() if node.count > 1]
@@ -240,51 +229,57 @@ def test_lopsided_splits_match_the_references(tree, data):
         split_and_check(graph, node.node_id, part)
 
 
-def seeded_tree(rng, size):
-    """A random document over four tags, grown like :func:`recursive_trees`."""
-    children = [[] for _ in range(size)]
-    for child in range(1, size):
-        children[rng.choice([child - 1, rng.randrange(child)])].append(child)
-    tags = [rng.choice("abcd") for _ in range(size)]
+class RecordingEdges(dict):
+    """An ``edges`` dict that records the keys removed and written."""
 
-    def spec(index):
-        return (tags[index], [spec(c) for c in children[index]])
+    def __init__(self, edges):
+        super().__init__(edges)
+        self.left, self.entered = [], []
 
-    return build_tree(spec(0))
+    def __setitem__(self, key, value):
+        self.entered.append(key)
+        super().__setitem__(key, value)
 
+    def __delitem__(self, key):
+        self.left.append(key)
+        super().__delitem__(key)
 
-def test_split_order_on_seeded_random_trees():
-    """Neighbour ids that share hash slots make the ``affected`` set's
-    iteration order depend on insertion order; these trees and split
-    sequences include such sets, for the parents and for the children."""
-    for seed in range(40):
-        rng = random.Random(seed)
-        graph = label_split_synopsis(seeded_tree(rng, rng.randint(5, 30)))
-        for _ in range(8):
-            splittable = [n for n in graph.iter_nodes() if n.count > 1]
-            if not splittable:
-                break
-            node = rng.choice(splittable)
-            ids = [element.node_id for element in node.extent]
-            part = set(rng.sample(ids, rng.randint(1, len(ids) - 1)))
-            split_and_check(graph, node.node_id, part)
+    def pop(self, key, *default):
+        if key in self:
+            self.left.append(key)
+        return super().pop(key, *default)
+
+    def update(self, other=(), **more):
+        for key, value in dict(other, **more).items():
+            self[key] = value
 
 
-def test_split_order_when_child_nodes_share_hash_slots():
-    """A split sequence, found by search, whose child nodes iterate in
-    another order when not inserted in first-meet order."""
-    tree = build_tree((
-        "c",
-        [
-            ("c", [("a", ["d"])]),
-            ("d", [("a", [("c", [("d", ["a", "b"])]), "d", ("d", ["d"])])]),
-        ],
-    ))
-    graph = label_split_synopsis(tree)
-    for node_id, part in [
-        (2, {3, 7, 12}), (4, {7}), (5, {11}), (0, {0, 1}), (10, {1})
-    ]:
-        split_and_check(graph, node_id, part)
+def test_a_split_writes_only_the_edges_it_changes(monkeypatch):
+    """Every split of an XBUILD run on imdb@1500 removes from ``edges``
+    exactly the old node's incident edges and writes exactly the parts'
+    edges, each once; every other edge keeps its record."""
+    split = GraphSynopsis.split_node
+    splits = []
+
+    def recorded(graph, node_id, part):
+        before = dict(graph.edges)
+        incident = {key for key in before if node_id in key}
+        graph.edges = recording = RecordingEdges(before)
+        first, second = split(graph, node_id, part)
+        graph.edges = dict(recording)
+        assert sorted(recording.left) == sorted(incident)
+        assert sorted(recording.entered) == sorted(
+            key for key in graph.edges if first in key or second in key
+        )
+        assert all(graph.edges[key] is before[key]
+                   for key in before.keys() - incident)
+        splits.append(node_id)
+        return first, second
+
+    monkeypatch.setattr(GraphSynopsis, "split_node", recorded)
+    tree = generate_imdb(1500, seed=3)
+    XBuild(tree, TwigXSketch.coarsest(tree).size_bytes() + 2048, seed=5).run()
+    assert len(splits) > 20
 
 
 #: ``x`` nests in itself (a recursive node, and a parent node whose
@@ -303,29 +298,25 @@ NESTED = (
 )
 
 
-def witness_sides(graph, node_id, small):
-    """For each edge incident to ``node_id``, whether the witness elements
-    the larger part's witness derives from lie in the smaller part."""
-    sides = set()
-    for (source, target), (parent_id, child_id, first) in (
-        witnesses(graph).items()
-    ):
-        if source == target:
-            continue
-        if source == node_id:
-            sides.add(("out p", parent_id in small))
-            parent = graph.tree.node_by_id(first).parent.node_id
-            sides.add(("out t", parent in small))
-        elif target == node_id:
-            sides.add(("in c", child_id in small))
-            sides.add(("in t", first in small))
-    return sides
+def keeps_a_child_in_both(graph, node_id, small):
+    """Whether some parent of a ``small`` element also has a same-tag
+    child in the rest of node ``node_id``: the case where the larger
+    part's incoming parent count adds back a parent the subtraction
+    took."""
+    tag = graph.node(node_id).tag
+    rest = {e.node_id for e in graph.node(node_id).extent} - small
+    return any(
+        child.node_id in rest
+        for element_id in small
+        for child in graph.tree.node_by_id(element_id).parent.children
+        if child.tag == tag
+    )
 
 
 def test_single_element_splits_of_every_node_both_ways():
     """Every element of every node split off alone, as the first part and
-    as the second; between them, each witness of the old node lies in the
-    smaller part and in the larger part."""
+    as the second; between them, recursive and non-recursive nodes, and
+    parents that keep a child in both parts and parents that do not."""
     tree = build_tree(NESTED)
     seen = set()
     recursive = fast = 0
@@ -342,16 +333,12 @@ def test_single_element_splits_of_every_node_both_ways():
                     recursive += 1
                 else:
                     fast += 1
-                    seen |= witness_sides(graph, node.node_id, part)
+                    seen.add(keeps_a_child_in_both(graph, node.node_id, part))
                 split_and_check(
                     graph, node.node_id, part if first_small else ids - part
                 )
     assert recursive and fast
-    assert seen == {
-        (kind, inside)
-        for kind in ("out p", "out t", "in c", "in t")
-        for inside in (True, False)
-    }
+    assert seen == {True, False}
 
 
 def record_tally_calls(monkeypatch):

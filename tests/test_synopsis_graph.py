@@ -1,5 +1,6 @@
 """Tests for the graph synopsis: partition, edges, stability, splitting."""
 
+import random
 from dataclasses import FrozenInstanceError, astuple
 
 import pytest
@@ -246,10 +247,6 @@ class TestCopy:
         extents = {key: list(node.extent) for key, node in nodes.items()}
         edges = {key: astuple(edge) for key, edge in fig1_synopsis.edges.items()}
         records = dict(fig1_synopsis.edges)
-        witnesses = {
-            key: edge.witness for key, edge in fig1_synopsis.edges.items()
-        }
-        assert None not in witnesses.values()
         duplicate = fig1_synopsis.copy()
         paper = node_by_tag(duplicate, "paper")
         duplicate.split_node(paper.node_id, {paper.extent[0].node_id})
@@ -269,9 +266,6 @@ class TestCopy:
         assert all(
             fig1_synopsis.edges[key] is edge for key, edge in records.items()
         )
-        assert {
-            key: edge.witness for key, edge in fig1_synopsis.edges.items()
-        } == witnesses
 
     def test_copy_shares_edge_records(self, fig1_synopsis, monkeypatch):
         built = []
@@ -299,16 +293,49 @@ class TestCopy:
             ("child_count", edge.child_count + 1),
             ("parent_count", 0),
             ("target_size", 1),
-            ("witness", None),
         ]:
             with pytest.raises(FrozenInstanceError):
                 setattr(edge, name, value)
 
-    def test_witness_is_left_out_of_equality(self, fig1_synopsis):
-        edge = next(iter(fig1_synopsis.edges.values()))
-        bare = SynopsisEdge(*astuple(edge)[:6])
-        assert bare.witness is None
-        assert bare == edge and hash(bare) == hash(edge)
+    def test_reads_are_in_canonical_order(self, fig1_synopsis):
+        """Nodes by id, each node's children by target id and parents by
+        source id, edges by (source, target), whatever order ``nodes``
+        and ``edges`` hold them in; split parts take the two largest
+        ids."""
+        graph = fig1_synopsis.copy()
+        for tag in ("paper", "author", "paper"):
+            node = graph.nodes_with_tag(tag)[-1]
+            parts = graph.split_node(node.node_id, {node.extent[0].node_id})
+            assert parts == (graph._next_id - 2, graph._next_id - 1)
+            assert max(graph.nodes) == parts[1]
+        shuffled = graph.copy()
+        rng = random.Random(3)
+        node_ids, keys = list(graph.nodes), list(graph.edges)
+        rng.shuffle(node_ids)
+        rng.shuffle(keys)
+        shuffled.nodes = {node_id: graph.nodes[node_id] for node_id in node_ids}
+        shuffled.edges = {key: graph.edges[key] for key in keys}
+        shuffled._adjacency = None
+        for read in (graph, shuffled):
+            assert [n.node_id for n in read.iter_nodes()] == sorted(graph.nodes)
+            assert [
+                (e.source, e.target) for e in read.iter_edges()
+            ] == sorted(graph.edges)
+            for node_id, node in graph.nodes.items():
+                assert [e.target for e in read.children_of(node_id)] == sorted(
+                    target for source, target in graph.edges
+                    if source == node_id
+                )
+                assert [e.source for e in read.parents_of(node_id)] == sorted(
+                    source for source, target in graph.edges
+                    if target == node_id
+                )
+                assert [
+                    n.node_id for n in read.nodes_with_tag(node.tag)
+                ] == sorted(
+                    other for other, n in graph.nodes.items()
+                    if n.tag == node.tag
+                )
 
     def test_ancestor_in(self, fig1_synopsis):
         author = node_by_tag(fig1_synopsis, "author")

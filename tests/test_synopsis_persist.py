@@ -4,6 +4,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.build import ValueExpand, generate_candidates, xbuild
 from repro.build.refinements import ALL_REFINEMENTS
@@ -23,6 +25,7 @@ from repro.synopsis import (
     sketch_to_dict,
     validate_sketch,
 )
+from tests.test_estimation_kernel import imdb3000
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +96,24 @@ class TestRoundTrip:
         assert PathEstimator(loaded).estimate(path) == pytest.approx(
             PathEstimator(built_sketch).estimate(path)
         )
+
+
+@given(rng=st.randoms(use_true_random=False))
+@settings(max_examples=20, deadline=None)
+def test_shuffled_lists_load_to_the_same_sketch(rng):
+    """A file whose ``nodes`` and ``edges`` lists are shuffled loads to a
+    sketch that serializes as the unshuffled one and estimates alike."""
+    sketch, queries = imdb3000()
+    payload = sketch_to_dict(sketch)
+    shuffled = json.loads(json.dumps(payload))
+    rng.shuffle(shuffled["nodes"])
+    rng.shuffle(shuffled["edges"])
+    shuffled["digest"] = payload_digest(shuffled)
+    loaded = sketch_from_dict(shuffled)
+    assert sketch_to_dict(loaded) == payload
+    estimator, original = TwigEstimator(loaded), TwigEstimator(sketch)
+    for query in queries:
+        assert estimator.estimate(query) == original.estimate(query)
 
 
 class TestFiles:
