@@ -21,7 +21,12 @@ from .embeddings import (
     maximal_twigs,
     validate_embedding,
 )
-from .estimator import EstimateReport, SketchFacts, TwigEstimator
+from .estimator import (
+    EstimateReport,
+    EstimatorCounters,
+    SketchFacts,
+    TwigEstimator,
+)
 from .path_estimator import PathEstimator
 from .treeparse import ExtendedUse, HistogramUse, NodePlan, tree_parse
 
@@ -32,6 +37,7 @@ __all__ = [
     "EmbeddingBudget",
     "EmbeddingNode",
     "EstimateReport",
+    "EstimatorCounters",
     "ExtendedUse",
     "HistogramUse",
     "NodePlan",

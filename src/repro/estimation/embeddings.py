@@ -38,7 +38,8 @@ MAX_DESCENDANT_EXPLORATION = 20_000
 
 #: Safety cap on the number of chains *yielded* per ``//`` step; on dense
 #: cyclic synopses (adversarial inputs) the walk space is exponential and
-#: the longest expansions carry vanishing selectivity anyway.
+#: the longest expansions carry vanishing selectivity anyway.  A walk cut
+#: by either cap marks the enumeration's budget as truncated.
 MAX_DESCENDANT_CHAINS = 256
 
 
@@ -46,8 +47,10 @@ class EmbeddingBudget:
     """Enumeration budget shared across one query's expansion.
 
     The limit caps the number of partial embeddings kept per twig node
-    (and thus the number of complete embeddings); hitting it anywhere
-    marks the enumeration as truncated.
+    (and thus the number of complete embeddings); hitting it anywhere, or
+    cutting a ``//`` walk at :data:`MAX_DESCENDANT_CHAINS` or
+    :data:`MAX_DESCENDANT_EXPLORATION`, marks the enumeration as
+    truncated.
     """
 
     def __init__(self, limit: int = DEFAULT_MAX_EMBEDDINGS):
@@ -133,6 +136,7 @@ def _chain_expansions(
     context: Optional[int],
     path: Path,
     max_depth: int,
+    budget: Optional[EmbeddingBudget] = None,
 ) -> Iterator[list[tuple[int, Step]]]:
     """Enumerate synopsis chains matching ``path`` from ``context``.
 
@@ -141,9 +145,9 @@ def _chain_expansions(
     the matched step itself lands on the chain's last pair.  A ``context``
     of None means the absolute position: the first step matches any
     synopsis node with its tag (extent semantics, mirroring the exact
-    evaluator).
+    evaluator).  A ``//`` walk cut by a cap marks ``budget`` truncated.
     """
-    return _chains(synopsis, context, path.steps, max_depth)
+    return _chains(synopsis, context, path.steps, max_depth, budget)
 
 
 def _chains(
@@ -151,15 +155,18 @@ def _chains(
     current: Optional[int],
     steps: Sequence[Step],
     max_depth: int,
+    budget: Optional[EmbeddingBudget],
 ) -> Iterator[list[tuple[int, Step]]]:
     """The chains of ``steps`` from ``current``: each continuation of the
     first step, extended by every chain of the rest from its end."""
     head, rest = steps[0], steps[1:]
-    for prefix in _continuations(synopsis, current, head, max_depth):
+    for prefix in _continuations(synopsis, current, head, max_depth, budget):
         if not rest:
             yield prefix
             continue
-        for suffix in _chains(synopsis, prefix[-1][0], rest, max_depth):
+        for suffix in _chains(
+            synopsis, prefix[-1][0], rest, max_depth, budget
+        ):
             yield prefix + suffix
 
 
@@ -168,8 +175,10 @@ def _continuations(
     current: Optional[int],
     step: Step,
     max_depth: int,
+    budget: Optional[EmbeddingBudget],
 ) -> Iterator[list[tuple[int, Step]]]:
-    """The chains of one step from ``current``."""
+    """The chains of one step from ``current``; a ``//`` walk cut by a cap
+    marks ``budget`` (when given) truncated."""
     if current is None:
         for node in synopsis.nodes_with_tag(step.tag):
             yield [(node.node_id, step)]
@@ -197,6 +206,8 @@ def _continuations(
         if synopsis.node(tail).tag == step.tag:
             yielded += 1
             if yielded > MAX_DESCENDANT_CHAINS:
+                if budget is not None:
+                    budget.truncated = True
                 return
             yield [
                 (node_id, Step(synopsis.node(node_id).tag))
@@ -206,18 +217,26 @@ def _continuations(
             for edge in synopsis.children_of(tail):
                 explored += 1
                 if explored > MAX_DESCENDANT_EXPLORATION:
+                    if budget is not None:
+                        budget.truncated = True
                     return
                 queue.append(chain + [edge.target])
 
 
 def _embed_step(
-    synopsis: GraphSynopsis, node_id: int, step: Step, max_depth: int
+    synopsis: GraphSynopsis,
+    node_id: int,
+    step: Step,
+    max_depth: int,
+    budget: Optional[EmbeddingBudget],
 ) -> Optional[EmbeddingNode]:
     """``step`` matched at ``node_id``, with its branch predicates
     embedded; None when a branch predicate cannot embed there."""
     embedded = EmbeddingNode(node_id, step.value_pred)
     for branch in step.branches:
-        alternatives = _embed_branch(synopsis, node_id, branch, max_depth)
+        alternatives = _embed_branch(
+            synopsis, node_id, branch, max_depth, budget
+        )
         if not alternatives:
             return None
         embedded.branches.append(alternatives)
@@ -225,13 +244,16 @@ def _embed_step(
 
 
 def _embed_chain(
-    synopsis: GraphSynopsis, chain: list[tuple[int, Step]], max_depth: int
+    synopsis: GraphSynopsis,
+    chain: list[tuple[int, Step]],
+    max_depth: int,
+    budget: Optional[EmbeddingBudget],
 ) -> Optional[tuple[EmbeddingNode, EmbeddingNode]]:
     """A chain expansion as linked embedding nodes: (head, tail), or None
     when a branch predicate along it cannot embed."""
     head = tail = None
     for node_id, step in chain:
-        embedded = _embed_step(synopsis, node_id, step, max_depth)
+        embedded = _embed_step(synopsis, node_id, step, max_depth, budget)
         if embedded is None:
             return None
         if head is None:
@@ -247,21 +269,27 @@ def _embed_branch(
     context: int,
     branch: Path,
     max_depth: int,
+    budget: Optional[EmbeddingBudget] = None,
 ) -> list[EmbeddingNode]:
-    """All alternative existential chains for a branch predicate."""
+    """All alternative existential chains for a branch predicate.
+
+    The alternatives are not budgeted, but a ``//`` walk cut by a cap
+    marks ``budget`` (when given) truncated."""
     steps = branch.steps
     if len(steps) == 1 and steps[0].axis != DESCENDANT:
         # one child step: its targets are the chains
         step = steps[0]
         alternatives = []
         for target in synopsis.child_ids_with_tag(context, step.tag):
-            embedded = _embed_step(synopsis, target, step, max_depth)
+            embedded = _embed_step(synopsis, target, step, max_depth, budget)
             if embedded is not None:
                 alternatives.append(embedded)
         return alternatives
     alternatives = []
-    for chain in _chain_expansions(synopsis, context, branch, max_depth):
-        built = _embed_chain(synopsis, chain, max_depth)
+    for chain in _chain_expansions(
+        synopsis, context, branch, max_depth, budget
+    ):
+        built = _embed_chain(synopsis, chain, max_depth, budget)
         if built is not None:
             alternatives.append(built[0])
     return alternatives
@@ -278,7 +306,8 @@ def enumerate_embeddings(
     Branch predicates that cannot be embedded anywhere make the candidate
     embedding invalid (its estimate would be zero).  Enumeration stops at
     the budget's limit; check ``budget.truncated`` afterwards when you
-    supplied one.
+    supplied one (a ``//`` walk cut by its caps, in a twig path or a
+    branch predicate, sets it too).
 
     A twig node whose path is one child step (or the root's absolute
     first step) takes its synopsis targets straight from the graph's
@@ -323,16 +352,18 @@ def _embed_twig(
         for target in targets:
             if budget.full(len(results)):
                 return results
-            head = _embed_step(synopsis, target, step, max_depth)
+            head = _embed_step(synopsis, target, step, max_depth, budget)
             if head is not None and not _attach(
                 node, head, head, results, synopsis, max_depth, budget
             ):
                 return results
         return results
-    for chain in _chain_expansions(synopsis, context, node.path, max_depth):
+    for chain in _chain_expansions(
+        synopsis, context, node.path, max_depth, budget
+    ):
         if budget.full(len(results)):
             return results
-        built = _embed_chain(synopsis, chain, max_depth)
+        built = _embed_chain(synopsis, chain, max_depth, budget)
         if built is not None and not _attach(
             node, *built, results, synopsis, max_depth, budget
         ):

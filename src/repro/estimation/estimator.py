@@ -189,6 +189,32 @@ class SketchFacts:
         self.marginals: dict[tuple, tuple] = {}
 
 
+class EstimatorCounters:
+    """The estimators' counters in one registry, resolved once.
+
+    A caller that builds an estimator per request (the serving tier)
+    resolves them once and passes the same instance as every estimator's
+    ``metrics``.
+    """
+
+    __slots__ = ("lookups", "estimates", "embeddings")
+
+    def __init__(self, registry: MetricsRegistry) -> None:
+        self.lookups = registry.counter(
+            "estimator_lookups_total",
+            "estimator statistics lookups, by kind",
+            ["kind"],
+        )
+        self.estimates = registry.counter(
+            "estimator_estimates_total",
+            "twig estimates computed",
+        )
+        self.embeddings = registry.counter(
+            "estimator_embeddings_total",
+            "embeddings contributing to estimates",
+        )
+
+
 class TwigEstimator:
     """Estimates twig-query selectivities over one :class:`TwigXSketch`.
 
@@ -196,7 +222,8 @@ class TwigEstimator:
         sketch: the synopsis to estimate over.
         max_depth: cap on ``//`` expansion length.
         max_embeddings: cap on enumerated embeddings per query.
-        metrics: optional registry for lookup counters — ``None`` (the
+        metrics: optional registry for lookup counters, or its
+            :class:`EstimatorCounters` resolved once — ``None`` (the
             default) records nothing, keeping XBUILD's inner estimation
             loop free of instrumentation cost.  Lookups are tallied per
             kind in the instance and added to the counter when a public
@@ -214,7 +241,7 @@ class TwigEstimator:
         max_embeddings: int = 4096,
         branch_conditioning: bool = True,
         *,
-        metrics: Optional[MetricsRegistry] = None,
+        metrics: Optional[MetricsRegistry | EstimatorCounters] = None,
         explain: Optional[ExplainRecorder] = None,
         facts: Optional[SketchFacts] = None,
     ):
@@ -225,7 +252,6 @@ class TwigEstimator:
         #: of assuming branch/count independence (ablation E11)
         self.branch_conditioning = branch_conditioning
         self._explain = explain
-        self._metrics = metrics
         #: query key -> record of its report, once keep_records was called
         self._records: Optional[dict[tuple, _Record]] = None
         #: for a derived estimator: its recording base and the changes
@@ -237,34 +263,12 @@ class TwigEstimator:
         self._positive_cache = facts.positives
         self._partly_valued = facts.partly_valued
         self._marginals = facts.marginals
-        self._lookups = (
-            None
-            if metrics is None
-            else metrics.counter(
-                "estimator_lookups_total",
-                "estimator statistics lookups, by kind",
-                ["kind"],
-            )
-        )
-        #: lookups per kind not yet added to ``_lookups``
+        if isinstance(metrics, MetricsRegistry):
+            metrics = EstimatorCounters(metrics)
+        self._counters = metrics
+        #: lookups per kind not yet added to ``estimator_lookups_total``
         self._tally: Optional[Counter[str]] = (
             None if metrics is None else Counter()
-        )
-        self._estimates = (
-            None
-            if metrics is None
-            else metrics.counter(
-                "estimator_estimates_total",
-                "twig estimates computed",
-            )
-        )
-        self._embeddings_counter = (
-            None
-            if metrics is None
-            else metrics.counter(
-                "estimator_embeddings_total",
-                "embeddings contributing to estimates",
-            )
         )
 
     def _node_label(self, node_id: int) -> str:
@@ -304,7 +308,7 @@ class TwigEstimator:
         """Add the tallied lookups to ``estimator_lookups_total``."""
         if self._tally:
             for kind, count in self._tally.items():
-                self._lookups.inc(count, kind=kind)
+                self._counters.lookups.inc(count, kind=kind)
             self._tally.clear()
 
     def _report(self, query: TwigQuery) -> EstimateReport:
@@ -391,9 +395,10 @@ class TwigEstimator:
         return EstimateReport(sum(values), len(embeddings), truncated)
 
     def _count(self, embeddings: int) -> None:
-        if self._estimates is not None:
-            self._estimates.inc()
-            self._embeddings_counter.inc(embeddings)
+        counters = self._counters
+        if counters is not None:
+            counters.estimates.inc()
+            counters.embeddings.inc(embeddings)
 
     def keep_records(self) -> "TwigEstimator":
         """Keep a record of every later :meth:`report` for :meth:`derive`.
@@ -427,7 +432,7 @@ class TwigEstimator:
             self.max_depth,
             self.max_embeddings,
             self.branch_conditioning,
-            metrics=self._metrics,
+            metrics=self._counters,
             explain=self._explain,
         )
         changes = (

@@ -25,7 +25,7 @@ from ..obs.metrics import MetricsRegistry
 from ..query.ast import Path, TwigNode, TwigQuery
 from ..synopsis.summary import TwigXSketch
 from .embeddings import DEFAULT_MAX_DESCENDANT_DEPTH, _chain_expansions, _embed_branch
-from .estimator import TwigEstimator, _safe_ratio
+from .estimator import EstimatorCounters, TwigEstimator, _safe_ratio
 
 
 class PathEstimator:
@@ -42,7 +42,7 @@ class PathEstimator:
         sketch: TwigXSketch,
         max_depth: int = DEFAULT_MAX_DESCENDANT_DEPTH,
         *,
-        metrics: Optional[MetricsRegistry] = None,
+        metrics: Optional[MetricsRegistry | EstimatorCounters] = None,
         explain: Optional[ExplainRecorder] = None,
     ):
         self.sketch = sketch

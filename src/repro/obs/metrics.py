@@ -22,7 +22,9 @@ Concurrency: the registry locks around metric creation; each metric
 locks around its own series map.  Increments are a dict update under
 that lock — cheap enough to sit on per-round and per-request paths
 (the hammer test in ``tests/test_obs.py`` proves exact counts under
-contention).
+contention).  A call site that updates one series per event binds it
+once (:meth:`Counter.bind`, :meth:`Histogram.bind`) and skips the label
+lookup; a bound handle writes the same series as the labelled call.
 
 A process-global registry (:func:`default_registry`) is what
 instrumented subsystems record into unless handed an explicit one;
@@ -118,11 +120,18 @@ class Counter(_Metric):
 
     def inc(self, amount: float = 1.0, **labels) -> None:
         """Add ``amount`` (must be >= 0) to the labelled series."""
+        self._add(self._key(labels), amount)
+
+    def bind(self, **labels) -> "BoundCounter":
+        """The labelled series as a handle whose ``inc`` skips the label
+        lookup; wrong labels raise here.  Binding creates no series."""
+        return BoundCounter(self, self._key(labels))
+
+    def _add(self, key: tuple, amount: float) -> None:
         if amount < 0:
             raise MetricsError(
                 f"counter {self.name!r} cannot decrease (inc {amount!r})"
             )
-        key = self._key(labels)
         with self._lock:
             self._series[key] = self._series.get(key, 0.0) + amount
 
@@ -204,13 +213,21 @@ class Histogram(_Metric):
 
     def observe(self, value: float, **labels) -> None:
         """Record one observation into the labelled series."""
+        self._observe(self._key(labels), value)
+
+    def bind(self, **labels) -> "BoundHistogram":
+        """The labelled series as a handle whose ``observe`` skips the
+        label lookup; wrong labels raise here.  Binding creates no
+        series."""
+        return BoundHistogram(self, self._key(labels))
+
+    def _observe(self, key: tuple, value: float) -> None:
         value = float(value)
         if not math.isfinite(value):
             raise MetricsError(
                 f"histogram {self.name!r} observation must be finite, "
                 f"got {value!r}"
             )
-        key = self._key(labels)
         with self._lock:
             state = self._series.get(key)
             if state is None:
@@ -243,6 +260,37 @@ class Histogram(_Metric):
             "sum": state.sum,
             "count": state.count,
         }
+
+
+class BoundCounter:
+    """One series of a :class:`Counter`, its labels resolved once
+    (:meth:`Counter.bind`): for call sites that update one series per
+    event."""
+
+    __slots__ = ("_counter", "_key")
+
+    def __init__(self, counter: Counter, key: tuple):
+        self._counter = counter
+        self._key = key
+
+    def inc(self, amount: float = 1.0) -> None:
+        """Add ``amount`` (must be >= 0) to the series."""
+        self._counter._add(self._key, amount)
+
+
+class BoundHistogram:
+    """One series of a :class:`Histogram`, its labels resolved once
+    (:meth:`Histogram.bind`)."""
+
+    __slots__ = ("_histogram", "_key")
+
+    def __init__(self, histogram: Histogram, key: tuple):
+        self._histogram = histogram
+        self._key = key
+
+    def observe(self, value: float) -> None:
+        """Record one observation into the series."""
+        self._histogram._observe(self._key, value)
 
 
 class MetricsRegistry:

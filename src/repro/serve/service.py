@@ -8,9 +8,9 @@ serving tier:
 
 * a **registry** of named sketches, each validated on registration
   (:mod:`repro.synopsis.validate`) unless the caller opts out;
-* **per-request deadlines** via :class:`~repro.resilience.guards.Budget`
-  — a request that runs out of time skips the remaining tiers and serves
-  the terminal prior;
+* **per-request deadlines**, checked before each tier against the
+  request's start — a request that runs out of time skips the remaining
+  tiers and serves the terminal prior;
 * a **circuit breaker** per (sketch, tier): a tier that keeps failing is
   skipped outright until a cooldown elapses
   (:mod:`repro.serve.circuit`);
@@ -48,6 +48,18 @@ sketch's static facts (average child counts, positive-count
 probabilities, marginals) are computed once per registration, not once
 per request.
 
+A cached answer takes the hit path, which does only what the twig tier
+must: check a positive deadline, ask the twig breaker (a half-open
+breaker takes the hit as its probe; an open one sends the request down
+the cascade), read the cache, record the success, build the response and
+write its two metric series, bound once per (sketch, tier) at
+registration.  It skips the tier loop and its spans (a hit opens no
+span), builds no estimator, and exports the breaker gauges only while
+some exported state is not closed.  Answers, metric values and gauges
+are the ones the cascade would write.  Misses hand every estimator the
+service's :class:`~repro.estimation.estimator.EstimatorCounters`,
+resolved on the first one.
+
 The service never raises for estimation failures; only caller mistakes
 (unknown sketch name, invalid registration) raise
 :class:`~repro.errors.ServiceError`.
@@ -69,13 +81,22 @@ from ..errors import (
     ServiceError,
     SynopsisIntegrityError,
 )
-from ..estimation import PathEstimator, SketchFacts, TwigEstimator
+from ..estimation import (
+    EstimatorCounters,
+    PathEstimator,
+    SketchFacts,
+    TwigEstimator,
+)
 from ..obs import explain as _explain
 from ..obs.explain import ExplainRecorder
-from ..obs.metrics import MetricsRegistry, default_registry
+from ..obs.metrics import (
+    BoundCounter,
+    BoundHistogram,
+    MetricsRegistry,
+    default_registry,
+)
 from ..obs.tracing import NULL_TRACER, SpanTracer
 from ..query.ast import Path, TwigQuery
-from ..resilience import Budget
 from ..synopsis import load_sketch, raise_on_violations, validate_sketch
 from ..synopsis.summary import TwigXSketch
 from .circuit import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
@@ -87,6 +108,8 @@ TIER_UNIFORM = "uniform"
 
 #: the degradation order; ``uniform`` is terminal and cannot fail
 FALLBACK_TIERS = (TIER_TWIG, TIER_PATH, TIER_CST)
+#: every tier a response can name
+TIERS = FALLBACK_TIERS + (TIER_UNIFORM,)
 
 #: the documented uniform prior: one expected binding tuple
 DEFAULT_UNIFORM_PRIOR = 1.0
@@ -134,20 +157,31 @@ class EstimateResponse:
 class _Entry:
     """One registered sketch with its per-tier circuit breakers, its
     answer cache (query key -> accepted twig estimate, LRU order), the
-    sketch's static facts every twig estimate on it shares, and the
-    breaker states last written to the gauges.
+    sketch's static facts every twig estimate on it shares, its metric
+    series bound once, and the breaker states last written to the
+    gauges.
 
-    ``lock`` guards the cache, ``exported`` and ``retired``; an entry is
-    retired once unregistered or replaced, and then exports nothing."""
+    ``served`` maps each tier to its ``serve_requests_total`` and
+    ``serve_request_seconds`` series; ``degraded`` and ``warned`` are the
+    sketch's ``serve_degraded_total`` and ``serve_warnings_total``.
+    ``settled`` is True while every exported state is closed: no breaker
+    can then change state but by a failure, and the request that records
+    one exports it.  ``lock`` guards the cache, ``exported``, ``settled``
+    and ``retired``; an entry is retired once unregistered or replaced,
+    and then exports nothing."""
 
     name: str
     sketch: TwigXSketch
     baseline: Optional[CSTEstimator]
+    served: dict[str, tuple[BoundCounter, BoundHistogram]]
+    degraded: BoundCounter
+    warned: BoundCounter
     breakers: dict[str, CircuitBreaker] = field(default_factory=dict)
     answers: OrderedDict = field(default_factory=OrderedDict)
     facts: SketchFacts = field(default_factory=SketchFacts)
     lock: threading.Lock = field(default_factory=threading.Lock)
     exported: dict[str, str] = field(default_factory=dict)
+    settled: bool = False
     retired: bool = False
 
     def cached(self, key: tuple) -> Optional[float]:
@@ -276,6 +310,8 @@ class EstimatorService:
             "state's series is 1, the other two 0",
             ["sketch", "tier", "state"],
         )
+        #: the estimators' counters, resolved on the first estimate
+        self._estimator_counters: Optional[EstimatorCounters] = None
 
     # ------------------------------------------------------------------
     # registry
@@ -332,7 +368,20 @@ class EstimatorService:
             raise_on_violations(violations, source=f"sketch {name!r}")
         if isinstance(baseline, CorrelatedSuffixTree):
             baseline = CSTEstimator(baseline)
-        entry = _Entry(name, sketch, baseline)
+        entry = _Entry(
+            name,
+            sketch,
+            baseline,
+            served={
+                tier: (
+                    self._requests.bind(sketch=name, tier=tier),
+                    self._latency.bind(sketch=name, tier=tier),
+                )
+                for tier in TIERS
+            },
+            degraded=self._degraded_counter.bind(sketch=name),
+            warned=self._warnings_counter.bind(sketch=name),
+        )
         for tier in FALLBACK_TIERS:
             entry.breakers[tier] = CircuitBreaker(
                 self.failure_threshold, self.cooldown, clock=self._clock
@@ -417,6 +466,7 @@ class EstimatorService:
                         state=state,
                     )
             entry.exported = states
+            entry.settled = all(state == CLOSED for state in states.values())
             return states
 
     def _entry(self, name: str) -> _Entry:
@@ -501,43 +551,83 @@ class EstimatorService:
         deadline: Optional[float],
         explain: Optional[ExplainRecorder],
     ) -> EstimateResponse:
-        """One request, single or batched: its span, the cascade, and the
-        per-response metrics."""
-        name = entry.name
-        with self.tracer.span("serve.request", sketch=name) as request_span:
+        """One request, single or batched.
+
+        A request without ``explain=`` runs the twig tier's gate here: its
+        deadline check and its breaker's ``allow``.  When the tier is
+        admitted and the answer is cached, that is the whole request (the
+        hit path): the breaker records the success, the response is
+        built, its two bound series are written, and the gauges only when
+        a state may have changed (:attr:`_Entry.settled`).  Any other
+        request runs the cascade in its span, carrying the gate's outcome.
+        """
+        started = self._clock()
+        admitted = None
+        if explain is None and not self._expired(started, deadline):
+            twig = entry.breakers[TIER_TWIG]
+            admitted = twig.allow()
+            if admitted:
+                value = entry.cached(query.key)
+                if value is not None:
+                    twig.record_success()
+                    response = EstimateResponse(
+                        value, TIER_TWIG, entry.name, self._clock() - started
+                    )
+                    requests, latency = entry.served[TIER_TWIG]
+                    requests.inc()
+                    latency.observe(response.latency)
+                    if not entry.settled:
+                        self._export_breakers(entry)
+                    return response
+        with self.tracer.span(
+            "serve.request", sketch=entry.name
+        ) as request_span:
             response = self._estimate_cascade(
-                entry, name, query, deadline, explain
+                entry, query, deadline, explain, started, admitted
             )
             request_span.annotate(
                 tier=response.source,
                 estimate=response.estimate,
                 warnings=len(response.warnings),
             )
-        self._requests.inc(sketch=name, tier=response.source)
-        self._latency.observe(
-            response.latency, sketch=name, tier=response.source
-        )
+        requests, latency = entry.served[response.source]
+        requests.inc()
+        latency.observe(response.latency)
         if response.degraded:
-            self._degraded_counter.inc(sketch=name)
+            entry.degraded.inc()
         if response.warnings:
-            self._warnings_counter.inc(len(response.warnings), sketch=name)
+            entry.warned.inc(len(response.warnings))
         self._export_breakers(entry)
         return response
+
+    def _expired(self, started: float, deadline: Optional[float]) -> bool:
+        """True when ``deadline`` seconds have passed since ``started``;
+        never without a deadline (no clock read then)."""
+        return deadline is not None and deadline - (
+            self._clock() - started
+        ) <= 0
 
     def _estimate_cascade(
         self,
         entry: _Entry,
-        name: str,
         query: TwigQuery,
         deadline: Optional[float],
         explain: Optional[ExplainRecorder],
+        started: float,
+        admitted: Optional[bool],
     ) -> EstimateResponse:
-        budget = Budget(deadline=deadline, clock=self._clock)
+        """The tiers in order from ``started``.  ``admitted`` is the twig
+        breaker's answer when :meth:`_serve` already ran the twig tier's
+        gate (its answer was not cached), else None."""
+        name = entry.name
         warnings: list[str] = []
         # the answer-cache key; explained requests bypass the cache
         key = query.key if explain is None else None
         for tier in FALLBACK_TIERS:
-            if budget.expired():
+            breaker = entry.breakers[tier]
+            if tier == TIER_TWIG and admitted is not None:
+                allowed = admitted
+            elif self._expired(started, deadline):
                 warnings.append(
                     f"deadline of {deadline:g}s exhausted before the "
                     f"{tier} tier"
@@ -548,8 +638,9 @@ class EstimatorService:
                         _explain.KIND_TIER, tier, "skipped: deadline expired"
                     )
                 break
-            breaker = entry.breakers[tier]
-            if not breaker.allow():
+            else:
+                allowed = breaker.allow()
+            if not allowed:
                 warnings.append(f"{tier} tier skipped: circuit open")
                 self._circuit_skips.inc(sketch=name, tier=tier)
                 if explain is not None:
@@ -588,7 +679,7 @@ class EstimatorService:
                     _explain.KIND_TIER, tier, "answered", value
                 )
             return EstimateResponse(
-                value, tier, name, budget.elapsed(), tuple(warnings)
+                value, tier, name, self._clock() - started, tuple(warnings)
             )
         warnings.append(
             f"all estimation tiers degraded; serving the uniform prior "
@@ -605,9 +696,18 @@ class EstimatorService:
             self.uniform_prior,
             TIER_UNIFORM,
             name,
-            budget.elapsed(),
+            self._clock() - started,
             tuple(warnings),
         )
+
+    def _counters(self) -> EstimatorCounters:
+        """The estimators' counters in this service's registry."""
+        counters = self._estimator_counters
+        if counters is None:
+            counters = self._estimator_counters = EstimatorCounters(
+                self.metrics
+            )
+        return counters
 
     # ------------------------------------------------------------------
     def _run_tier(
@@ -620,17 +720,14 @@ class EstimatorService:
         key: Optional[tuple] = None,
     ) -> float:
         """One tier's answer, gated by :meth:`_accept`; twig answers are
-        cached under ``key`` once they pass the gate, so a cache hit
-        needs no second one."""
+        cached under ``key`` once they pass the gate (only
+        :meth:`_serve` reads the cache)."""
         if tier == TIER_TWIG:
-            cached = None if key is None else entry.cached(key)
-            if cached is not None:
-                return cached
             value = self._accept(
                 TwigEstimator(
                     entry.sketch,
                     max_embeddings=self.max_embeddings,
-                    metrics=self.metrics,
+                    metrics=self._counters(),
                     explain=explain,
                     facts=entry.facts,
                 ).estimate(query),
@@ -648,7 +745,7 @@ class EstimatorService:
                 )
             return self._accept(
                 PathEstimator(
-                    entry.sketch, metrics=self.metrics, explain=explain
+                    entry.sketch, metrics=self._counters(), explain=explain
                 ).estimate(chain),
                 tier,
             )

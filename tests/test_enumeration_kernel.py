@@ -31,6 +31,7 @@ from repro.estimation import (
     Embedding,
     EmbeddingBudget,
     EmbeddingNode,
+    TwigEstimator,
     enumerate_embeddings,
     validate_embedding,
 )
@@ -57,9 +58,10 @@ from tests.test_fast_path_differential import (
 # ----------------------------------------------------------------------
 # the reference: the enumeration before direct child steps
 # ----------------------------------------------------------------------
-def reference_chain_expansions(synopsis, context, path, max_depth):
+def reference_chain_expansions(synopsis, context, path, max_depth, budget):
     """Synopsis chains matching ``path`` from ``context``, through the
-    three generator layers."""
+    three generator layers; a ``//`` walk cut by a cap marks ``budget``
+    truncated."""
 
     def continuations(current, step):
         if current is None:
@@ -81,6 +83,7 @@ def reference_chain_expansions(synopsis, context, path, max_depth):
             if synopsis.node(tail).tag == step.tag:
                 yielded += 1
                 if yielded > embeddings_module.MAX_DESCENDANT_CHAINS:
+                    budget.truncated = True
                     return
                 yield [
                     (node_id, Step(synopsis.node(node_id).tag))
@@ -90,6 +93,7 @@ def reference_chain_expansions(synopsis, context, path, max_depth):
                 for edge in synopsis.children_of(tail):
                     explored += 1
                     if explored > embeddings_module.MAX_DESCENDANT_EXPLORATION:
+                        budget.truncated = True
                         return
                     queue.append(chain + [edge.target])
 
@@ -105,9 +109,11 @@ def reference_chain_expansions(synopsis, context, path, max_depth):
     yield from recurse(context, path.steps)
 
 
-def reference_embed_branch(synopsis, context, branch, max_depth):
+def reference_embed_branch(synopsis, context, branch, max_depth, budget):
     alternatives = []
-    chains = reference_chain_expansions(synopsis, context, branch, max_depth)
+    chains = reference_chain_expansions(
+        synopsis, context, branch, max_depth, budget
+    )
     for chain in chains:
         head = tail = None
         valid = True
@@ -115,7 +121,7 @@ def reference_embed_branch(synopsis, context, branch, max_depth):
             embedded = EmbeddingNode(node_id, step.value_pred)
             for nested in step.branches:
                 nested_alternatives = reference_embed_branch(
-                    synopsis, node_id, nested, max_depth
+                    synopsis, node_id, nested, max_depth, budget
                 )
                 if not nested_alternatives:
                     valid = False
@@ -157,7 +163,7 @@ def reference_roots(query, synopsis, max_depth=12, budget=None):
     def embed_twig(node, context):
         results = []
         for chain in reference_chain_expansions(
-            synopsis, context, node.path, max_depth
+            synopsis, context, node.path, max_depth, budget
         ):
             if budget.full(len(results)):
                 return results
@@ -167,7 +173,7 @@ def reference_roots(query, synopsis, max_depth=12, budget=None):
                 embedded = EmbeddingNode(node_id, step.value_pred)
                 for branch in step.branches:
                     alternatives = reference_embed_branch(
-                        synopsis, node_id, branch, max_depth
+                        synopsis, node_id, branch, max_depth, budget
                     )
                     if not alternatives:
                         valid = False
@@ -421,6 +427,34 @@ def test_only_true_products_clone(monkeypatch):
         (embedding,) = assert_same(single, graph)
         assert len(embedding.root.children) == len(single.root.children)
     assert clones["_clone_chain"] == 0
+
+
+def test_a_capped_descendant_walk_reports_truncated():
+    """``a`` and ``c`` each have both as children, so a ``//`` walk from
+    ``r`` over the recursive synopsis finds more than
+    ``MAX_DESCENDANT_CHAINS`` chains: the cut is reported as truncation,
+    in a twig path and in a branch predicate, and the estimate stays the
+    capped one."""
+    tree = build_tree(("r", [("a", [
+        ("a", ["b"]), ("c", [("c", ["b"]), ("a", ["b"]), "b"]), "b",
+    ])]))
+    sketch = TwigXSketch.coarsest(tree)
+    for text in ("r//b", "r/a//b", "r[a//b]"):
+        query = twig(parse_path(text))
+        embeddings = assert_same(query, sketch.graph)
+        budget = EmbeddingBudget()
+        enumerate_embeddings(query, sketch.graph, 12, budget)
+        assert budget.truncated, text
+        assert len(embeddings) < budget.limit, text
+        report = TwigEstimator(sketch).report(query)
+        assert report.truncated, text
+        assert report.embeddings == len(embeddings), text
+    capped = enumerate_embeddings(twig(parse_path("r//b")), sketch.graph)
+    assert len(capped) == embeddings_module.MAX_DESCENDANT_CHAINS
+    # a walk that ends below the caps is not truncated
+    budget = EmbeddingBudget()
+    enumerate_embeddings(twig(parse_path("r//b")), sketch.graph, 3, budget)
+    assert not budget.truncated
 
 
 # ----------------------------------------------------------------------

@@ -192,6 +192,55 @@ class TestLabelChecks:
         [(labels, _)] = metric.series()
         assert labels == {"sketch": "7", "tier": "None"}
 
+    BINDABLE = {
+        "counter": (
+            lambda metric, **labels: metric.inc(2.0, **labels),
+            lambda bound: bound.inc(2.0),
+        ),
+        "histogram": (
+            lambda metric, **labels: metric.observe(0.3, **labels),
+            lambda bound: bound.observe(0.3),
+        ),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(BINDABLE))
+    def test_a_bound_series_is_the_labelled_series(self, kind):
+        """A bound handle and the labelled call update one series, and
+        the snapshot equals the one labelled calls alone export."""
+        labelled, through_bound = self.BINDABLE[kind]
+        registries = MetricsRegistry(), MetricsRegistry()
+        bound_metric, plain_metric = (
+            getattr(registry, kind)("m_total", "m", ["sketch", "tier"])
+            for registry in registries
+        )
+        bound = bound_metric.bind(sketch=7, tier="twig")
+        assert bound_metric.series() == []  # binding creates no series
+        for _ in range(3):
+            through_bound(bound)
+            labelled(bound_metric, sketch="7", tier="twig")
+            labelled(bound_metric, sketch="7", tier="path")
+            for tier in ("twig", "twig", "path"):
+                labelled(plain_metric, sketch="7", tier=tier)
+        assert len(bound_metric.series()) == 2
+        assert registries[0].snapshot() == registries[1].snapshot()
+
+    @pytest.mark.parametrize("kind", sorted(BINDABLE))
+    @pytest.mark.parametrize(
+        "labels",
+        [{"sketch": "a"}, {"sketch": "a", "tier": "t", "extra": "x"}, {}],
+        ids=["missing", "extra", "none"],
+    )
+    def test_binding_a_wrong_label_set_raises(self, kind, labels):
+        metric = self.make(kind)
+        with pytest.raises(MetricsError, match="takes labels"):
+            metric.bind(**labels)
+        assert metric.series() == []
+
+    def test_a_bound_counter_cannot_decrease(self):
+        bound = self.make("counter").bind(sketch="a", tier="t")
+        with pytest.raises(MetricsError):
+            bound.inc(-1)
+
     def test_unlabelled_metric_takes_no_labels(self):
         counter = MetricsRegistry().counter("plain_total", "p")
         counter.inc()

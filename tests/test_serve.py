@@ -6,13 +6,22 @@ import math
 import sys
 import threading
 import weakref
+from collections import Counter
+from unittest import mock
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.baselines import CorrelatedSuffixTree
+from repro.baselines import CorrelatedSuffixTree, CSTEstimator
 from repro.build import xbuild
 from repro.datasets import generate_imdb
-from repro.errors import ServiceError, SynopsisError, SynopsisIntegrityError
+from repro.errors import (
+    EstimationError,
+    ServiceError,
+    SynopsisError,
+    SynopsisIntegrityError,
+)
 from repro.estimation import TwigEstimator
 from repro.histogram import ops
 from repro.obs import ExplainRecorder, MetricsRegistry
@@ -37,7 +46,7 @@ from repro.serve import (
     TIER_UNIFORM,
 )
 from repro.serve import service as service_module
-from repro.serve.service import _primary_chain
+from repro.serve.service import DEFAULT_UNIFORM_PRIOR, _primary_chain
 from repro.synopsis import (
     TwigXSketch,
     XSketchConfig,
@@ -685,6 +694,213 @@ class TestAnswerCache:
         assert len(warm.events) > 2
 
 
+def _implied_metrics(responses):
+    """The serving metrics a sequence of responses implies: requests and
+    latency observations per (sketch, tier), degraded responses and
+    warnings per sketch (series never written are absent)."""
+    requests, degraded, warned = Counter(), Counter(), Counter()
+    for response in responses:
+        requests[(response.sketch, response.source)] += 1
+        if response.degraded:
+            degraded[(response.sketch,)] += 1
+        if response.warnings:
+            warned[(response.sketch,)] += len(response.warnings)
+    return {
+        "serve_requests_total": dict(requests),
+        "serve_request_seconds": dict(requests),
+        "serve_degraded_total": dict(degraded),
+        "serve_warnings_total": dict(warned),
+    }
+
+
+def _written_metrics(registry):
+    """The same figures as :func:`_implied_metrics`, read from the
+    registry's snapshot (histograms by observation count)."""
+    written = {}
+    for metric in registry.snapshot()["metrics"]:
+        if metric["name"] not in (
+            "serve_requests_total", "serve_request_seconds",
+            "serve_degraded_total", "serve_warnings_total",
+        ):
+            continue
+        field = "count" if metric["type"] == "histogram" else "value"
+        written[metric["name"]] = {
+            tuple(entry["labels"][name] for name in metric["labelnames"]):
+                entry[field]
+            for entry in metric["series"]
+        }
+    return written
+
+
+class TestHitPathDifferential:
+    """Random interleavings of repeated and new requests, through
+    ``estimate`` and ``submit_batch``, with and without ``deadline=`` and
+    ``explain=``, on a healthy and a poisoned sketch, sequential or from
+    threads.  Every twig answer equals a fresh estimator's (never the
+    service's own cache), every fallback answer the tier it names, the
+    serving metrics equal what the responses imply, the gauges show one
+    live state per (sketch, tier), and a cached request constructs no
+    estimator."""
+
+    POOL = 10
+
+    @pytest.fixture(scope="class")
+    def pool(self, tree):
+        spec = WorkloadSpec(seed=23, value_predicates=True)
+        load = WorkloadGenerator(tree, spec).positive_workload(2 * self.POOL)
+        distinct = {entry.query.key: entry.query for entry in load.queries}
+        return list(distinct.values())[: self.POOL]
+
+    @pytest.fixture(scope="class")
+    def expected(self, sketch, baseline, pool):
+        """Per sketch name, the answer (tier, estimate) of each pool query."""
+        cst = CSTEstimator(baseline)
+
+        def fallback(query):
+            # twig and path fail on the poisoned sketch; the CST answers
+            # child-axis queries without value predicates
+            try:
+                return TIER_CST, float(cst.estimate(query))
+            except EstimationError:
+                return TIER_UNIFORM, DEFAULT_UNIFORM_PRIOR
+
+        answers = {
+            "healthy": [
+                (TIER_TWIG, TwigEstimator(sketch).estimate(q)) for q in pool
+            ],
+            "poisoned": [fallback(q) for q in pool],
+        }
+        assert {tier for tier, _ in answers["poisoned"]} == {
+            TIER_CST, TIER_UNIFORM
+        }
+        return answers
+
+    requests = st.lists(
+        st.tuples(
+            st.sampled_from(["estimate", "batch", "explain"]),
+            st.sampled_from(["healthy", "poisoned"]),
+            st.lists(st.integers(0, POOL - 1), min_size=1, max_size=5),
+            st.sampled_from([None, 60.0]),
+        ),
+        min_size=1,
+        max_size=16,
+    )
+
+    @staticmethod
+    def send(service, pool, request):
+        """The responses to one drawn request."""
+        kind, name, indices, deadline = request
+        queries = [pool[i] for i in indices]
+        if kind == "batch":
+            return service.submit_batch(name, queries, deadline=deadline)
+        explain = ExplainRecorder() if kind == "explain" else None
+        response = service.estimate(
+            name, queries[0], deadline=deadline, explain=explain
+        )
+        if explain is not None:
+            assert explain.events
+        return [response]
+
+    @given(data=st.data())
+    def test_interleavings_answer_as_fresh_estimators(
+        self, sketch, baseline, pool, expected, data
+    ):
+        plan = data.draw(self.requests)
+        threads = data.draw(st.integers(1, 3))
+        service = EstimatorService(metrics=MetricsRegistry())
+        service.register("healthy", sketch)
+        service.register(
+            "poisoned", _poisoned(sketch), baseline=baseline, validate=False
+        )
+        built = []
+        original = service_module.TwigEstimator
+
+        def counting(on, **kwargs):
+            built.append(on is sketch)
+            return original(on, **kwargs)
+
+        served = [None] * len(plan)
+
+        def serve(offset):
+            for index in range(offset, len(plan), threads):
+                served[index] = self.send(service, pool, plan[index])
+
+        with mock.patch.object(service_module, "TwigEstimator", counting):
+            for thread in _in_threads(threads, serve):
+                thread.join(60)
+        responses = []
+        prior = (TIER_UNIFORM, DEFAULT_UNIFORM_PRIOR)
+        for (kind, name, indices, _), answers in zip(plan, served):
+            assert answers is not None
+            if kind != "batch":
+                indices = indices[:1]
+            assert len(answers) == len(indices)
+            for response, index in zip(answers, indices):
+                answer = (response.source, response.estimate)
+                # the CST tier's breaker opens after its failures on
+                # value predicates, and its answers turn into the prior
+                assert answer == expected[name][index] or (
+                    name == "poisoned" and answer == prior
+                ), (name, index, answer)
+            responses.extend(answers)
+        # a healthy request builds an estimator only when its answer is
+        # not cached: an explained one, or the first of its query
+        cached = {
+            pool[i].key
+            for kind, name, indices, _ in plan
+            if name == "healthy" and kind != "explain"
+            for i in (indices if kind == "batch" else indices[:1])
+        }
+        explained = sum(
+            kind == "explain" and name == "healthy"
+            for kind, name, _, _ in plan
+        )
+        if threads == 1:
+            assert built.count(True) == len(cached) + explained
+        assert _written_metrics(service.metrics) == _implied_metrics(
+            responses
+        )
+        for name in ("healthy", "poisoned"):
+            _live_states(service, name)
+
+        # every cached query answers again without building an estimator
+        def refuse(*args, **kwargs):
+            refused.append(args)
+            raise AssertionError("a cached request built an estimator")
+
+        refused = []
+        queries = [q for q in pool if q.key in cached]
+        with mock.patch.object(service_module, "TwigEstimator", refuse):
+            again = [service.estimate("healthy", q) for q in queries]
+            again += service.submit_batch("healthy", queries, deadline=60.0)
+        assert refused == []
+        fresh = dict(zip((q.key for q in pool), expected["healthy"]))
+        assert [(r.source, r.estimate) for r in again] == [
+            fresh[q.key] for q in queries + queries
+        ]
+
+    def test_a_cached_request_still_checks_its_deadline(self, sketch, query):
+        clock = FakeClock()
+        service = EstimatorService(clock=clock, metrics=MetricsRegistry())
+        service.register("imdb", sketch)
+        assert service.estimate("imdb", query).source == TIER_TWIG
+        original = service._clock
+
+        def slow_clock():
+            clock.advance(10.0)
+            return clock.now
+
+        service._clock = slow_clock
+        expired = service.estimate("imdb", query, deadline=5.0)
+        assert expired.source == TIER_UNIFORM
+        assert any("deadline" in w for w in expired.warnings)
+        assert service.estimate("imdb", query).source == TIER_TWIG
+        service._clock = original
+        assert service.metrics.get("serve_deadline_total").value(
+            sketch="imdb"
+        ) == 1.0
+
+
 class TestSharedFacts:
     """Every twig estimate on one registered sketch reads and fills the
     entry's SketchFacts, and answers exactly as a fresh estimator."""
@@ -841,6 +1057,29 @@ class TestSharedFacts:
 
         assert lookups(served) == lookups(alone)
         assert len(lookups(alone)) >= 3
+
+
+    def test_misses_resolve_the_estimator_counters_once(
+        self, sketches, queries, monkeypatch
+    ):
+        service = EstimatorService(metrics=MetricsRegistry())
+        service.register("s", sketches["built"])
+        resolved = []
+        original = MetricsRegistry.counter
+
+        def counting(registry, name, *args, **kwargs):
+            resolved.append(name)
+            return original(registry, name, *args, **kwargs)
+
+        monkeypatch.setattr(MetricsRegistry, "counter", counting)
+        for query in queries:
+            assert service.estimate("s", query).source == TIER_TWIG
+        assert len(queries) > 1
+        assert sorted(resolved) == [
+            "estimator_embeddings_total",
+            "estimator_estimates_total",
+            "estimator_lookups_total",
+        ]
 
 
 class TestPrimaryChain:
