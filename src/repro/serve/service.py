@@ -166,9 +166,10 @@ class _Entry:
     sketch's ``serve_degraded_total`` and ``serve_warnings_total``.
     ``settled`` is True while every exported state is closed: no breaker
     can then change state but by a failure, and the request that records
-    one exports it.  ``lock`` guards the cache, ``exported``, ``settled``
-    and ``retired``; an entry is retired once unregistered or replaced,
-    and then exports nothing."""
+    one exports it; a hit reads it without the lock, after recording its
+    success.  ``lock`` guards the cache and the writes of ``exported``,
+    ``settled`` and ``retired``; an entry is retired once unregistered or
+    replaced, and then exports nothing."""
 
     name: str
     sketch: TwigXSketch
